@@ -1,14 +1,21 @@
-"""Time the numba kernels against their pure-numpy twins.
+"""Time the nearest-grid lookup and the numba kernels.
 
 Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-Each kernel is timed on sizes close to the real workloads (mode scoring
-over a 4608-point grid, nearest-neighbour projection, covering-radius
-probes). The numba path is warmed once before timing so compilation is
-not counted. Results also cross-check that both paths agree, since a
-fast wrong kernel is worse than no kernel.
+First, the dense nearest-grid kernel over a whole 4608-point grid is
+timed against the cell-pruned lookup that `so3.nearest_indices` uses,
+on a solver-shaped batch (one camera composed with every grid rotation)
+and on random rotations; the two must return the same indices. This
+part runs with or without numba.
+
+Then each kernel's numpy path is timed on sizes close to the real
+workloads (mode scoring over a 4608-point grid, nearest-neighbour
+projection, covering-radius probes). When numba is importable, its
+twin is timed beside it, warmed once so compilation is not counted,
+and both paths must agree, since a fast wrong kernel is worse than no
+kernel.
 """
 
 import time
@@ -27,7 +34,32 @@ def _timeit(fn, *args, repeat=5):
     return best
 
 
+def bench_lookup():
+    rng = np.random.default_rng(12)
+    grid = so3.build_grid(4608)
+    grid.cells  # built once per grid; not part of a lookup
+    camera = so3.quat_conj(grid.quats[1234])[None, :]
+    batches = [
+        ("solver batch (4608 x 4608)", so3.quat_mul(grid.quats, camera)),
+        ("random rotations (20000 x 4608)", so3.random_quats(rng, 20000)),
+    ]
+    print(f"{'nearest-grid lookup':<44} {'dense':>10} {'pruned':>10} {'speedup':>8}")
+    for name, queries in batches:
+        queries = np.ascontiguousarray(queries)
+        dense, _ = _kernels.nearest_abs_dots(queries, grid.quats)
+        pruned = so3.nearest_indices(grid, queries)
+        assert np.array_equal(dense, pruned), f"{name}: pruned lookup differs"
+        t_dense = _timeit(_kernels.nearest_abs_dots, queries, grid.quats)
+        t_pruned = _timeit(so3.nearest_indices, grid, queries)
+        print(
+            f"{name:<44} {t_dense * 1e3:>8.2f}ms {t_pruned * 1e3:>8.2f}ms "
+            f"{t_dense / t_pruned:>7.2f}x"
+        )
+
+
 def main():
+    bench_lookup()
+    print()
     rng = np.random.default_rng(11)
     grid = so3.build_grid(4608).quats
     queries = so3.random_quats(rng, 20000)

@@ -38,17 +38,33 @@ _ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 
 
 class PairwiseScorer:
-    """Base scorer; subclasses override score_quats for speed."""
+    """Base scorer; subclasses override score, score_quats or both.
+
+    Each default is written in terms of the other, so a subclass must
+    override at least one of them.
+    """
 
     directional = True
 
+    def _require_override(self):
+        cls = type(self)
+        if (
+            cls.score is PairwiseScorer.score
+            and cls.score_quats is PairwiseScorer.score_quats
+        ):
+            raise NotImplementedError(
+                f"{cls.__name__} must override score or score_quats"
+            )
+
     def score_quats(self, i, j, quats):
         """Scores for a (m, 4) batch of candidate relative rotations."""
+        self._require_override()
         quats = np.asarray(quats, dtype=np.float64)
         mats = quat_to_matrix(quats)
         return np.array([self.score(i, j, m) for m in mats], dtype=np.float64)
 
     def score(self, i, j, rotation):
+        self._require_override()
         out = self.score_quats(i, j, matrix_to_quat(rotation)[None, :])
         return float(out[0])
 
@@ -129,6 +145,8 @@ class EnergyTable:
                     f"row ({i}, {j}) has {row.shape[0]} scores, "
                     f"grid has {self.grid_spec.n}"
                 )
+            if not np.isfinite(row).all():
+                raise CorruptTableError(f"row ({i}, {j}) has non-finite scores")
             clean[(i, j)] = row
         self.rows = clean
 
@@ -187,7 +205,10 @@ def load_table(path) -> EnergyTable:
         off += row_bytes
     if off != len(blob):
         raise CorruptTableError(f"{path}: {len(blob) - off} trailing bytes")
-    return EnergyTable(grid_spec=spec, rows=rows)
+    try:
+        return EnergyTable(grid_spec=spec, rows=rows)
+    except CorruptTableError as e:
+        raise CorruptTableError(f"{path}: {e}") from None
 
 
 class TableScorer(PairwiseScorer):
@@ -197,6 +218,10 @@ class TableScorer(PairwiseScorer):
     grid. A pair stored in only one order is served transposed for the
     other order (symmetric semantics); the scorer is directional exactly
     when some pair is stored in both orders.
+
+    The snapped grid indices of each query batch are memoized, keyed on
+    the batch's bytes: the solver recomposes the same batch for every
+    partner camera that has not moved since the last lookup.
     """
 
     def __init__(self, table: EnergyTable, grid: SO3Grid | None = None):
@@ -209,6 +234,7 @@ class TableScorer(PairwiseScorer):
         self.table = table
         self.grid = grid
         self.directional = any((j, i) in table.rows for (i, j) in table.rows)
+        self._snapped = {}
 
     def _row(self, i, j):
         if (i, j) in self.table.rows:
@@ -224,7 +250,11 @@ class TableScorer(PairwiseScorer):
         row, transposed = self._row(i, j)
         if transposed:
             quats = quat_conj(quats)
-        idx = nearest_indices(self.grid, quats)
+        quats = np.ascontiguousarray(quats)
+        key = quats.tobytes()
+        idx = self._snapped.get(key)
+        if idx is None:
+            idx = self._snapped[key] = nearest_indices(self.grid, quats)
         return row[idx].astype(np.float64)
 
 

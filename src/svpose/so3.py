@@ -37,6 +37,17 @@ _ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 _COVERING_SAMPLES = 10_000
 _COVERING_SEED = 402653189
 
+# Nearest-grid lookups: a batch whose size times the grid size is at
+# most _DENSE_WORK is compared against the whole grid at once; larger
+# batches go through the grid's cell index. Below about this much work
+# the index's per-cell overhead costs more than the pairs it prunes.
+# Each cell holds about _POINTS_PER_CELL grid points.
+_DENSE_WORK = 1 << 21
+_POINTS_PER_CELL = 16
+# Slack on the cell separation test, in radians; far above the rounding
+# error of arccos near 1 (about 1.5e-8).
+_CELL_SLACK = 1e-6
+
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=np.float64)
@@ -239,6 +250,56 @@ class GridSpec:
             raise ValueError("grid seed must fit in an unsigned 64-bit integer")
 
 
+def _half_angle(abs_dot):
+    """theta(a, b) = arccos|a.b|, a metric on unit quaternions up to sign."""
+    return np.arccos(np.minimum(abs_dot, 1.0))
+
+
+class CellIndex:
+    """Coarse partition of a grid that prunes nearest-grid candidates exactly.
+
+    Centers are a super-Fibonacci sample about 1/16 the size of the grid.
+    Each grid point belongs to its nearest center; centers that own no
+    point are dropped, and each cell keeps its radius r, the largest
+    theta from its center to a point it owns.
+
+    For queries whose nearest center is c, at most rho away, each
+    query's nearest grid point lies within rho + r_c of it (c owns a
+    point that close), so it sits in a cell c' with
+    theta(c, c') <= 2 rho + r_c + r_c'. Only those cells are searched.
+
+    Points and queries are assigned to centers by the dense kernel,
+    which works through them in row chunks, so no full points x centers
+    product is ever held.
+    """
+
+    def __init__(self, quats):
+        centers = super_fibonacci_quats(max(1, quats.shape[0] // _POINTS_PER_CELL))
+        owner, dot = _kernels.nearest_abs_dots(quats, centers)
+        used, owner = np.unique(owner, return_inverse=True)
+        radius = np.zeros(used.shape[0])
+        np.maximum.at(radius, owner, _half_angle(dot))
+        self.centers = np.ascontiguousarray(centers[used])
+        self.radius = radius
+        self.owner = owner
+
+    def groups(self, queries):
+        """(query rows, candidate grid indices) per nonempty cell of queries.
+
+        Candidates are in ascending grid order, so a first-maximum argmax
+        over them keeps the lowest-index tie-break of the whole grid.
+        """
+        cell, dot = _kernels.nearest_abs_dots(queries, self.centers)
+        theta = _half_angle(dot)
+        order = np.argsort(cell, kind="stable")
+        cells, starts = np.unique(cell[order], return_index=True)
+        for c, rows in zip(cells, np.split(order, starts[1:])):
+            rho = theta[rows].max()
+            sep = _half_angle(np.abs(self.centers @ self.centers[c]))
+            near = sep <= 2.0 * rho + self.radius[c] + self.radius + _CELL_SLACK
+            yield rows, np.flatnonzero(near[self.owner])
+
+
 @dataclass
 class SO3Grid:
     """A finite candidate set of rotations with cached derived data."""
@@ -247,6 +308,7 @@ class SO3Grid:
     spec: GridSpec
     _rotations: np.ndarray | None = field(default=None, repr=False)
     _covering: float | None = field(default=None, repr=False)
+    _cells: CellIndex | None = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -259,6 +321,23 @@ class SO3Grid:
         return self._rotations
 
     @property
+    def cells(self):
+        if self._cells is None:
+            self._cells = CellIndex(self.quats)
+        return self._cells
+
+    def query_groups(self, queries):
+        """(query rows, candidate grid indices) pairs that cover `queries`.
+
+        Each query's nearest grid point is among its group's candidates.
+        A small batch is one group holding the whole grid, so it never
+        builds the cell index.
+        """
+        if queries.shape[0] * self.n <= _DENSE_WORK:
+            return [(slice(None), slice(None))]
+        return self.cells.groups(queries)
+
+    @property
     def covering_radius(self):
         """Estimated max distance from any rotation to the grid.
 
@@ -268,7 +347,10 @@ class SO3Grid:
         if self._covering is None:
             rng = np.random.Generator(np.random.PCG64(_COVERING_SEED))
             probes = random_quats(rng, _COVERING_SAMPLES)
-            worst = _kernels.min_max_abs_dot(probes, self.quats)
+            worst = min(
+                _kernels.min_max_abs_dot(probes[rows], self.quats[cand])
+                for rows, cand in self.query_groups(probes)
+            )
             self._covering = 2.0 * math.acos(min(1.0, max(0.0, worst)))
         return self._covering
 
@@ -287,13 +369,24 @@ def grid_from_spec(spec: GridSpec) -> SO3Grid:
     return SO3Grid(quats=np.ascontiguousarray(quats), spec=spec)
 
 
+def _nearest(grid: SO3Grid, quats):
+    """Nearest grid index and its |dot| per query, lowest index on ties."""
+    idx = np.empty(quats.shape[0], dtype=np.int64)
+    dot = np.empty(quats.shape[0])
+    for rows, cand in grid.query_groups(quats):
+        k, d = _kernels.nearest_abs_dots(quats[rows], grid.quats[cand])
+        idx[rows] = k if isinstance(cand, slice) else cand[k]
+        dot[rows] = d
+    return idx, dot
+
+
 def nearest_in_grid(grid: SO3Grid, rotation):
     """Index and distance of the grid rotation closest to `rotation`.
 
     Ties are broken toward the lowest index.
     """
     q = matrix_to_quat(rotation)
-    idx, dot = _kernels.nearest_abs_dots(q[None, :], grid.quats)
+    idx, dot = _nearest(grid, q[None, :])
     d = 2.0 * math.acos(min(1.0, float(dot[0])))
     return int(idx[0]), d
 
@@ -301,7 +394,7 @@ def nearest_in_grid(grid: SO3Grid, rotation):
 def nearest_indices(grid: SO3Grid, quats):
     """Vector version of nearest_in_grid over an (m, 4) quaternion batch."""
     quats = np.ascontiguousarray(quats, dtype=np.float64)
-    idx, _ = _kernels.nearest_abs_dots(quats, grid.quats)
+    idx, _ = _nearest(grid, quats)
     return idx
 
 

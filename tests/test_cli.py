@@ -191,6 +191,28 @@ def test_exit_code_3_format(tmp_path, capsys):
     assert err["exit_code"] == 3
 
 
+def test_nan_table_score_is_exit_code_3(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    run(
+        "synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 6,
+        "--emit-tables", "--grid-n", 72,
+    )
+    path = scenes / "scene_000.rpet"
+    blob = bytearray(path.read_bytes())
+    # First score of the first row: 25 header bytes, then the pair ids.
+    blob[29:33] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    code = run(
+        "solve", "-o", tmp_path / "p", "--tables", scenes,
+        "--grid-n", 72, "--translation", "constant-z",
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "CorruptTableError"
+    assert "non-finite" in err["message"]
+    assert not (tmp_path / "p" / "scene_000.json").exists()
+
+
 def test_exit_code_4_consistency(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     preds = tmp_path / "preds"

@@ -4,10 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from svpose import so3
+from svpose import energy, so3
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
+    PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
     l1_translation_loss,
@@ -34,6 +35,25 @@ def test_constant_scorer():
     assert not s.directional
     with pytest.raises(ValueError):
         s.score_quats(1, 1, q)
+
+
+def test_base_scorer_needs_an_override():
+    class Bare(PairwiseScorer):
+        pass
+
+    r = so3.random_rotation(rng_for(0))
+    with pytest.raises(NotImplementedError, match="Bare must override"):
+        Bare().score(0, 1, r)
+    with pytest.raises(NotImplementedError, match="Bare must override"):
+        Bare().score_quats(0, 1, so3.random_quats(rng_for(0), 2))
+
+    class ByMatrix(PairwiseScorer):
+        def score(self, i, j, rotation):
+            return float(rotation[0, 0])
+
+    quats = so3.random_quats(rng_for(1), 3)
+    got = ByMatrix().score_quats(0, 1, quats)
+    assert np.array_equal(got, so3.quat_to_matrix(quats)[:, 0, 0])
 
 
 def test_mode_scores_zero_at_mode():
@@ -136,6 +156,23 @@ def test_table_validation():
         EnergyTable(grid_spec=grid.spec, rows={(0, 1): np.zeros(9)})
 
 
+def test_table_rejects_non_finite_scores(tmp_path):
+    grid = so3.build_grid(8)
+    for bad in (np.nan, np.inf, -np.inf):
+        row = np.zeros(8)
+        row[3] = bad
+        with pytest.raises(CorruptTableError, match="non-finite"):
+            EnergyTable(grid_spec=grid.spec, rows={(0, 1): row})
+    # A file whose stored row holds a NaN fails to load the same way.
+    path = tmp_path / "t.rpet"
+    table_for(rng_for(10), grid, [(0, 1)]).save(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, 25 + 4 + 4 * 5, float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptTableError, match="non-finite"):
+        load_table(path)
+
+
 def test_load_table_negatives(tmp_path):
     grid = so3.build_grid(8)
     table = table_for(rng_for(10), grid, [(0, 1)])
@@ -195,6 +232,53 @@ def test_table_scorer_grid_mismatch():
     table = table_for(rng_for(12), grid, [(0, 1)])
     with pytest.raises(ConsistencyError):
         TableScorer(table, other)
+
+
+class UnmemoizedTableScorer(TableScorer):
+    def score_quats(self, i, j, quats):
+        self._snapped.clear()
+        return super().score_quats(i, j, quats)
+
+
+def test_table_scorer_memo_matches_fresh_scorer():
+    rng = rng_for(13)
+    grid = so3.build_grid(576)
+    table = table_for(rng, grid, [(0, 1), (2, 1)])
+    memo = TableScorer(table, grid)
+    batches = [grid.quats, so3.random_quats(rng, 50), grid.quats[:1]]
+    for quats in batches + batches:
+        for i, j in [(0, 1), (1, 0), (2, 1), (1, 2)]:
+            want = TableScorer(table, grid).score_quats(i, j, quats)
+            assert np.array_equal(memo.score_quats(i, j, quats), want)
+
+
+def test_table_solve_reuses_snapped_batches(tmp_path, monkeypatch):
+    from svpose import cli
+    from svpose.solver import solve
+
+    scenes = tmp_path / "scenes"
+    assert cli.main([
+        "synth", "-o", str(scenes), "--n", "6", "--scenes", "1", "--seed", "3",
+        "--emit-tables", "--grid-n", "576", "--kappa", "50", "--noise-angle", "0.02",
+    ]) == 0
+    table = load_table(scenes / "scene_000.rpet")
+    grid = so3.build_grid(576)
+    want = solve(UnmemoizedTableScorer(table, grid), 6, grid)
+
+    full_grid_calls = []
+    lookup = energy.nearest_indices
+
+    def counting(grid, quats):
+        if len(quats) == grid.n:
+            full_grid_calls.append(len(quats))
+        return lookup(grid, quats)
+
+    monkeypatch.setattr(energy, "nearest_indices", counting)
+    got = solve(TableScorer(table, grid), 6, grid)
+    assert len(full_grid_calls) <= 20
+    assert np.array_equal(got.rotations, want.rotations)
+    assert got.total_energy == want.total_energy
+    assert got.energy_trace == want.energy_trace
 
 
 def test_nll_uniform_is_log_n():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from svpose import so3
+from svpose import _kernels, so3
 from svpose.errors import FormatError
 
 # Frozen covering radii for the default probe set; recomputed values
@@ -11,6 +11,8 @@ from svpose.errors import FormatError
 COVERING = {
     72: 0.9790203554936772,
     576: 0.4619622068750636,
+    4608: 0.22355913031403332,
+    36864: 0.11044942727074662,
 }
 
 
@@ -192,3 +194,114 @@ def test_grid_load_rejects_garbage(tmp_path):
     (tmp_path / "trunc.so3g").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         so3.load_grid(tmp_path / "trunc.so3g")
+
+
+def brute_nearest(grid, quats):
+    idx, _ = _kernels.nearest_abs_dots(np.ascontiguousarray(quats), grid.quats)
+    return idx
+
+
+def solver_batches(grid, rng, n):
+    """Queries shaped like the solver's: q (x) grid* and grid (x) q*."""
+    out = []
+    for q in grid.quats[rng.choice(grid.n, size=n, replace=False)]:
+        out.append(so3.quat_mul(q[None, :], so3.quat_conj(grid.quats)))
+        out.append(so3.quat_mul(grid.quats, so3.quat_conj(q)[None, :]))
+    return out
+
+
+@pytest.mark.parametrize("generator", ["super_fibonacci", "random_uniform"])
+@pytest.mark.parametrize("n", [72, 576, 4608])
+def test_pruned_nearest_matches_brute_force(generator, n):
+    rng = rng_for(20 + n)
+    grid = so3.build_grid(n, generator=generator, seed=5)
+    batches = solver_batches(grid, rng, 3) + [so3.random_quats(rng, 3000)]
+    for quats in batches:
+        got = so3.nearest_indices(grid, quats)
+        assert np.array_equal(got, brute_nearest(grid, quats))
+
+
+def test_pruned_nearest_uses_cell_index():
+    # Guard for the tests above: batches this size take the pruned path.
+    grid = so3.build_grid(4608)
+    queries = so3.random_quats(rng_for(21), 4608)
+    groups = list(grid.query_groups(queries))
+    assert len(groups) > 1
+    assert sorted(np.concatenate([rows for rows, _ in groups])) == list(range(4608))
+    assert max(len(cand) for _, cand in groups) < grid.n
+
+
+def test_small_batch_skips_cell_index():
+    grid = so3.build_grid(36864)
+    so3.nearest_in_grid(grid, so3.random_rotation(rng_for(22)))
+    assert grid._cells is None
+
+
+def test_pruned_nearest_grid_points_map_to_themselves():
+    for generator in ("super_fibonacci", "random_uniform"):
+        grid = so3.build_grid(4608, generator=generator, seed=6)
+        assert np.array_equal(so3.nearest_indices(grid, grid.quats), np.arange(4608))
+
+
+def test_pruned_nearest_sign_irrelevant():
+    grid = so3.build_grid(4608)
+    quats = so3.random_quats(rng_for(23), 2000)
+    quats[::2] *= -1.0
+    a = so3.nearest_indices(grid, quats)
+    assert np.array_equal(a, so3.nearest_indices(grid, -quats))
+    assert np.array_equal(a, brute_nearest(grid, quats))
+
+
+def test_pruned_nearest_duplicates_resolve_to_lowest_index():
+    base = so3.build_grid(2304)
+    # Every point appears twice; the copy at i + 2304 must never win.
+    quats = np.concatenate([base.quats, base.quats])
+    grid = so3.SO3Grid(quats=quats, spec=so3.GridSpec("super_fibonacci", 4608))
+    queries = np.concatenate([base.quats, so3.random_quats(rng_for(24), 2000)])
+    got = so3.nearest_indices(grid, queries)
+    assert got.max() < 2304
+    assert np.array_equal(got[:2304], np.arange(2304))
+    assert np.array_equal(got, brute_nearest(grid, queries))
+
+
+def test_pruned_nearest_with_empty_cell():
+    # All points near the identity: most of the 288 centers own nothing
+    # and are dropped before queries are assigned.
+    rng = rng_for(25)
+    quats = so3.quat_normalize(
+        np.array([1.0, 0.0, 0.0, 0.0]) + 0.2 * rng.standard_normal((4608, 4))
+    )
+    grid = so3.SO3Grid(quats=quats, spec=so3.GridSpec("random_uniform", 4608))
+    assert grid.cells.centers.shape[0] < 4608 // 16
+    queries = np.concatenate([so3.random_quats(rng, 2000), quats[:500]])
+    assert np.array_equal(so3.nearest_indices(grid, queries), brute_nearest(grid, queries))
+
+
+def test_cell_index_shared_across_threads():
+    # Threaded solves share one grid; whichever thread builds its cell
+    # index first, every lookup must still be exact.
+    import sys
+    import threading
+
+    grid = so3.build_grid(4608)
+    rng = rng_for(26)
+    batches = [so3.random_quats(rng, 1000) for _ in range(6)]
+    want = [brute_nearest(grid, q) for q in batches]
+    results = [None] * len(batches)
+
+    def work(k):
+        results[k] = so3.nearest_indices(grid, batches[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, expect in zip(results, want):
+        assert np.array_equal(got, expect)
