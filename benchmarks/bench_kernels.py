@@ -1,14 +1,21 @@
-"""Time the nearest-grid lookup and the numba kernels.
+"""Time grid scoring, the nearest-grid lookup and the numba kernels.
 
 Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-First, the dense nearest-grid kernel over a whole 4608-point grid is
+First, one partner's term of a block update at G=36864 is timed both
+ways: composing every grid candidate with the partner's rotation and
+scoring the batch (`score_quats`), against the mode scorer's
+`score_grid`, which composes the few modes with the partner instead.
+Both sides of the pair are timed, and the two must agree to within
+1e-9 with the same argmax.
+
+Then the dense nearest-grid kernel over a whole 4608-point grid is
 timed against the cell-pruned lookup that `so3.nearest_indices` uses,
 on a solver-shaped batch (one camera composed with every grid rotation)
-and on random rotations; the two must return the same indices. This
-part runs with or without numba.
+and on random rotations; the two must return the same indices. These
+parts run with or without numba.
 
 Then each kernel's numpy path is timed on sizes close to the real
 workloads (mode scoring over a 4608-point grid, nearest-neighbour
@@ -23,6 +30,7 @@ import time
 import numpy as np
 
 from svpose import _kernels, so3
+from svpose.energy import SymmetricModeScorer, grid_pair_quats
 
 
 def _timeit(fn, *args, repeat=5):
@@ -32,6 +40,33 @@ def _timeit(fn, *args, repeat=5):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def bench_score_grid():
+    rng = np.random.default_rng(13)
+    grid = so3.build_grid(36864)
+    scorer = SymmetricModeScorer(modes={(0, 1): so3.random_quats(rng, 2)}, kappa=50.0)
+    partner = so3.random_quats(rng, 1)[0]
+    print(f"{'one partner, G=36864, 2 modes':<44} {'composed':>10} {'hook':>10} {'speedup':>8}")
+    for moving in ("i", "j"):
+
+        def composed():
+            return scorer.score_quats(0, 1, grid_pair_quats(grid, partner, moving))
+
+        def hook():
+            return scorer.score_grid(0, 1, grid, partner, moving=moving)
+
+        want, got = composed(), hook()
+        err = float(np.abs(got - want).max())
+        assert err <= 1e-9, f"moving {moving}: hook differs by {err!r}"
+        assert got.argmax() == want.argmax(), f"moving {moving}: argmax differs"
+        t_composed = _timeit(composed)
+        t_hook = _timeit(hook)
+        name = f"camera {moving} moves (max diff {err:.1e})"
+        print(
+            f"{name:<44} {t_composed * 1e3:>8.2f}ms {t_hook * 1e3:>8.2f}ms "
+            f"{t_composed / t_hook:>7.2f}x"
+        )
 
 
 def bench_lookup():
@@ -58,6 +93,8 @@ def bench_lookup():
 
 
 def main():
+    bench_score_grid()
+    print()
     bench_lookup()
     print()
     rng = np.random.default_rng(11)

@@ -76,7 +76,10 @@ def _nearest_abs_dots_np(queries, grid):
     idx = np.empty(n, dtype=np.int64)
     dot = np.empty(n)
     for s in range(0, n, _CHUNK):
-        block = np.abs(queries[s : s + _CHUNK] @ grid.T)
+        # In place: a second block-sized temporary per call costs page
+        # faults whenever the allocator has handed the memory back.
+        block = queries[s : s + _CHUNK] @ grid.T
+        np.abs(block, out=block)
         k = block.argmax(axis=1)
         idx[s : s + _CHUNK] = k
         dot[s : s + _CHUNK] = block[np.arange(block.shape[0]), k]

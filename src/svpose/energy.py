@@ -5,9 +5,15 @@ camera j is R". Higher is better. Scorers may be directional: when
 `directional` is False, score(i, j, R) == score(j, i, R^T) is guaranteed
 and callers may skip the reverse term in sums over ordered pairs.
 
-Scores for a whole grid are evaluated through `score_quats`, which takes
-a batch of candidate relative rotations as unit quaternions. Table rows
-are stored float32; every accumulation happens in float64.
+Every scorer answers two questions. `score_quats` scores a batch of
+candidate relative rotations given as unit quaternions. `score_grid`
+scores a pair over a whole grid while one camera of the pair runs over
+the grid and the other stays fixed: the solver's block update and the
+per-pair grid rows ask only this. Its default composes the candidates
+and calls `score_quats`; a scorer that can score a whole grid faster
+than by composing it (the mode scorer moves its few modes instead of
+the G candidates, the table scorer looks up grid indices) overrides it.
+Table rows are stored float32; every accumulation happens in float64.
 """
 
 import math
@@ -28,6 +34,7 @@ from .so3 import (
     nearest_in_grid,
     nearest_indices,
     quat_conj,
+    quat_mul,
     quat_normalize,
     quat_to_matrix,
 )
@@ -37,11 +44,36 @@ TABLE_VERSION = 1
 _ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 
 
+def grid_pair_quats(grid: SO3Grid, fixed=None, moving="j"):
+    """Relative rotations i -> j with one camera of the pair over the grid.
+
+    `moving` names the pair's camera that takes every grid rotation S;
+    the other is fixed at the unit quaternion `fixed` (None is the
+    identity). With i moving the rotation is fixed * S^-1, with j moving
+    it is S * fixed^-1, one row per grid rotation in index order.
+    """
+    _check_moving(moving)
+    if moving == "i":
+        conj = quat_conj(grid.quats)
+        return conj if fixed is None else quat_mul(np.asarray(fixed)[None, :], conj)
+    if fixed is None:
+        return grid.quats
+    return quat_mul(grid.quats, quat_conj(fixed)[None, :])
+
+
+def _check_moving(moving):
+    if moving not in ("i", "j"):
+        raise ValueError(f"moving must be 'i' or 'j', got {moving!r}")
+
+
 class PairwiseScorer:
     """Base scorer; subclasses override score, score_quats or both.
 
     Each default is written in terms of the other, so a subclass must
-    override at least one of them.
+    override at least one of them. A subclass may also override
+    `score_grid` when it can score a whole grid faster than by composing
+    every candidate; it must return what the default returns, up to
+    rounding.
     """
 
     directional = True
@@ -67,6 +99,17 @@ class PairwiseScorer:
         self._require_override()
         out = self.score_quats(i, j, matrix_to_quat(rotation)[None, :])
         return float(out[0])
+
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
+        """Scores of pair (i, j) for every grid rotation of one camera.
+
+        The camera named by `moving` ("i" or "j") takes each grid
+        rotation in turn while the other stays at the unit quaternion
+        `fixed` (None is the identity); see `grid_pair_quats`. With
+        fixed=None and moving="j" this is the pair's score row over the
+        grid. The default composes the candidates and scores them.
+        """
+        return self.score_quats(i, j, grid_pair_quats(grid, fixed, moving))
 
 
 class ConstantScorer(PairwiseScorer):
@@ -121,6 +164,28 @@ class SymmetricModeScorer(PairwiseScorer):
         targets = self.mode_quats(i, j)
         if targets is None:
             return np.zeros(quats.shape[0])
+        return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
+
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
+        """Moves the k modes instead of composing the G candidates.
+
+        Left and right multiplication by a unit quaternion preserve the
+        inner product, so |<q S^-1, m>| = |<S, m^-1 q>| and
+        |<S q^-1, m>| = |<S, m q>|: the grid itself is compared against
+        the modes composed with the fixed camera's rotation q.
+        """
+        if i == j:
+            raise ValueError("pair indices must differ")
+        _check_moving(moving)
+        targets = self.mode_quats(i, j)
+        if targets is None:
+            return np.zeros(grid.n)
+        if moving == "i":
+            targets = quat_conj(targets)
+        if fixed is not None:
+            targets = quat_mul(targets, np.asarray(fixed)[None, :])
+        quats = np.ascontiguousarray(grid.quats, dtype=np.float64)
+        targets = np.ascontiguousarray(targets)
         return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
 
 
@@ -219,9 +284,12 @@ class TableScorer(PairwiseScorer):
     other order (symmetric semantics); the scorer is directional exactly
     when some pair is stored in both orders.
 
-    The snapped grid indices of each query batch are memoized, keyed on
-    the batch's bytes: the solver recomposes the same batch for every
-    partner camera that has not moved since the last lookup.
+    Over its own grid, `score_grid` memoizes the snapped grid indices,
+    keyed on the fixed camera's quaternion, the moving camera and the
+    row's stored order: the solver scores the same partner rotation
+    again for every block update in which that partner has not moved.
+    The pair's stored row over its own grid is returned as it is, since
+    every grid rotation snaps to itself.
     """
 
     def __init__(self, table: EnergyTable, grid: SO3Grid | None = None):
@@ -250,10 +318,23 @@ class TableScorer(PairwiseScorer):
         row, transposed = self._row(i, j)
         if transposed:
             quats = quat_conj(quats)
-        quats = np.ascontiguousarray(quats)
-        key = quats.tobytes()
+        return row[nearest_indices(self.grid, quats)].astype(np.float64)
+
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
+        if i == j:
+            raise ValueError("pair indices must differ")
+        if not (grid is self.grid or np.array_equal(grid.quats, self.grid.quats)):
+            return super().score_grid(i, j, grid, fixed, moving)
+        row, transposed = self._row(i, j)
+        if fixed is None and moving == "j" and not transposed:
+            return row.astype(np.float64)
+        q = None if fixed is None else np.asarray(fixed, dtype=np.float64).tobytes()
+        key = (q, moving, transposed)
         idx = self._snapped.get(key)
         if idx is None:
+            quats = grid_pair_quats(grid, fixed, moving)
+            if transposed:
+                quats = quat_conj(quats)
             idx = self._snapped[key] = nearest_indices(self.grid, quats)
         return row[idx].astype(np.float64)
 
@@ -266,7 +347,7 @@ def score_over_grid(scorer, i, j, grid: SO3Grid):
     """
     if i == j:
         raise ValueError("pair indices must differ")
-    return np.asarray(scorer.score_quats(i, j, grid.quats), dtype=np.float64)
+    return np.asarray(scorer.score_grid(i, j, grid), dtype=np.float64)
 
 
 def nll_of(scores, gt_rotation, grid: SO3Grid):

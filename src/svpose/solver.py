@@ -13,6 +13,12 @@ Initialization composes the best pairwise rotations along a maximum
 spanning tree; refinement is block coordinate ascent that re-scores the
 full grid for one camera at a time and accepts strict improvements, so
 the running energy never decreases.
+
+A block update asks the scorer for each partner's scores over the whole
+grid with the partner's rotation fixed (`PairwiseScorer.score_grid`)
+and never composes the G candidates itself. For the mode scorer that
+costs one G x k comparison of the grid against the partner-composed
+modes per partner, where k is the pair's number of modes.
 """
 
 from dataclasses import dataclass, field
@@ -176,7 +182,6 @@ def coordinate_ascent(
     rotations = [np.array(r, dtype=np.float64) for r in init_rotations]
     n = len(rotations)
     quats = [matrix_to_quat(r) for r in rotations]
-    grid_conj = quat_conj(grid.quats)
 
     def block_scores(i):
         # Scores for every candidate S at camera i, summed over pairs.
@@ -184,13 +189,11 @@ def coordinate_ascent(
         for j in range(n):
             if j == i:
                 continue
-            # rel(i -> j) = R_j S^T
-            obj += scorer.score_quats(i, j, quat_mul(quats[j][None, :], grid_conj))
+            # rel(i -> j) = R_j S^T: the pair's first camera moves.
+            obj += scorer.score_grid(i, j, grid, quats[j], moving="i")
             if directional:
-                # rel(j -> i) = S R_j^T
-                obj += scorer.score_quats(
-                    j, i, quat_mul(grid.quats, quat_conj(quats[j])[None, :])
-                )
+                # rel(j -> i) = S R_j^T: the pair's second camera moves.
+                obj += scorer.score_grid(j, i, grid, quats[j], moving="j")
         return obj
 
     def current_objective(i):

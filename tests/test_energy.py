@@ -11,6 +11,7 @@ from svpose.energy import (
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
+    grid_pair_quats,
     l1_translation_loss,
     load_table,
     nll_of,
@@ -129,6 +130,64 @@ def test_score_over_grid_argmax_near_mode():
         score_over_grid(s, 1, 1, grid)
 
 
+def composed(grid, fixed, moving):
+    """Relative rotations i -> j with camera `moving` over the grid."""
+    if moving == "i":
+        return so3.quat_mul(fixed[None, :], so3.quat_conj(grid.quats))
+    return so3.quat_mul(grid.quats, so3.quat_conj(fixed)[None, :])
+
+
+def test_mode_score_grid_matches_composed_batch():
+    rng = rng_for(15)
+    grid = so3.build_grid(576)
+    symmetric = SymmetricModeScorer(
+        modes={(0, 1): so3.random_quats(rng, 3), (1, 2): so3.random_quats(rng, 1)},
+        kappa=50.0,
+    )
+    directional = SymmetricModeScorer(
+        modes={(0, 1): so3.random_quats(rng, 2), (1, 0): so3.random_quats(rng, 1)},
+        kappa=50.0,
+    )
+    assert directional.directional and not symmetric.directional
+    fixed = list(so3.random_quats(rng, 4)) + [grid.quats[17], np.array([1.0, 0, 0, 0])]
+    for s in (symmetric, directional):
+        # (3, 0) has no modes: it scores 0 over the grid.
+        for i, j in [(0, 1), (1, 0), (2, 1), (3, 0)]:
+            for moving in ("i", "j"):
+                for q in fixed:
+                    want = s.score_quats(i, j, composed(grid, q, moving))
+                    got = s.score_grid(i, j, grid, q, moving=moving)
+                    assert np.abs(got - want).max() <= 1e-9
+                    assert got.argmax() == want.argmax()
+                got = s.score_grid(i, j, grid, moving=moving)
+                want = s.score_quats(i, j, grid_pair_quats(grid, None, moving))
+                assert np.abs(got - want).max() <= 1e-9
+            # The identity with j moving is the pair's row over the grid.
+            row = s.score_grid(i, j, grid)
+            assert np.array_equal(row, s.score_quats(i, j, grid.quats))
+            assert np.array_equal(score_over_grid(s, i, j, grid), row)
+        with pytest.raises(ValueError):
+            s.score_grid(0, 1, grid, fixed[0], moving="k")
+        with pytest.raises(ValueError):
+            s.score_grid(1, 1, grid)
+
+
+def test_default_score_grid_composes_then_scores():
+    class ByMatrix(PairwiseScorer):
+        def score(self, i, j, rotation):
+            return float(rotation[0, 1] + 2.0 * rotation[2, 0] + i - j)
+
+    grid = so3.build_grid(72)
+    s = ByMatrix()
+    q = so3.random_quats(rng_for(16), 1)[0]
+    for moving in ("i", "j"):
+        want = s.score_quats(0, 1, composed(grid, q, moving))
+        assert np.array_equal(s.score_grid(0, 1, grid, q, moving=moving), want)
+    assert np.array_equal(s.score_grid(0, 1, grid), s.score_quats(0, 1, grid.quats))
+    with pytest.raises(ValueError):
+        s.score_grid(0, 1, grid, q, moving="k")
+
+
 def table_for(rng, grid, pairs):
     rows = {p: rng.standard_normal(grid.n) for p in pairs}
     return EnergyTable(grid_spec=grid.spec, rows=rows)
@@ -234,27 +293,57 @@ def test_table_scorer_grid_mismatch():
         TableScorer(table, other)
 
 
-class UnmemoizedTableScorer(TableScorer):
-    def score_quats(self, i, j, quats):
-        self._snapped.clear()
-        return super().score_quats(i, j, quats)
+class ComposedTableScorer(TableScorer):
+    """Scores whole grids through the base class: compose, then snap."""
+
+    score_grid = PairwiseScorer.score_grid
 
 
 def test_table_scorer_memo_matches_fresh_scorer():
     rng = rng_for(13)
     grid = so3.build_grid(576)
+    # (0, 1) is stored as asked; (1, 2) is served from the stored (2, 1).
     table = table_for(rng, grid, [(0, 1), (2, 1)])
     memo = TableScorer(table, grid)
-    batches = [grid.quats, so3.random_quats(rng, 50), grid.quats[:1]]
-    for quats in batches + batches:
+    same_quats = so3.SO3Grid(quats=grid.quats.copy(), spec=grid.spec)
+    fixed = [None, so3.random_quats(rng, 1)[0], grid.quats[40], grid.quats[0]]
+    for _ in range(2):
         for i, j in [(0, 1), (1, 0), (2, 1), (1, 2)]:
-            want = TableScorer(table, grid).score_quats(i, j, quats)
-            assert np.array_equal(memo.score_quats(i, j, quats), want)
+            for moving in ("i", "j"):
+                for q in fixed:
+                    want = ComposedTableScorer(table, grid).score_grid(
+                        i, j, grid, q, moving=moving
+                    )
+                    for g in (grid, same_quats):
+                        got = memo.score_grid(i, j, g, q, moving=moving)
+                        assert np.array_equal(got, want)
+    # One snapped batch per (fixed rotation, moving camera, stored order),
+    # less the stored rows served as they are.
+    assert len(memo._snapped) == len(fixed) * 2 * 2 - 1
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo.score_grid(0, 1, grid, fixed[1], moving="k")
+    # Over another grid the scorer composes and snaps to its own grid.
+    other = so3.build_grid(72)
+    q = fixed[1]
+    want = memo.score_quats(1, 2, composed(other, q, "i"))
+    assert np.array_equal(memo.score_grid(1, 2, other, q, moving="i"), want)
+
+
+def test_table_score_grid_serves_own_grid_rows():
+    for generator in ("super_fibonacci", "random_uniform"):
+        for n in (72, 576, 4608):
+            grid = so3.build_grid(n, generator=generator, seed=3)
+            assert np.array_equal(so3.nearest_indices(grid, grid.quats), np.arange(n))
+            table = table_for(rng_for(n), grid, [(0, 1)])
+            row = TableScorer(table).score_grid(0, 1, grid)
+            assert np.array_equal(row, table.rows[(0, 1)].astype(np.float64))
+            assert np.array_equal(row, TableScorer(table).score_quats(0, 1, grid.quats))
 
 
 def test_table_solve_reuses_snapped_batches(tmp_path, monkeypatch):
     from svpose import cli
-    from svpose.solver import solve
+    from svpose.solver import coordinate_ascent, mst_init, solve
 
     scenes = tmp_path / "scenes"
     assert cli.main([
@@ -263,7 +352,7 @@ def test_table_solve_reuses_snapped_batches(tmp_path, monkeypatch):
     ]) == 0
     table = load_table(scenes / "scene_000.rpet")
     grid = so3.build_grid(576)
-    want = solve(UnmemoizedTableScorer(table, grid), 6, grid)
+    want = solve(ComposedTableScorer(table, grid), 6, grid)
 
     full_grid_calls = []
     lookup = energy.nearest_indices
@@ -274,7 +363,10 @@ def test_table_solve_reuses_snapped_batches(tmp_path, monkeypatch):
         return lookup(grid, quats)
 
     monkeypatch.setattr(energy, "nearest_indices", counting)
-    got = solve(TableScorer(table, grid), 6, grid)
+    scorer = TableScorer(table, grid)
+    init = mst_init(scorer, 6, grid)
+    assert full_grid_calls == []
+    got = coordinate_ascent(scorer, init, grid)
     assert len(full_grid_calls) <= 20
     assert np.array_equal(got.rotations, want.rotations)
     assert got.total_energy == want.total_energy

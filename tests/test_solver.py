@@ -5,6 +5,7 @@ from svpose import so3
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
+    PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
     score_over_grid,
@@ -214,6 +215,45 @@ def test_recovery_within_quantization_bound():
                     so3.relative_rotation(gt[i], gt[j]),
                 )
                 assert err <= bound
+
+
+class ComposedOnly(PairwiseScorer):
+    """Exposes only score_quats, so whole grids take the base-class default."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.directional = scorer.directional
+
+    def score_quats(self, i, j, quats):
+        return self.scorer.score_quats(i, j, quats)
+
+
+def directional_scorer(scene, kappa=50.0, seed=0):
+    """Mode scorer with the (j, i) modes perturbed apart from (i, j)."""
+    rng = rng_for(seed)
+    modes = dict(scene_to_scorer(scene, kappa=kappa).modes)
+    for (i, j), quats in list(modes.items()):
+        wobble = so3.axis_angle_rotation(rng.standard_normal(3), 0.1 * rng.uniform())
+        rel = wobble @ so3.quat_to_matrix(so3.quat_conj(quats[0]))
+        modes[(j, i)] = so3.matrix_to_quat(rel)[None, :]
+    return SymmetricModeScorer(modes=modes, kappa=kappa)
+
+
+def test_solve_through_score_grid_matches_composed_candidates():
+    for n in (576, 4608):
+        grid = so3.build_grid(n)
+        for seed in (0, 1):
+            scene = generate_scene(RigSpec(n_cameras=6, seed=seed))
+            scorers = [scene_to_scorer(scene, kappa=50.0, noise_angle=0.02)]
+            if seed == 0:
+                scorers.append(directional_scorer(scene, seed=n))
+            for scorer in scorers:
+                got = solve(scorer, 6, grid)
+                want = solve(ComposedOnly(scorer), 6, grid)
+                assert np.array_equal(got.rotations, want.rotations)
+                assert got.total_energy == want.total_energy
+                assert got.sweeps_used == want.sweeps_used
+                assert got.energy_trace == pytest.approx(want.energy_trace, abs=1e-9)
 
 
 def test_solver_config_validation():
