@@ -1,10 +1,18 @@
-"""Time grid scoring, the nearest-grid lookup and the numba kernels.
+"""Time block updates, grid scoring, the nearest-grid lookup and the kernels.
 
 Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-First, one partner's term of a block update at G=36864 is timed both
+First, one block update of a 20-camera scene at G=36864 (the mode
+scorer, partners at their spanning-tree rotations) is timed both ways:
+the bounded search over the grid's cells, against the same search with
+the scorer's bound hook hidden, which scores the whole grid as one
+cell. The two must return the same argmax, value and current-index
+value. Building the cell index is timed on its own; a solve builds it
+once per grid.
+
+Then one partner's term of a block update at G=36864 is timed both
 ways: composing every grid candidate with the partner's rotation and
 scoring the batch (`score_quats`), against the mode scorer's
 `score_grid`, which composes the few modes with the partner instead.
@@ -29,8 +37,9 @@ import time
 
 import numpy as np
 
-from svpose import _kernels, so3
+from svpose import _kernels, so3, solver
 from svpose.energy import SymmetricModeScorer, grid_pair_quats
+from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 
 def _timeit(fn, *args, repeat=5):
@@ -40,6 +49,52 @@ def _timeit(fn, *args, repeat=5):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+class WholeGrid:
+    """The scorer with its bound hook hidden: every search scores the whole grid."""
+
+    def __init__(self, scorer):
+        self._scorer = scorer
+        self.directional = scorer.directional
+
+    def cell_bounds(self, *args, **kwargs):
+        return None
+
+    def __getattr__(self, name):
+        return getattr(self._scorer, name)
+
+
+def bench_block_update():
+    n = 20
+    grid = so3.build_grid(36864)
+    t0 = time.perf_counter()
+    grid.cells
+    t_cells = time.perf_counter() - t0
+    scene = generate_scene(RigSpec(n_cameras=n, seed=1000, jitter=0.05))
+    scorer = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02, noise_seed=1000)
+    rotations = solver.mst_init(scorer, n, grid).rotations
+    quats = [so3.matrix_to_quat(r) for r in rotations]
+    camera = 7
+    current, _ = so3.nearest_in_grid(grid, rotations[camera])
+    terms = [(camera, j, quats[j], "i") for j in range(n) if j != camera]
+
+    def bounded():
+        return solver.grid_search(scorer, grid, terms, n - 1, current)
+
+    def whole():
+        return solver.grid_search(WholeGrid(scorer), grid, terms, n - 1, current)
+
+    got, want = bounded(), whole()
+    assert got == want, f"bounded search {got} differs from whole grid {want}"
+    t_whole = _timeit(whole)
+    t_bounded = _timeit(bounded)
+    print(f"{'block update, 20 cameras, G=36864':<44} {'whole':>10} {'bounded':>10} {'speedup':>8}")
+    print(
+        f"{f'argmax {got[0]}, value {got[1]:.6f}':<44} {t_whole * 1e3:>8.2f}ms "
+        f"{t_bounded * 1e3:>8.2f}ms {t_whole / t_bounded:>7.2f}x"
+    )
+    print(f"{'cell index build (once per grid)':<44} {t_cells * 1e3:>8.2f}ms")
 
 
 def bench_score_grid():
@@ -93,6 +148,8 @@ def bench_lookup():
 
 
 def main():
+    bench_block_update()
+    print()
     bench_score_grid()
     print()
     bench_lookup()

@@ -1,7 +1,13 @@
 """Atomic file writes: write a sibling temp file, then os.replace."""
 
+import json
 import os
 import tempfile
+
+
+def json_text(doc) -> str:
+    """The JSON text every output file holds; NaN and infinity raise ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_bytes_atomic(path, data: bytes) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fileio import write_text_atomic
+from ._fileio import json_text, write_text_atomic
 from .energy import EnergyTable, TableScorer, load_table, score_over_grid
 from .errors import ConsistencyError, FormatError
 from .evaluation import center_errors, evaluate, rotation_errors_deg
@@ -103,7 +103,7 @@ class RunConfig:
         doc["lookat"] = list(self.lookat)
         for name in ("scenes", "tables", "pred", "gt", "inputs"):
             doc[name] = list(doc[name])
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text(doc)
 
 
 def load_config(path) -> dict:
@@ -232,7 +232,7 @@ def cmd_synth(config: RunConfig):
         "version": MANIFEST_VERSION,
         "scenes": entries,
     }
-    write_text_atomic(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(out / "manifest.json", json_text(manifest))
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0
 
@@ -285,7 +285,7 @@ def _write_pred(config, out, scene_id, hyp, translations, grid_spec):
         },
         "poses": [pose_to_dict(p) for p in poses],
     }
-    write_text_atomic(out / f"{scene_id}.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(out / f"{scene_id}.json", json_text(doc))
 
 
 def cmd_solve(config: RunConfig):
@@ -343,16 +343,13 @@ def cmd_solve(config: RunConfig):
         ids = [worker(f) for f in files]
     write_text_atomic(
         out / "manifest.json",
-        json.dumps(
+        json_text(
             {
                 "format": MANIFEST_FORMAT,
                 "version": MANIFEST_VERSION,
                 "predictions": [{"id": i, "file": f"{i}.json"} for i in ids],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
+            }
+        ),
     )
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0
@@ -407,9 +404,7 @@ def cmd_eval(config: RunConfig):
     aggregate = {"n_scenes": len(rows)}
     for col, key in enumerate(flat_keys, start=1):
         aggregate[key] = sum(float(r[col]) for r in rows) / len(rows)
-    write_text_atomic(
-        out / "aggregate.json", json.dumps(aggregate, sort_keys=True, indent=2) + "\n"
-    )
+    write_text_atomic(out / "aggregate.json", json_text(aggregate))
 
     if config.sweep:
         sweep_rows = []
@@ -437,7 +432,7 @@ def cmd_grid(config: RunConfig):
     summary = {"n": spec.n, "generator": spec.generator, "seed": spec.seed}
     if config.covering:
         summary["covering_radius_rad"] = grid.covering_radius
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -7,12 +7,21 @@ and callers may skip the reverse term in sums over ordered pairs.
 
 Every scorer answers two questions. `score_quats` scores a batch of
 candidate relative rotations given as unit quaternions. `score_grid`
-scores a pair over a whole grid while one camera of the pair runs over
-the grid and the other stays fixed: the solver's block update and the
-per-pair grid rows ask only this. Its default composes the candidates
-and calls `score_quats`; a scorer that can score a whole grid faster
-than by composing it (the mode scorer moves its few modes instead of
-the G candidates, the table scorer looks up grid indices) overrides it.
+scores a pair over a whole grid, or over some of its rows, while one
+camera of the pair runs over the grid and the other stays fixed: the
+solver's block update and the per-pair grid rows ask only this. Its
+default composes the candidates and calls `score_quats`; a scorer that
+can score a whole grid faster than by composing it (the mode scorer
+moves its few modes instead of the G candidates, the table scorer looks
+up grid indices) overrides it.
+
+A scorer may also bound `score_grid` from above on each cell of the
+grid's cell index (`cell_bounds`): every grid point a cell owns scores
+at most the cell's bound. The solver then scores exactly only the
+points of cells whose summed bound reaches the best score it has found.
+The default offers no bound, and the solver scores the whole grid as
+one cell. The mode scorer bounds each cell from its center, since the
+geodesic angle is 1-Lipschitz.
 Table rows are stored float32; every accumulation happens in float64.
 """
 
@@ -26,6 +35,7 @@ from . import _kernels
 from ._fileio import write_bytes_atomic
 from .errors import ConsistencyError, CorruptTableError, FormatError
 from .so3 import (
+    _CELL_SLACK,
     GENERATOR_IDS,
     GridSpec,
     SO3Grid,
@@ -44,21 +54,23 @@ TABLE_VERSION = 1
 _ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 
 
-def grid_pair_quats(grid: SO3Grid, fixed=None, moving="j"):
+def grid_pair_quats(grid: SO3Grid, fixed=None, moving="j", rows=None):
     """Relative rotations i -> j with one camera of the pair over the grid.
 
     `moving` names the pair's camera that takes every grid rotation S;
     the other is fixed at the unit quaternion `fixed` (None is the
     identity). With i moving the rotation is fixed * S^-1, with j moving
-    it is S * fixed^-1, one row per grid rotation in index order.
+    it is S * fixed^-1, one row per grid rotation in index order, or
+    per index in `rows` when given.
     """
     _check_moving(moving)
+    quats = grid.quats if rows is None else grid.quats[rows]
     if moving == "i":
-        conj = quat_conj(grid.quats)
+        conj = quat_conj(quats)
         return conj if fixed is None else quat_mul(np.asarray(fixed)[None, :], conj)
     if fixed is None:
-        return grid.quats
-    return quat_mul(grid.quats, quat_conj(fixed)[None, :])
+        return quats
+    return quat_mul(quats, quat_conj(fixed)[None, :])
 
 
 def _check_moving(moving):
@@ -74,6 +86,12 @@ class PairwiseScorer:
     `score_grid` when it can score a whole grid faster than by composing
     every candidate; it must return what the default returns, up to
     rounding.
+
+    `cell_bounds` is the optional bound hook. It returns None (the
+    default: no bound), or one float per cell of `grid.cells` that is at
+    least `score_grid` at every grid point the cell owns, as computed in
+    floating point. A scorer that returns a bound must accept `rows` in
+    `score_grid`; the solver passes `rows` to no other scorer.
     """
 
     directional = True
@@ -100,16 +118,22 @@ class PairwiseScorer:
         out = self.score_quats(i, j, matrix_to_quat(rotation)[None, :])
         return float(out[0])
 
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
         """Scores of pair (i, j) for every grid rotation of one camera.
 
         The camera named by `moving` ("i" or "j") takes each grid
         rotation in turn while the other stays at the unit quaternion
         `fixed` (None is the identity); see `grid_pair_quats`. With
         fixed=None and moving="j" this is the pair's score row over the
-        grid. The default composes the candidates and scores them.
+        grid. `rows`, an ascending index array, restricts the row to
+        those grid rotations. The default composes the candidates and
+        scores them.
         """
-        return self.score_quats(i, j, grid_pair_quats(grid, fixed, moving))
+        return self.score_quats(i, j, grid_pair_quats(grid, fixed, moving, rows))
+
+    def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
+        """Upper bound of `score_grid` on each cell of `grid.cells`, or None."""
+        return None
 
 
 class ConstantScorer(PairwiseScorer):
@@ -149,6 +173,7 @@ class SymmetricModeScorer(PairwiseScorer):
         if directional is None:
             directional = any((j, i) in self.modes for (i, j) in self.modes)
         self.directional = bool(directional)
+        self._targets = {}
 
     def mode_quats(self, i, j):
         if (i, j) in self.modes:
@@ -166,27 +191,61 @@ class SymmetricModeScorer(PairwiseScorer):
             return np.zeros(quats.shape[0])
         return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
 
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        """Moves the k modes instead of composing the G candidates.
+    def _grid_targets(self, i, j, fixed, moving):
+        """The pair's modes moved so the grid itself is compared with them.
 
         Left and right multiplication by a unit quaternion preserve the
         inner product, so |<q S^-1, m>| = |<S, m^-1 q>| and
-        |<S q^-1, m>| = |<S, m q>|: the grid itself is compared against
-        the modes composed with the fixed camera's rotation q.
+        |<S q^-1, m>| = |<S, m q>|: the grid is compared against the
+        modes composed with the fixed camera's rotation q. None for a
+        pair without modes.
+
+        Memoized on the fixed quaternion's bytes: a search asks each
+        term for its bound and then its scores, and the solver fixes the
+        same partner rotation again in every block update until that
+        partner moves.
         """
         if i == j:
             raise ValueError("pair indices must differ")
         _check_moving(moving)
+        q = None if fixed is None else np.asarray(fixed, dtype=np.float64).tobytes()
+        key = (i, j, q, moving)
+        if key in self._targets:
+            return self._targets[key]
         targets = self.mode_quats(i, j)
+        if targets is not None:
+            if moving == "i":
+                targets = quat_conj(targets)
+            if fixed is not None:
+                targets = quat_mul(targets, np.asarray(fixed)[None, :])
+            targets = np.ascontiguousarray(targets)
+        self._targets[key] = targets
+        return targets
+
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
+        """Moves the k modes instead of composing the G candidates."""
+        targets = self._grid_targets(i, j, fixed, moving)
+        quats = grid.quats if rows is None else grid.quats[rows]
         if targets is None:
-            return np.zeros(grid.n)
-        if moving == "i":
-            targets = quat_conj(targets)
-        if fixed is not None:
-            targets = quat_mul(targets, np.asarray(fixed)[None, :])
-        quats = np.ascontiguousarray(grid.quats, dtype=np.float64)
-        targets = np.ascontiguousarray(targets)
+            return np.zeros(quats.shape[0])
+        quats = np.ascontiguousarray(quats, dtype=np.float64)
         return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
+
+    def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
+        """Bounds each cell from its center.
+
+        The geodesic angle is 1-Lipschitz and a cell's points lie within
+        2 r of its center (r is the cell's half-angle radius), so each
+        point is at least angle(center, mode) - 2 r from every mode. The
+        slack covers the rounding of arccos near 1.
+        """
+        cells = grid.cells
+        targets = self._grid_targets(i, j, fixed, moving)
+        if targets is None:
+            return np.zeros(cells.radius.shape[0])
+        angle = np.sqrt(_kernels.min_angle_sq_to_targets(cells.centers, targets))
+        gap = np.maximum(angle - 2.0 * cells.radius - _CELL_SLACK, 0.0)
+        return -self.kappa * (gap * gap)
 
 
 @dataclass

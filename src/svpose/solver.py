@@ -10,22 +10,33 @@ objective only sees relative rotations, so every solution is defined up
 to a world rotation and the pin selects one representative.
 
 Initialization composes the best pairwise rotations along a maximum
-spanning tree; refinement is block coordinate ascent that re-scores the
+spanning tree; refinement is block coordinate ascent that searches the
 full grid for one camera at a time and accepts strict improvements, so
 the running energy never decreases.
 
-A block update asks the scorer for each partner's scores over the whole
-grid with the partner's rotation fixed (`PairwiseScorer.score_grid`)
-and never composes the G candidates itself. For the mode scorer that
-costs one G x k comparison of the grid against the partner-composed
-modes per partner, where k is the pair's number of modes.
+A block update, like the search for a pair's best rotation, maximizes a
+sum of `PairwiseScorer.score_grid` terms over the grid: one per partner
+(two for a directional scorer), each with the partner's rotation fixed.
+The solver never composes the G candidates itself. When the scorer
+bounds every term on the cells of the grid's cell index
+(`PairwiseScorer.cell_bounds`) and the search is large enough
+(`SO3Grid.search_cells`), the search is exact branch and bound over one
+level of cells, in the manner of Hartley and Kahl's rotation search:
+- the bounds of the about G/16 cells, one G/16 x k comparison per term
+  for the mode scorer (k modes);
+- exact scores of the best-bounded cell's points, whose maximum is a
+  lower bound on the block's;
+- exact scores of the points of every cell whose bound reaches it.
+The last evaluation holds the camera's current grid index too, so the
+argmax, its lowest-index tie-break and the strict-improvement test come
+from one evaluation and match a dense search. Otherwise the whole grid
+is scored as one cell: one G x k comparison per term.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import score_over_grid
 from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 
 
@@ -70,11 +81,77 @@ def total_energy(scorer, rotations):
     return total
 
 
-def best_pairwise(scorer, i, j, grid: SO3Grid):
-    """Grid rotation maximizing score(i, j, .), ties to the lowest index."""
-    scores = score_over_grid(scorer, i, j, grid)
-    k = int(np.argmax(scores))
-    return grid.rotations[k].copy(), float(scores[k])
+def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
+    """Grid index maximizing a sum of `score_grid` terms, lowest on ties.
+
+    `terms` lists the (i, j, fixed, moving) arguments of each term, summed
+    in order. `n_partners` sizes the search for `SO3Grid.search_cells`.
+    Returns the index, the sum there, and the sum at the grid index
+    `current` (None when `current` is -1), all from one evaluation.
+    """
+    cells = grid.search_cells(n_partners)
+    bound = None if cells is None else _summed_bounds(scorer, grid, terms)
+    rows = None  # the whole grid, as one cell
+    if bound is not None:
+        # A cell whose bound equals the floor is still searched: one of
+        # its points may tie the maximum at a lower index.
+        seed = _candidate_rows(cells.owner == int(np.argmax(bound)), current)
+        floor = _summed_scores(scorer, grid, terms, seed).max()
+        rows = _candidate_rows((bound >= floor)[cells.owner], current)
+    obj = _summed_scores(scorer, grid, terms, rows)
+    a = int(np.argmax(obj))
+    k = a if rows is None else int(rows[a])
+    if current < 0:
+        return k, float(obj[a]), None
+    at = current if rows is None else int(np.searchsorted(rows, current))
+    return k, float(obj[a]), float(obj[at])
+
+
+def _candidate_rows(mask, current):
+    """Ascending grid indices where the fresh `mask` holds, plus `current`.
+
+    Never a single row: a one-row matrix product can round differently
+    from the same row of a batch, and the dense search scores batches.
+    """
+    if current >= 0:
+        mask[current] = True
+    if np.count_nonzero(mask) == 1 and mask.shape[0] > 1:
+        mask[1 if mask[0] else 0] = True
+    return np.flatnonzero(mask)
+
+
+def _summed_bounds(scorer, grid, terms):
+    # Summed in the order of _summed_scores; rounding is monotone, so
+    # the sum of bounds stays at least the sum of scores.
+    total = 0.0
+    for i, j, fixed, moving in terms:
+        bound = scorer.cell_bounds(i, j, grid, fixed, moving=moving)
+        if bound is None:
+            return None
+        total = total + bound
+    return total
+
+
+def _summed_scores(scorer, grid, terms, rows):
+    # rows=None is the whole grid, asked without `rows` so scorers that
+    # offer no bound need not accept it.
+    extra = {} if rows is None else {"rows": rows}
+    obj = np.zeros(grid.n if rows is None else rows.shape[0])
+    for i, j, fixed, moving in terms:
+        obj += scorer.score_grid(i, j, grid, fixed, moving=moving, **extra)
+    return obj
+
+
+def best_pairwise(scorer, i, j, grid: SO3Grid, n_partners=1):
+    """Grid rotation maximizing score(i, j, .), ties to the lowest index.
+
+    `n_partners`, the partners each camera has in the problem, sizes the
+    search (see `grid_search`).
+    """
+    if i == j:
+        raise ValueError("pair indices must differ")
+    k, best, _ = grid_search(scorer, grid, [(i, j, None, "j")], n_partners)
+    return grid.rotations[k].copy(), best
 
 
 class _UnionFind:
@@ -113,9 +190,9 @@ def mst_init(scorer, n_cameras, grid: SO3Grid, directional=None):
     edges = []
     for i in range(n_cameras):
         for j in range(i + 1, n_cameras):
-            rot_ij, s_ij = best_pairwise(scorer, i, j, grid)
+            rot_ij, s_ij = best_pairwise(scorer, i, j, grid, n_cameras - 1)
             if directional:
-                rot_ji, s_ji = best_pairwise(scorer, j, i, grid)
+                rot_ji, s_ji = best_pairwise(scorer, j, i, grid, n_cameras - 1)
                 if s_ji > s_ij:
                     rot_ij, s_ij = rot_ji.T, s_ji
             rel[(i, j)] = rot_ij
@@ -166,9 +243,11 @@ def coordinate_ascent(
 ):
     """Block coordinate ascent over cameras 2..N on the grid.
 
-    `init` is a RotationHypothesis or a plain sequence of rotations.
-    One block update re-scores every grid candidate for camera i against
-    the current rotations of all other cameras. A camera still off the
+    `init` is a RotationHypothesis or a plain sequence of rotations; a
+    hypothesis's `total_energy` is taken as the energy of its rotations.
+    One block update finds the grid candidate for camera i that scores
+    best against the current rotations of all other cameras
+    (`grid_search`). A camera still off the
     grid (tree compositions usually are) is projected to the argmax
     candidate unconditionally, since the hypothesis space is the grid;
     once on the grid, updates are accepted only on strict improvement,
@@ -183,18 +262,18 @@ def coordinate_ascent(
     n = len(rotations)
     quats = [matrix_to_quat(r) for r in rotations]
 
-    def block_scores(i):
-        # Scores for every candidate S at camera i, summed over pairs.
-        obj = np.zeros(grid.n)
+    def block_terms(i):
+        # The score_grid terms of candidate S at camera i, one per pair.
+        terms = []
         for j in range(n):
             if j == i:
                 continue
             # rel(i -> j) = R_j S^T: the pair's first camera moves.
-            obj += scorer.score_grid(i, j, grid, quats[j], moving="i")
+            terms.append((i, j, quats[j], "i"))
             if directional:
                 # rel(j -> i) = S R_j^T: the pair's second camera moves.
-                obj += scorer.score_grid(j, i, grid, quats[j], moving="j")
-        return obj
+                terms.append((j, i, quats[j], "j"))
+        return terms
 
     def current_objective(i):
         cur = 0.0
@@ -208,7 +287,9 @@ def coordinate_ascent(
                 cur += float(scorer.score_quats(j, i, rev[0][None, :])[0])
         return cur
 
-    total = total_energy(scorer, rotations)
+    total = getattr(init, "total_energy", None)
+    if total is None:
+        total = total_energy(scorer, rotations)
     trace = [total]
     pair_factor = 1.0 if directional else 2.0
     sweeps_used = 0
@@ -225,11 +306,9 @@ def coordinate_ascent(
         sweeps_used += 1
         changed = False
         for i in range(1, n):
-            obj = block_scores(i)
-            k = int(np.argmax(obj))
-            if on_grid[i] >= 0:
-                cur = float(obj[on_grid[i]])
-                accept = float(obj[k]) > cur
+            k, best, cur = grid_search(scorer, grid, block_terms(i), n - 1, on_grid[i])
+            if cur is not None:
+                accept = best > cur
             else:
                 cur = current_objective(i)
                 accept = True
@@ -237,7 +316,7 @@ def coordinate_ascent(
                 rotations[i] = grid.rotations[k].copy()
                 quats[i] = grid.quats[k].copy()
                 on_grid[i] = k
-                total += (float(obj[k]) - cur) * pair_factor
+                total += (best - cur) * pair_factor
                 trace.append(total)
                 changed = True
         if changed:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._fileio import write_text_atomic
+from ._fileio import json_text, write_text_atomic
 from .energy import SymmetricModeScorer
 from .errors import FormatError
 from .evaluation import scene_scale
@@ -171,6 +171,8 @@ def pose_from_dict(obj) -> CameraPose:
         raise FormatError(f"bad pose record: {e}") from None
     if q.shape != (4,) or t.shape != (3,):
         raise FormatError("pose record has wrong field shapes")
+    if not (np.isfinite(q).all() and np.isfinite(t).all()):
+        raise FormatError("pose record has non-finite values")
     if abs(np.linalg.norm(q) - 1.0) > 1e-6:
         raise FormatError("pose quaternion is not unit norm")
     return CameraPose(rotation=quat_to_matrix(quat_normalize(q)), translation=t)
@@ -185,7 +187,7 @@ def save_scene(scene: SyntheticScene, path):
         "poses": [pose_to_dict(p) for p in scene.poses],
     }
     doc["rig"]["lookat"] = list(scene.rig.lookat)
-    write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(path, json_text(doc))
 
 
 def load_scene(path) -> SyntheticScene:
@@ -208,8 +210,8 @@ def load_scene(path) -> SyntheticScene:
         if isinstance(e, FormatError):
             raise
         raise FormatError(f"{path}: malformed scene ({e})") from None
-    if sigma < 0.0:
-        raise FormatError(f"{path}: negative sigma")
+    if not math.isfinite(sigma) or sigma < 0.0:
+        raise FormatError(f"{path}: sigma must be finite and non-negative")
     if len(poses) != rig.n_cameras:
         raise FormatError(
             f"{path}: rig declares {rig.n_cameras} cameras, file has {len(poses)}"

@@ -1,0 +1,298 @@
+"""The solver's bounded grid search against a dense oracle.
+
+A block update (and a pair's best rotation in `mst_init`) maximizes a
+sum of `score_grid` terms over the grid. When the scorer bounds every
+term on the grid's cells, only the points of cells whose bound reaches
+the best exact score are scored. The oracle scores every term over the
+whole grid, takes the first maximum and compares the camera's current
+index strictly, as the dense block update did.
+"""
+
+import numpy as np
+import pytest
+
+from svpose import so3, solver
+from svpose.energy import EnergyTable, PairwiseScorer, SymmetricModeScorer, TableScorer
+from svpose.synth import RigSpec, generate_scene, scene_to_scorer
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+GRIDS = {}
+
+
+def grid_of(n, generator="super_fibonacci"):
+    # Shared so each grid's cell index is built once per test session.
+    if (n, generator) not in GRIDS:
+        GRIDS[(n, generator)] = so3.build_grid(n, generator=generator, seed=3)
+    return GRIDS[(n, generator)]
+
+
+def rng_for(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def dense_search(scorer, grid, terms, n_partners, current=-1):
+    obj = np.zeros(grid.n)
+    for i, j, fixed, moving in terms:
+        obj += scorer.score_grid(i, j, grid, fixed, moving=moving)
+    k = int(np.argmax(obj))
+    return k, float(obj[k]), (None if current < 0 else float(obj[current]))
+
+
+class Recorder:
+    """Forwards to a scorer and records the rows each score_grid call asks for.
+
+    Like a tracing proxy it is not a subclass of the scorer, so the
+    solver must find the bound hook through the attribute, not the type.
+    """
+
+    def __init__(self, scorer):
+        self._scorer = scorer
+        self.directional = scorer.directional
+        self.rows = []
+
+    def score_grid(self, *args, **kwargs):
+        rows = kwargs.get("rows")
+        self.rows.append(None if rows is None else len(rows))
+        return self._scorer.score_grid(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._scorer, name)
+
+
+def checked_solve(monkeypatch, scorer, n, grid):
+    """Solve while every search is compared with the dense oracle.
+
+    Returns the hypothesis, the hypothesis the oracle alone gives, and
+    the recorded row counts.
+    """
+    decisions = []
+    search = solver.grid_search
+    recorder = Recorder(scorer)
+
+    def both(scorer_, grid_, terms, n_partners, current=-1):
+        got = search(scorer_, grid_, terms, n_partners, current)
+        want = dense_search(scorer, grid_, terms, n_partners, current)
+        assert got == want, f"search over {len(terms)} terms, current {current}"
+        decisions.append(got)
+        return got
+
+    monkeypatch.setattr(solver, "grid_search", both)
+    hyp = solver.solve(recorder, n, grid)
+    monkeypatch.setattr(solver, "grid_search", dense_search)
+    oracle = solver.solve(scorer, n, grid)
+    monkeypatch.setattr(solver, "grid_search", search)
+    assert decisions
+    return hyp, oracle, recorder.rows
+
+
+def assert_same(hyp, oracle):
+    assert np.array_equal(hyp.rotations, oracle.rotations)
+    assert hyp.energy_trace == oracle.energy_trace
+    assert hyp.total_energy == oracle.total_energy
+    assert hyp.sweeps_used == oracle.sweeps_used
+
+
+def scene_scorer(seed, n, symmetric=False):
+    scene = generate_scene(RigSpec(n_cameras=n, seed=seed, jitter=0.05))
+    symmetry = None
+    if symmetric:
+        symmetry = {(0, 1): ((0.0, 0.0, 1.0), 2), (1, 3): ((0.0, 1.0, 0.0), 4)}
+    return scene_to_scorer(
+        scene, kappa=50.0, noise_angle=0.02, noise_seed=seed, symmetry=symmetry
+    )
+
+
+def directional_scorer(seed, n, missing=()):
+    # Both orders of every pair with their own modes, except the pairs
+    # in `missing`, which have none and score 0 everywhere.
+    rng = rng_for(seed)
+    modes = {
+        (i, j): so3.random_quats(rng, int(rng.integers(1, 4)))
+        for i in range(n)
+        for j in range(n)
+        if i != j and (min(i, j), max(i, j)) not in missing
+    }
+    return SymmetricModeScorer(modes=modes, kappa=20.0, directional=True)
+
+
+@pytest.mark.parametrize(
+    "grid_n, n, bounded",
+    [(4608, 6, False), (36864, 10, True)],
+)
+def test_scene_solves_match_dense_oracle_on_both_sides_of_rule(
+    monkeypatch, grid_n, n, bounded
+):
+    grid = grid_of(grid_n)
+    assert (grid.search_cells(n - 1) is not None) == bounded
+    hyp, oracle, rows = checked_solve(monkeypatch, scene_scorer(grid_n + n, n), n, grid)
+    assert_same(hyp, oracle)
+    assert hyp.sweeps_used >= 2  # a sweep after the projection onto the grid
+    if bounded:
+        scored = [r for r in rows if r is not None]
+        assert scored and None not in rows
+        # Pruned: the candidates are a small share of the grid.
+        assert max(scored) < grid.n // 10
+    else:
+        assert set(rows) == {None}
+
+
+@pytest.mark.parametrize(
+    "make, n, seed",
+    [
+        (lambda: scene_scorer(31, 6, symmetric=True), 6, 31),
+        (lambda: directional_scorer(32, 5), 5, 32),
+        (lambda: directional_scorer(33, 6, missing={(0, 2), (3, 4), (1, 5)}), 6, 33),
+        (lambda: scene_scorer(34, 8), 8, 34),
+    ],
+    ids=["symmetric-multimode", "directional", "modeless-pairs", "scene"],
+)
+@pytest.mark.parametrize("grid_n", [576, 4608])
+def test_forced_bounded_search_matches_dense_oracle(monkeypatch, make, n, seed, grid_n):
+    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    grid = grid_of(grid_n, "random_uniform" if seed % 2 else "super_fibonacci")
+    scorer = make()
+    hyp, oracle, rows = checked_solve(monkeypatch, scorer, n, grid)
+    assert_same(hyp, oracle)
+    assert None not in rows
+
+
+def test_table_scorer_searches_the_whole_grid(monkeypatch):
+    # No bound: every search scores the whole grid as one cell, even
+    # where a mode scorer would be bounded.
+    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    grid = grid_of(576)
+    source = scene_scorer(35, 5)
+    rows = {
+        (i, j): source.score_grid(i, j, grid)
+        for i in range(5)
+        for j in range(i + 1, 5)
+    }
+    scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+    hyp, oracle, recorded = checked_solve(monkeypatch, scorer, 5, grid)
+    assert_same(hyp, oracle)
+    assert set(recorded) == {None}
+
+
+def test_search_current_index_scored_with_candidates(monkeypatch):
+    # The current index far from the maximum is still scored in the
+    # candidates' evaluation, and equals the oracle's value there.
+    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    grid = grid_of(4608)
+    scorer = scene_scorer(36, 6)
+    rng = rng_for(36)
+    quats = so3.random_quats(rng, 6)
+    terms = [(3, j, quats[j], "i") for j in range(6) if j != 3]
+    for current in (-1, 0, int(rng.integers(grid.n)), grid.n - 1):
+        got = solver.grid_search(scorer, grid, terms, 5, current)
+        assert got == dense_search(scorer, grid, terms, 5, current)
+
+
+def test_search_never_scores_a_lone_row(monkeypatch):
+    # A tight cluster of points near the identity and one point on the
+    # cell-index center farthest from it, so that point is alone in a
+    # cell of radius 0. With the pair's best mode next to it, that cell
+    # is the only one to survive. Scored alone, a row's matrix product
+    # can round differently from the whole-grid one, so the search pads
+    # it with a second row.
+    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    rng = rng_for(40)
+    noise = 0.05 * rng.standard_normal((2000, 4))
+    near = so3.quat_normalize(np.array([1.0, 0.0, 0.0, 0.0]) + noise)
+    centers = so3.super_fibonacci_quats(2001 // so3._POINTS_PER_CELL)
+    lone = centers[np.argmin(np.abs(centers[:, 0]))]
+    grid = so3.SO3Grid(
+        quats=np.ascontiguousarray(np.concatenate([near, lone[None, :]])),
+        spec=so3.GridSpec("random_uniform", 2001),
+    )
+    owner = grid.cells.owner
+    assert np.count_nonzero(owner == owner[-1]) == 1
+    assert grid.cells.radius[owner[-1]] == 0.0
+    # A second, distant mode makes the kernel a two-column product.
+    far = so3.quat_normalize(np.array([0.5, 0.5, 0.5, -0.5]))
+    for _ in range(40):
+        wobble = so3.axis_angle_rotation(rng.standard_normal(3), 0.05 * rng.uniform())
+        mode = so3.quat_mul(so3.matrix_to_quat(wobble), lone)
+        scorer = SymmetricModeScorer(modes={(0, 1): np.stack([mode, far])}, kappa=50.0)
+        terms = [(0, 1, None, "j")]
+        got = solver.grid_search(scorer, grid, terms, 1)
+        assert got[0] == grid.n - 1
+        assert got == dense_search(scorer, grid, terms, 1)
+
+
+def test_rerun_from_converged_hypothesis_accepts_nothing():
+    grid = grid_of(36864)
+    n = 10
+    assert grid.search_cells(n - 1) is not None
+    scorer = scene_scorer(37, n)
+    hyp = solver.solve(scorer, n, grid)
+    assert hyp.sweeps_used < 50
+    again = solver.coordinate_ascent(scorer, hyp, grid)
+    assert again.sweeps_used == 1
+    assert again.energy_trace == [hyp.total_energy]
+    assert np.array_equal(again.rotations, hyp.rotations)
+
+
+@st.composite
+def bound_cases(draw):
+    generator = draw(st.sampled_from(sorted(so3.GENERATOR_IDS)))
+    grid = grid_of(draw(st.sampled_from([576, 4608])), generator)
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    modes = so3.random_quats(rng, draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        # A mode on a grid point, so some cell's maximum is exactly 0.
+        modes[0] = grid.quats[int(rng.integers(grid.n))]
+    kappa = draw(st.floats(0.1, 200.0))
+    scorer = SymmetricModeScorer(modes={(0, 1): modes}, kappa=kappa)
+    fixed = draw(st.sampled_from([None, "random", "grid"]))
+    if fixed == "random":
+        fixed = so3.random_quats(rng, 1)[0]
+    elif fixed == "grid":
+        fixed = grid.quats[int(rng.integers(grid.n))]
+    pair = draw(st.sampled_from([(0, 1), (1, 0)]))
+    return scorer, grid, pair, fixed, draw(st.sampled_from(["i", "j"]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bound_cases())
+def test_cell_bound_covers_every_point_of_the_cell(case):
+    scorer, grid, (i, j), fixed, moving = case
+    bound = scorer.cell_bounds(i, j, grid, fixed, moving=moving)
+    scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
+    cell_max = np.full(bound.shape[0], -np.inf)
+    np.maximum.at(cell_max, grid.cells.owner, scores)
+    assert np.all(bound >= cell_max)
+
+
+def test_modeless_pair_bound_is_zero():
+    grid = grid_of(576)
+    modes = {(0, 1): so3.random_quats(rng_for(38), 1)}
+    scorer = SymmetricModeScorer(modes=modes, kappa=5.0)
+    bound = scorer.cell_bounds(0, 2, grid)
+    assert bound.shape == grid.cells.radius.shape
+    assert not bound.any()
+
+
+class QuatsOnly(PairwiseScorer):
+    """The mode scorer seen through `score_quats` alone: the default hooks."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def score_quats(self, i, j, quats):
+        return self.scorer.score_quats(i, j, quats)
+
+
+def test_rows_restrict_score_grid_bit_for_bit():
+    grid = grid_of(4608)
+    rng = rng_for(39)
+    mode = directional_scorer(39, 3)
+    rows = np.sort(rng.choice(grid.n, 40, replace=False))
+    for scorer in (mode, QuatsOnly(mode)):
+        for fixed in (None, so3.random_quats(rng, 1)[0]):
+            for moving in ("i", "j"):
+                whole = scorer.score_grid(0, 1, grid, fixed, moving=moving)
+                part = scorer.score_grid(0, 1, grid, fixed, moving=moving, rows=rows)
+                assert np.array_equal(part, whole[rows])
+    assert QuatsOnly(mode).cell_bounds(0, 1, grid) is None

@@ -213,6 +213,59 @@ def test_nan_table_score_is_exit_code_3(tmp_path, capsys):
     assert not (tmp_path / "p" / "scene_000.json").exists()
 
 
+def _with_nan(path, field, index):
+    doc = json.loads(path.read_text())
+    doc["poses"][1][field][index] = float("nan")
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, index", [("translation", 0), ("quat_wxyz", 2)])
+def test_non_finite_scene_pose_is_exit_code_3(tmp_path, capsys, field, index):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 8)
+    _with_nan(scenes / "scene_000.json", field, index)
+    code = run("solve", "-o", tmp_path / "p", "--scenes", scenes, "--grid-n", 72)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "FormatError"
+    assert "non-finite" in err["message"]
+    assert not (tmp_path / "p" / "scene_000.json").exists()
+
+
+def test_non_finite_scene_sigma_is_exit_code_3(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 8)
+    path = scenes / "scene_000.json"
+    doc = json.loads(path.read_text())
+    doc["sigma"] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert run("solve", "-o", tmp_path / "p", "--scenes", scenes, "--grid-n", 72) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "FormatError"
+    assert "sigma" in err["message"]
+
+
+def test_non_finite_prediction_pose_is_exit_code_3(tmp_path, capsys):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 9)
+    assert run("solve", "-o", preds, "--scenes", scenes, "--grid-n", 72) == 0
+    _with_nan(preds / "scene_000.json", "translation", 1)
+    code = run("eval", "-o", tmp_path / "m", "--pred", preds, "--gt", scenes)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "FormatError"
+    assert "non-finite" in err["message"]
+
+
+def test_json_outputs_refuse_non_finite_numbers():
+    from svpose._fileio import json_text
+
+    assert json_text({"a": 1.5}) == '{\n  "a": 1.5\n}\n'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            json_text({"a": bad})
+
+
 def test_exit_code_4_consistency(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     preds = tmp_path / "preds"

@@ -33,10 +33,11 @@ def test_nearest_abs_dots_paths_agree():
     assert np.allclose(dot_a, dot_b, atol=1e-12)
 
 
-def test_nearest_abs_dots_chunking_boundary():
-    # More queries than one numpy chunk, so the chunk seams are exercised.
+def test_nearest_abs_dots_chunking_boundary(monkeypatch):
+    # More queries than one numpy block, so the block seams are exercised.
+    monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 2048 * 16)
     rng = rng_for(2)
-    quats = so3.random_quats(rng, _kernels._CHUNK + 7)
+    quats = so3.random_quats(rng, _kernels._block_rows(16) + 7)
     grid = so3.build_grid(16).quats
     idx_a, _ = _kernels._nearest_abs_dots_np(quats, grid)
     idx_b, _ = _kernels._nearest_abs_dots_nb(quats, grid)

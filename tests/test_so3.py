@@ -277,12 +277,20 @@ def test_pruned_nearest_with_empty_cell():
     assert np.array_equal(so3.nearest_indices(grid, queries), brute_nearest(grid, queries))
 
 
-def test_cell_index_shared_across_threads():
-    # Threaded solves share one grid; whichever thread builds its cell
-    # index first, every lookup must still be exact.
+def test_cell_index_shared_across_threads(monkeypatch):
+    # Threaded solves share one grid; the first thread to need its cell
+    # index builds it once, and every lookup must still be exact.
     import sys
     import threading
 
+    builds = []
+
+    class CountedCellIndex(so3.CellIndex):
+        def __init__(self, quats):
+            builds.append(1)
+            super().__init__(quats)
+
+    monkeypatch.setattr(so3, "CellIndex", CountedCellIndex)
     grid = so3.build_grid(4608)
     rng = rng_for(26)
     batches = [so3.random_quats(rng, 1000) for _ in range(6)]
@@ -305,3 +313,4 @@ def test_cell_index_shared_across_threads():
     assert not any(t.is_alive() for t in threads)
     for got, expect in zip(results, want):
         assert np.array_equal(got, expect)
+    assert len(builds) == 1

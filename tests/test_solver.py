@@ -265,3 +265,27 @@ def test_solver_config_validation():
     scorer, _ = planted_instance(9, grid)
     out = solve(scorer, 3, grid, SolverConfig(max_sweeps=0))
     assert out.sweeps_used == 0
+
+
+def test_ascent_trace_starts_at_init_energy_without_rescoring(monkeypatch):
+    grid = so3.build_grid(576)
+    scorer, _ = planted_instance(12, grid, n_cameras=5)
+    init = mst_init(scorer, 5, grid)
+    start = total_energy(scorer, init.rotations)
+    from svpose import solver
+
+    calls = []
+
+    def counted(scorer_, rotations):
+        calls.append(1)
+        return total_energy(scorer_, rotations)
+
+    monkeypatch.setattr(solver, "total_energy", counted)
+    out = coordinate_ascent(scorer, init, grid)
+    assert out.energy_trace[0] == start == init.total_energy
+    # Only the final energy is computed; the init's is reused.
+    assert len(calls) == 1
+    # A plain rotation list has no energy, so it is scored.
+    calls.clear()
+    assert coordinate_ascent(scorer, list(init.rotations), grid).energy_trace == out.energy_trace
+    assert len(calls) == 2
