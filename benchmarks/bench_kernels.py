@@ -22,15 +22,11 @@ Both sides of the pair are timed, and the two must agree to within
 Then the dense nearest-grid kernel over a whole 4608-point grid is
 timed against the cell-pruned lookup that `so3.nearest_indices` uses,
 on a solver-shaped batch (one camera composed with every grid rotation)
-and on random rotations; the two must return the same indices. These
-parts run with or without numba.
+and on random rotations; the two must return the same indices.
 
-Then each kernel's numpy path is timed on sizes close to the real
-workloads (mode scoring over a 4608-point grid, nearest-neighbour
-projection, covering-radius probes). When numba is importable, its
-twin is timed beside it, warmed once so compilation is not counted,
-and both paths must agree, since a fast wrong kernel is worse than no
-kernel.
+Last, each kernel is timed on sizes close to the real workloads (mode
+scoring over a 4608-point grid and against a few modes,
+nearest-neighbour projection, covering-radius probes).
 """
 
 import time
@@ -38,7 +34,7 @@ import time
 import numpy as np
 
 from svpose import _kernels, so3, solver
-from svpose.energy import SymmetricModeScorer, grid_pair_quats
+from svpose.energy import SymmetricModeScorer, pair_quats
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 
@@ -106,7 +102,7 @@ def bench_score_grid():
     for moving in ("i", "j"):
 
         def composed():
-            return scorer.score_quats(0, 1, grid_pair_quats(grid, partner, moving))
+            return scorer.score_quats(0, 1, pair_quats(grid.quats, partner, moving))
 
         def hook():
             return scorer.score_grid(0, 1, grid, partner, moving=moving)
@@ -162,48 +158,20 @@ def main():
     cases = [
         (
             "min_angle_sq_to_targets (20000 x 4608)",
-            _kernels._min_angle_sq_np,
-            _kernels._min_angle_sq_nb,
+            _kernels.min_angle_sq_to_targets,
             (queries, grid),
         ),
-        (
-            "nearest_abs_dots (20000 x 4608)",
-            _kernels._nearest_abs_dots_np,
-            _kernels._nearest_abs_dots_nb,
-            (queries, grid),
-        ),
-        (
-            "min_max_abs_dot (10000 x 4608)",
-            _kernels._min_max_abs_dot_np,
-            _kernels._min_max_abs_dot_nb,
-            (queries[:10000], grid),
-        ),
+        ("nearest_abs_dots (20000 x 4608)", _kernels.nearest_abs_dots, (queries, grid)),
+        ("min_max_abs_dot (10000 x 4608)", _kernels.min_max_abs_dot, (queries[:10000], grid)),
         (
             "min_angle_sq_to_targets (20000 x 4 modes)",
-            _kernels._min_angle_sq_np,
-            _kernels._min_angle_sq_nb,
+            _kernels.min_angle_sq_to_targets,
             (queries, targets),
         ),
     ]
-
-    if not _kernels._HAVE_NUMBA:
-        print("numba not importable; only the numpy path is available")
-
-    print(f"{'kernel':<44} {'numpy':>10} {'numba':>10} {'speedup':>8}")
-    for name, np_fn, nb_fn, args in cases:
-        t_np = _timeit(np_fn, *args)
-        if _kernels._HAVE_NUMBA:
-            nb_fn(*args)  # warm the JIT cache
-            t_nb = _timeit(nb_fn, *args)
-            a = np_fn(*args)
-            b = nb_fn(*args)
-            if isinstance(a, tuple):
-                assert all(np.allclose(x, y) for x, y in zip(a, b))
-            else:
-                assert np.allclose(a, b)
-            print(f"{name:<44} {t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>7.2f}x")
-        else:
-            print(f"{name:<44} {t_np * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
+    print(f"{'kernel':<44} {'time':>10}")
+    for name, fn, args in cases:
+        print(f"{name:<44} {_timeit(fn, *args) * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

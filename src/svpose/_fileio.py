@@ -1,8 +1,31 @@
-"""Atomic file writes: write a sibling temp file, then os.replace."""
+"""JSON inputs, and atomic file writes: a sibling temp file, then os.replace."""
 
 import json
 import os
 import tempfile
+
+from .errors import FormatError
+
+
+def read_json(path, expect_format=None, expect_version=None):
+    """The JSON document in `path`, checked against a format and version.
+
+    Text that is not UTF-8 JSON raises FormatError, as does a document
+    that is not an object with the expected "format" and "version" keys
+    when `expect_format` is given.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: invalid JSON ({e})") from None
+    if expect_format is not None:
+        if not isinstance(doc, dict) or doc.get("format") != expect_format:
+            raise FormatError(f"{path}: expected a {expect_format} file")
+        if doc.get("version") != expect_version:
+            raise FormatError(f"{path}: unsupported version {doc.get('version')}")
+    return doc
 
 
 def json_text(doc) -> str:

@@ -9,26 +9,29 @@ Five subcommands cover the loop from synthetic data to report tables:
     svpose report  merge per-scene metric CSVs and append a mean row
 
 Every run resolves to a RunConfig. Passing --config loads one from
-JSON, explicit flags override individual fields, and the resolved
-config is written next to the outputs, so any run can be reproduced
-from its config alone. SVP_SEED in the environment overrides the seed
-field. Exit codes: 0 ok, 2 IO, 3 format, 4 consistency; errors go to
-stderr as one JSON line each. Output files are written atomically.
+JSON (each field checked against its type), explicit flags override
+individual fields, and synth, solve and eval write the resolved config
+next to their outputs, so such a run can be reproduced from its config
+alone. SVP_SEED in the environment overrides the seed field. Exit
+codes: 0 ok, 2 IO, 3 format, 4 consistency; errors go to stderr as one
+JSON line each. Output files are written atomically.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._fileio import json_text, write_text_atomic
+from ._fileio import json_text, read_json, write_text_atomic
 from .energy import EnergyTable, TableScorer, load_table, score_over_grid
 from .errors import ConsistencyError, FormatError
 from .evaluation import center_errors, evaluate, rotation_errors_deg
@@ -66,11 +69,11 @@ class RunConfig:
     radius_min: float = 1.0
     radius_max: float = 1.0
     jitter: float = 0.0
-    lookat: tuple = (0.0, 0.0, 0.0)
+    lookat: tuple[float, ...] = (0.0, 0.0, 0.0)
     emit_tables: bool = False
     # solve inputs: scene files/dirs or energy-table files
-    scenes: tuple = ()
-    tables: tuple = ()
+    scenes: tuple[str, ...] = ()
+    tables: tuple[str, ...] = ()
     grid_n: int = 4608
     grid_generator: str = "super_fibonacci"
     grid_seed: int = 0
@@ -82,13 +85,13 @@ class RunConfig:
     external: str = ""
     jobs: int = 1
     # eval
-    pred: tuple = ()
-    gt: tuple = ()
+    pred: tuple[str, ...] = ()
+    gt: tuple[str, ...] = ()
     sweep: bool = False
     # grid
     covering: bool = False
     # report
-    inputs: tuple = ()
+    inputs: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in ("lookat", "scenes", "tables", "pred", "gt", "inputs"):
@@ -99,26 +102,38 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
 
     def to_json(self):
-        doc = asdict(self)
-        doc["lookat"] = list(self.lookat)
-        for name in ("scenes", "tables", "pred", "gt", "inputs"):
-            doc[name] = list(doc[name])
-        return json_text(doc)
+        return json_text(asdict(self))
+
+    def grid_spec(self):
+        return GridSpec(self.grid_generator, self.grid_n, self.grid_seed)
 
 
 def load_config(path) -> dict:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON ({e})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(doc) - known)
+    kinds = {f.name: f.type for f in fields(RunConfig)}
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise FormatError(f"{path}: unknown config fields {unknown}")
+    for name, value in doc.items():
+        kind = kinds[name]
+        if not _fits(value, kind):
+            want = str(kind) if typing.get_origin(kind) else kind.__name__
+            raise FormatError(
+                f"{path}: config field {name!r} must be {want}, got {value!r}"
+            )
     return doc
+
+
+def _fits(value, kind):
+    """Whether a JSON value has a RunConfig field's type; an int is a float."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def resolve_config(args) -> RunConfig:
@@ -158,19 +173,6 @@ def _scene_files(paths, suffix="*.json"):
     return out
 
 
-def _load_json(path, expect_format, expect_version):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(doc, dict) or doc.get("format") != expect_format:
-        raise FormatError(f"{path}: expected a {expect_format} file")
-    if doc.get("version") != expect_version:
-        raise FormatError(f"{path}: unsupported version {doc.get('version')}")
-    return doc
-
-
 def _fmt(value):
     return f"{value:.10g}"
 
@@ -179,23 +181,30 @@ def _write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     write_text_atomic(path, buf.getvalue())
 
 
-def cmd_synth(config: RunConfig):
+def _out_dir(config):
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    table_grid = None
-    if config.emit_tables:
-        table_grid = grid_from_spec(
-            GridSpec(
-                n=config.grid_n,
-                generator=config.grid_generator,
-                seed=config.grid_seed,
-            )
-        )
+    return out
+
+
+def _out_file(config):
+    out = Path(config.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_manifest(out, key, entries):
+    doc = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, key: entries}
+    write_text_atomic(out / "manifest.json", json_text(doc))
+
+
+def cmd_synth(config: RunConfig):
+    out = _out_dir(config)
+    table_grid = grid_from_spec(config.grid_spec()) if config.emit_tables else None
     entries = []
     for k in range(config.n_scenes):
         rig = RigSpec(
@@ -212,10 +221,7 @@ def cmd_synth(config: RunConfig):
         entry = {"id": name, "file": f"{name}.json", "seed": rig.seed}
         if table_grid is not None:
             scorer = scene_to_scorer(
-                scene,
-                kappa=config.kappa,
-                noise_angle=config.noise_angle,
-                noise_seed=rig.seed if config.noise_angle > 0.0 else None,
+                scene, kappa=config.kappa, noise_angle=config.noise_angle
             )
             n = rig.n_cameras
             rows = {
@@ -227,12 +233,7 @@ def cmd_synth(config: RunConfig):
             table.save(out / f"{name}.rpet")
             entry["table"] = f"{name}.rpet"
         entries.append(entry)
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "scenes": entries,
-    }
-    write_text_atomic(out / "manifest.json", json_text(manifest))
+    _write_manifest(out, "scenes", entries)
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0
 
@@ -265,25 +266,19 @@ def _translations(config, scene_id, n_cameras, gt_poses):
 
 
 def _write_pred(config, out, scene_id, hyp, translations, grid_spec):
-    poses = [
-        CameraPose(rotation=r, translation=np.asarray(t, dtype=np.float64))
-        for r, t in zip(hyp.rotations, translations)
-    ]
     doc = {
         "format": PRED_FORMAT,
         "version": PRED_VERSION,
         "scene_id": scene_id,
-        "grid": {
-            "n": grid_spec.n,
-            "generator": grid_spec.generator,
-            "seed": grid_spec.seed,
-        },
+        "grid": asdict(grid_spec),
         "translation_source": config.translation,
         "diagnostics": {
             "total_energy": hyp.total_energy,
             "sweeps_used": hyp.sweeps_used,
         },
-        "poses": [pose_to_dict(p) for p in poses],
+        "poses": [
+            pose_to_dict(CameraPose(r, t)) for r, t in zip(hyp.rotations, translations)
+        ],
     }
     write_text_atomic(out / f"{scene_id}.json", json_text(doc))
 
@@ -291,72 +286,55 @@ def _write_pred(config, out, scene_id, hyp, translations, grid_spec):
 def cmd_solve(config: RunConfig):
     if bool(config.scenes) == bool(config.tables):
         raise ConsistencyError("pass exactly one of scene inputs or table inputs")
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid_spec = GridSpec(
-        n=config.grid_n, generator=config.grid_generator, seed=config.grid_seed
-    )
+    out = _out_dir(config)
+    grid_spec = config.grid_spec()
     grid = grid_from_spec(grid_spec)
-    solver_config = SolverConfig(
-        max_sweeps=config.max_sweeps, patience=config.patience
-    )
+    solver_config = SolverConfig(config.max_sweeps, config.patience)
 
-    def solve_scene(path):
+    # Each loader returns (scorer, n_cameras, ground-truth poses or None).
+    def load_scene_problem(path):
         scene = load_scene(path)
         scorer = scene_to_scorer(
-            scene,
-            kappa=config.kappa,
-            noise_angle=config.noise_angle,
-            noise_seed=config.seed if config.noise_angle > 0.0 else None,
+            scene, config.kappa, config.noise_angle, noise_seed=config.seed
         )
-        hyp = solve(scorer, scene.rig.n_cameras, grid, solver_config)
-        scene_id = Path(path).stem
-        translations = _translations(
-            config, scene_id, scene.rig.n_cameras, scene.poses
-        )
-        _write_pred(config, out, scene_id, hyp, translations, grid_spec)
-        return scene_id
+        return scorer, scene.rig.n_cameras, scene.poses
 
-    def solve_table(path):
+    def load_table_problem(path):
         table = load_table(path)
         if table.grid_spec != grid_spec:
             raise ConsistencyError(
                 f"{path}: table grid {table.grid_spec} does not match requested {grid_spec}"
             )
-        scorer = TableScorer(table, grid)
-        hyp = solve(scorer, table.n_cameras, grid, solver_config)
-        scene_id = Path(path).stem
-        translations = _translations(config, scene_id, table.n_cameras, None)
-        _write_pred(config, out, scene_id, hyp, translations, grid_spec)
-        return scene_id
+        return TableScorer(table, grid), table.n_cameras, None
 
     if config.scenes:
         files = _scene_files(config.scenes)
-        worker = solve_scene
+        load = load_scene_problem
     else:
         files = _scene_files(config.tables, suffix="*.rpet")
-        worker = solve_table
+        load = load_table_problem
+
+    def solve_file(path):
+        scorer, n_cameras, gt_poses = load(path)
+        scene_id = Path(path).stem
+        # Before the solve, so a missing translation source fails fast.
+        translations = _translations(config, scene_id, n_cameras, gt_poses)
+        hyp = solve(scorer, n_cameras, grid, solver_config)
+        _write_pred(config, out, scene_id, hyp, translations, grid_spec)
+        return scene_id
+
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            ids = list(pool.map(worker, files))
+            ids = list(pool.map(solve_file, files))
     else:
-        ids = [worker(f) for f in files]
-    write_text_atomic(
-        out / "manifest.json",
-        json_text(
-            {
-                "format": MANIFEST_FORMAT,
-                "version": MANIFEST_VERSION,
-                "predictions": [{"id": i, "file": f"{i}.json"} for i in ids],
-            }
-        ),
-    )
+        ids = [solve_file(f) for f in files]
+    _write_manifest(out, "predictions", [{"id": i, "file": f"{i}.json"} for i in ids])
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0
 
 
 def _load_pred(path):
-    doc = _load_json(path, PRED_FORMAT, PRED_VERSION)
+    doc = read_json(path, PRED_FORMAT, PRED_VERSION)
     try:
         scene_id = doc["scene_id"]
         poses = [pose_from_dict(p) for p in doc["poses"]]
@@ -366,15 +344,9 @@ def _load_pred(path):
 
 
 def cmd_eval(config: RunConfig):
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    preds = {}
-    for path in _scene_files(config.pred):
-        scene_id, poses = _load_pred(path)
-        preds[scene_id] = poses
-    gts = {}
-    for path in _scene_files(config.gt):
-        gts[Path(path).stem] = load_scene(path)
+    out = _out_dir(config)
+    preds = dict(_load_pred(path) for path in _scene_files(config.pred))
+    gts = {Path(path).stem: load_scene(path) for path in _scene_files(config.gt)}
     missing = sorted(set(preds) - set(gts))
     if missing:
         raise ConsistencyError(f"missing ground truth for ids: {missing}")
@@ -421,15 +393,10 @@ def cmd_eval(config: RunConfig):
 
 
 def cmd_grid(config: RunConfig):
-    spec = GridSpec(
-        n=config.grid_n, generator=config.grid_generator, seed=config.seed
-    )
+    spec = GridSpec(config.grid_generator, config.grid_n, config.seed)
     grid = grid_from_spec(spec)
-    out = Path(config.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    save_grid(grid, out)
-    summary = {"n": spec.n, "generator": spec.generator, "seed": spec.seed}
+    save_grid(grid, _out_file(config))
+    summary = asdict(spec)
     if config.covering:
         summary["covering_radius_rad"] = grid.covering_radius
     print(json.dumps(summary, sort_keys=True, allow_nan=False))
@@ -441,6 +408,7 @@ def cmd_report(config: RunConfig):
         raise ConsistencyError("report needs at least one input CSV")
     header = None
     rows = []
+    values = []  # the numeric cells of each row
     for path in config.inputs:
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -452,23 +420,45 @@ def cmd_report(config: RunConfig):
                 header = this_header
             elif this_header != header:
                 raise FormatError(f"{path}: CSV header differs from {config.inputs[0]}")
-            rows.extend(r for r in reader if r and r[0] != "mean")
+            for r in reader:
+                if r and r[0] != "mean":
+                    values.append(_metric_cells(path, reader.line_num, r, len(header)))
+                    rows.append(r)
     if not rows:
         raise ConsistencyError("no data rows to aggregate")
     mean_row = ["mean"]
-    for col in range(1, len(header)):
-        mean_row.append(_fmt(sum(float(r[col]) for r in rows) / len(rows)))
-    out = Path(config.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, header, rows + [mean_row])
+    for col in range(len(header) - 1):
+        mean_row.append(_fmt(sum(v[col] for v in values) / len(values)))
+    _write_csv(_out_file(config), header, rows + [mean_row])
     return 0
+
+
+def _metric_cells(path, line, row, width):
+    """The finite numbers after a report row's id cell."""
+    if len(row) != width:
+        raise FormatError(f"{path}: row {line} has {len(row)} cells, not {width}")
+    try:
+        cells = [float(v) for v in row[1:]]
+    except ValueError as e:
+        raise FormatError(f"{path}: row {line}: {e}") from None
+    if not all(math.isfinite(v) for v in cells):
+        raise FormatError(f"{path}: row {line} has non-finite values")
+    return cells
 
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON RunConfig to start from")
     sub.add_argument("-o", "--out", help="output path")
     sub.add_argument("--seed", type=int)
+
+
+def _add_scoring(sub):
+    # The grid and the scene scorer, shared by synth and solve.
+    sub.add_argument("--grid-n", dest="grid_n", type=int)
+    sub.add_argument("--grid-generator", dest="grid_generator")
+    sub.add_argument("--grid-seed", dest="grid_seed", type=int)
+    sub.add_argument("--kappa", type=float)
+    sub.add_argument("--noise-angle", dest="noise_angle", type=float)
 
 
 def parse_args(argv):
@@ -486,21 +476,13 @@ def parse_args(argv):
         "--lookat", type=lambda s: tuple(float(v) for v in s.split(","))
     )
     p.add_argument("--emit-tables", dest="emit_tables", action="store_const", const=True)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-generator", dest="grid_generator")
-    p.add_argument("--grid-seed", dest="grid_seed", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--noise-angle", dest="noise_angle", type=float)
+    _add_scoring(p)
 
     p = subs.add_parser("solve", help="recover rotations")
     _add_common(p)
     p.add_argument("--scenes", nargs="+")
     p.add_argument("--tables", nargs="+")
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-generator", dest="grid_generator")
-    p.add_argument("--grid-seed", dest="grid_seed", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--noise-angle", dest="noise_angle", type=float)
+    _add_scoring(p)
     p.add_argument("--max-sweeps", dest="max_sweeps", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--translation", choices=TRANSLATION_SOURCES)

@@ -36,6 +36,7 @@ from ._fileio import write_bytes_atomic
 from .errors import ConsistencyError, CorruptTableError, FormatError
 from .so3 import (
     _CELL_SLACK,
+    _ID_TO_GENERATOR,
     GENERATOR_IDS,
     GridSpec,
     SO3Grid,
@@ -51,20 +52,17 @@ from .so3 import (
 
 TABLE_MAGIC = b"RPET"
 TABLE_VERSION = 1
-_ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 
 
-def grid_pair_quats(grid: SO3Grid, fixed=None, moving="j", rows=None):
-    """Relative rotations i -> j with one camera of the pair over the grid.
+def pair_quats(quats, fixed=None, moving="j"):
+    """Relative rotations i -> j with one camera of the pair at each of `quats`.
 
-    `moving` names the pair's camera that takes every grid rotation S;
-    the other is fixed at the unit quaternion `fixed` (None is the
-    identity). With i moving the rotation is fixed * S^-1, with j moving
-    it is S * fixed^-1, one row per grid rotation in index order, or
-    per index in `rows` when given.
+    `moving` names the pair's camera that takes each rotation S of the
+    (m, 4) batch `quats`; the other is fixed at the unit quaternion
+    `fixed` (None is the identity). With i moving the rotation is
+    fixed * S^-1, with j moving it is S * fixed^-1, one row per S.
     """
     _check_moving(moving)
-    quats = grid.quats if rows is None else grid.quats[rows]
     if moving == "i":
         conj = quat_conj(quats)
         return conj if fixed is None else quat_mul(np.asarray(fixed)[None, :], conj)
@@ -123,13 +121,14 @@ class PairwiseScorer:
 
         The camera named by `moving` ("i" or "j") takes each grid
         rotation in turn while the other stays at the unit quaternion
-        `fixed` (None is the identity); see `grid_pair_quats`. With
+        `fixed` (None is the identity); see `pair_quats`. With
         fixed=None and moving="j" this is the pair's score row over the
         grid. `rows`, an ascending index array, restricts the row to
         those grid rotations. The default composes the candidates and
         scores them.
         """
-        return self.score_quats(i, j, grid_pair_quats(grid, fixed, moving, rows))
+        quats = grid.quats if rows is None else grid.quats[rows]
+        return self.score_quats(i, j, pair_quats(quats, fixed, moving))
 
     def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         """Upper bound of `score_grid` on each cell of `grid.cells`, or None."""
@@ -185,8 +184,10 @@ class SymmetricModeScorer(PairwiseScorer):
     def score_quats(self, i, j, quats):
         if i == j:
             raise ValueError("pair indices must differ")
+        return self._scores(quats, self.mode_quats(i, j))
+
+    def _scores(self, quats, targets):
         quats = np.ascontiguousarray(quats, dtype=np.float64)
-        targets = self.mode_quats(i, j)
         if targets is None:
             return np.zeros(quats.shape[0])
         return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
@@ -225,11 +226,7 @@ class SymmetricModeScorer(PairwiseScorer):
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
         """Moves the k modes instead of composing the G candidates."""
         targets = self._grid_targets(i, j, fixed, moving)
-        quats = grid.quats if rows is None else grid.quats[rows]
-        if targets is None:
-            return np.zeros(quats.shape[0])
-        quats = np.ascontiguousarray(quats, dtype=np.float64)
-        return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
+        return self._scores(grid.quats if rows is None else grid.quats[rows], targets)
 
     def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         """Bounds each cell from its center.
@@ -391,7 +388,7 @@ class TableScorer(PairwiseScorer):
         key = (q, moving, transposed)
         idx = self._snapped.get(key)
         if idx is None:
-            quats = grid_pair_quats(grid, fixed, moving)
+            quats = pair_quats(grid.quats, fixed, moving)
             if transposed:
                 quats = quat_conj(quats)
             idx = self._snapped[key] = nearest_indices(self.grid, quats)

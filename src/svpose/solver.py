@@ -17,11 +17,13 @@ the running energy never decreases.
 A block update, like the search for a pair's best rotation, maximizes a
 sum of `PairwiseScorer.score_grid` terms over the grid: one per partner
 (two for a directional scorer), each with the partner's rotation fixed.
-The solver never composes the G candidates itself. When the scorer
-bounds every term on the cells of the grid's cell index
-(`PairwiseScorer.cell_bounds`) and the search is large enough
-(`SO3Grid.search_cells`), the search is exact branch and bound over one
-level of cells, in the manner of Hartley and Kahl's rotation search:
+The solver never composes the G candidates itself; a camera still off
+the grid is scored through the same terms at its own rotation,
+composed by `energy.pair_quats`. When the scorer bounds every term on
+the cells of the grid's cell index (`PairwiseScorer.cell_bounds`) and
+the search is large enough (`SO3Grid.search_cells`), the search is
+exact branch and bound over one level of cells, in the manner of
+Hartley and Kahl's rotation search:
 - the bounds of the about G/16 cells, one G/16 x k comparison per term
   for the mode scorer (k modes);
 - exact scores of the best-bounded cell's points, whose maximum is a
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import pair_quats
 from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 
 
@@ -139,6 +142,16 @@ def _summed_scores(scorer, grid, terms, rows):
     obj = np.zeros(grid.n if rows is None else rows.shape[0])
     for i, j, fixed, moving in terms:
         obj += scorer.score_grid(i, j, grid, fixed, moving=moving, **extra)
+    return obj
+
+
+def _summed_scores_at(scorer, terms, quats):
+    # The terms of _summed_scores with the moving camera at each of the
+    # off-grid rotations `quats`, through the compositions score_grid's
+    # default makes.
+    obj = np.zeros(quats.shape[0])
+    for i, j, fixed, moving in terms:
+        obj += scorer.score_quats(i, j, pair_quats(quats, fixed, moving))
     return obj
 
 
@@ -263,7 +276,8 @@ def coordinate_ascent(
     quats = [matrix_to_quat(r) for r in rotations]
 
     def block_terms(i):
-        # The score_grid terms of candidate S at camera i, one per pair.
+        # Camera i's block objective as score_grid terms of its candidate
+        # S: one per partner, two when directional.
         terms = []
         for j in range(n):
             if j == i:
@@ -274,18 +288,6 @@ def coordinate_ascent(
                 # rel(j -> i) = S R_j^T: the pair's second camera moves.
                 terms.append((j, i, quats[j], "j"))
         return terms
-
-    def current_objective(i):
-        cur = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            rel = quat_mul(quats[j][None, :], quat_conj(quats[i])[None, :])
-            cur += float(scorer.score_quats(i, j, rel[0][None, :])[0])
-            if directional:
-                rev = quat_mul(quats[i][None, :], quat_conj(quats[j])[None, :])
-                cur += float(scorer.score_quats(j, i, rev[0][None, :])[0])
-        return cur
 
     total = getattr(init, "total_energy", None)
     if total is None:
@@ -306,11 +308,12 @@ def coordinate_ascent(
         sweeps_used += 1
         changed = False
         for i in range(1, n):
-            k, best, cur = grid_search(scorer, grid, block_terms(i), n - 1, on_grid[i])
+            terms = block_terms(i)
+            k, best, cur = grid_search(scorer, grid, terms, n - 1, on_grid[i])
             if cur is not None:
                 accept = best > cur
             else:
-                cur = current_objective(i)
+                cur = float(_summed_scores_at(scorer, terms, quats[i][None, :])[0])
                 accept = True
             if accept:
                 rotations[i] = grid.rotations[k].copy()

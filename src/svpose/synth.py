@@ -9,13 +9,12 @@ comes from PCG64 streams seeded in the rig spec, so scenes and scorers
 are bit-reproducible.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._fileio import json_text, write_text_atomic
+from ._fileio import json_text, read_json, write_text_atomic
 from .energy import SymmetricModeScorer
 from .errors import FormatError
 from .evaluation import scene_scale
@@ -186,20 +185,11 @@ def save_scene(scene: SyntheticScene, path):
         "sigma": float(scene.sigma),
         "poses": [pose_to_dict(p) for p in scene.poses],
     }
-    doc["rig"]["lookat"] = list(scene.rig.lookat)
     write_text_atomic(path, json_text(doc))
 
 
 def load_scene(path) -> SyntheticScene:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
-        raise FormatError(f"{path}: not a scene file")
-    if doc.get("version") != SCENE_VERSION:
-        raise FormatError(f"{path}: unsupported scene version {doc.get('version')}")
+    doc = read_json(path, SCENE_FORMAT, SCENE_VERSION)
     try:
         rig_doc = dict(doc["rig"])
         rig_doc["lookat"] = tuple(rig_doc["lookat"])

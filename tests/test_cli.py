@@ -333,3 +333,88 @@ def test_missing_out_is_consistency_error(tmp_path, capsys):
     assert run("grid", "--n", 16) == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["exit_code"] == 4
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+NOT_UTF8 = b'{"format": "svpose-scene", "note": "\xff\xfe"}'
+
+
+def test_non_utf8_scene_is_exit_code_3(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 11)
+    (scenes / "scene_000.json").write_bytes(NOT_UTF8)
+    assert run("solve", "-o", tmp_path / "p", "--scenes", scenes, "--grid-n", 72) == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert "scene_000.json" in err["message"]
+
+
+def test_non_utf8_prediction_is_exit_code_3(tmp_path, capsys):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 11)
+    assert run("solve", "-o", preds, "--scenes", scenes, "--grid-n", 72) == 0
+    (preds / "scene_000.json").write_bytes(NOT_UTF8)
+    assert run("eval", "-o", tmp_path / "m", "--pred", preds, "--gt", scenes) == 3
+    assert last_error(capsys)["error"] == "FormatError"
+
+
+def test_non_utf8_config_is_exit_code_3(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 1, "out": "\xff"}')
+    assert run("synth", "--config", config, "-o", tmp_path / "s") == 3
+    assert last_error(capsys)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("jobs", "2"),
+        ("grid_n", "576"),
+        ("lookat", 5),
+        ("lookat", [0, "1", 2]),
+        ("scenes", [1]),
+        ("n_cameras", True),
+        ("kappa", None),
+        ("sweep", 1),
+    ],
+)
+def test_wrongly_typed_config_field_is_exit_code_3(tmp_path, capsys, field, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    assert run("synth", "--config", config, "-o", tmp_path / "s") == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert repr(field) in err["message"]
+
+
+def test_config_accepts_an_int_for_a_float(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"jitter": 0, "lookat": [0, 0, 1], "n_cameras": 2}))
+    assert run("synth", "--config", config, "-o", tmp_path / "s") == 0
+    assert load_scene(tmp_path / "s" / "scene_000.json").rig.lookat == (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "row, why",
+    [("s1,1", "cells"), ("s1,1,abc", "abc"), ("s1,nan,2", "non-finite"), ("s1,1,inf", "non-finite")],
+)
+def test_malformed_report_row_is_exit_code_3(tmp_path, capsys, row, why):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"scene_id,a,b\ns0,1,2\n{row}\n")
+    assert run("report", "-o", tmp_path / "merged.csv", "--inputs", bad) == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert "bad.csv" in err["message"] and "row 3" in err["message"]
+    assert why in err["message"]
+    assert not (tmp_path / "merged.csv").exists()
+
+
+def test_table_solve_without_translations_fails_before_solving(tmp_path, monkeypatch, capsys):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--emit-tables", "--grid-n", 72)
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved first"))
+    assert run("solve", "-o", tmp_path / "p", "--tables", scenes, "--grid-n", 72) == 4
+    assert "needs scene inputs" in last_error(capsys)["message"]

@@ -11,10 +11,10 @@ from svpose.energy import (
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
-    grid_pair_quats,
     l1_translation_loss,
     load_table,
     nll_of,
+    pair_quats,
     score_over_grid,
 )
 from svpose.errors import ConsistencyError, CorruptTableError, FormatError
@@ -160,7 +160,7 @@ def test_mode_score_grid_matches_composed_batch():
                     assert np.abs(got - want).max() <= 1e-9
                     assert got.argmax() == want.argmax()
                 got = s.score_grid(i, j, grid, moving=moving)
-                want = s.score_quats(i, j, grid_pair_quats(grid, None, moving))
+                want = s.score_quats(i, j, pair_quats(grid.quats, None, moving))
                 assert np.abs(got - want).max() <= 1e-9
             # The identity with j moving is the pair's row over the grid.
             row = s.score_grid(i, j, grid)
