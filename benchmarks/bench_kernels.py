@@ -19,10 +19,14 @@ scoring the batch (`score_quats`), against the mode scorer's
 Both sides of the pair are timed, and the two must agree to within
 1e-9 with the same argmax.
 
-Then the dense nearest-grid kernel over a whole 4608-point grid is
-timed against the cell-pruned lookup that `so3.nearest_indices` uses,
-on a solver-shaped batch (one camera composed with every grid rotation)
-and on random rotations; the two must return the same indices.
+Then the grid's nearest table is built at G=576, 4608 and 36864 (the
+build is timed once), and lookups of 4608 queries through it
+(`so3.nearest_indices`) are timed against the dense kernel
+`_kernels.nearest_abs_dots`, on a solver-shaped batch (one camera
+composed with grid rotations) and on random rotations. The table must
+return the indices of a whole-grid scan with the same sums
+(`_kernels.nearest_fixed`). The mean and largest bucket list lengths
+are printed beside each size.
 
 Last, each kernel is timed on sizes close to the real workloads (mode
 scoring over a 4608-point grid and against a few modes,
@@ -122,25 +126,33 @@ def bench_score_grid():
 
 def bench_lookup():
     rng = np.random.default_rng(12)
-    grid = so3.build_grid(4608)
-    grid.cells  # built once per grid; not part of a lookup
-    camera = so3.quat_conj(grid.quats[1234])[None, :]
-    batches = [
-        ("solver batch (4608 x 4608)", so3.quat_mul(grid.quats, camera)),
-        ("random rotations (20000 x 4608)", so3.random_quats(rng, 20000)),
-    ]
-    print(f"{'nearest-grid lookup':<44} {'dense':>10} {'pruned':>10} {'speedup':>8}")
-    for name, queries in batches:
-        queries = np.ascontiguousarray(queries)
-        dense, _ = _kernels.nearest_abs_dots(queries, grid.quats)
-        pruned = so3.nearest_indices(grid, queries)
-        assert np.array_equal(dense, pruned), f"{name}: pruned lookup differs"
-        t_dense = _timeit(_kernels.nearest_abs_dots, queries, grid.quats)
-        t_pruned = _timeit(so3.nearest_indices, grid, queries)
-        print(
-            f"{name:<44} {t_dense * 1e3:>8.2f}ms {t_pruned * 1e3:>8.2f}ms "
-            f"{t_dense / t_pruned:>7.2f}x"
-        )
+    print(
+        f"{'nearest-grid lookup, 4608 queries':<44} {'build':>10} {'dense':>10} "
+        f"{'table':>10} {'speedup':>8} {'list mean/max':>14}"
+    )
+    for n in (576, 4608, 36864):
+        grid = so3.build_grid(n)
+        t0 = time.perf_counter()
+        table = grid.nearest_table
+        t_build = time.perf_counter() - t0
+        lens = np.diff(table.ptr)
+        camera = so3.quat_conj(grid.quats[n // 3])[None, :]
+        batches = [
+            ("solver batch", so3.quat_mul(np.resize(grid.quats, (4608, 4)), camera)),
+            ("random", so3.random_quats(rng, 4608)),
+        ]
+        for name, queries in batches:
+            queries = np.ascontiguousarray(queries)
+            want, _ = _kernels.nearest_fixed(queries, grid.quats)
+            got = so3.nearest_indices(grid, queries)
+            assert np.array_equal(want, got), f"G={n} {name}: table lookup differs"
+            t_dense = _timeit(_kernels.nearest_abs_dots, queries, grid.quats)
+            t_table = _timeit(so3.nearest_indices, grid, queries)
+            print(
+                f"{f'G={n}, {name}':<44} {t_build * 1e3:>8.1f}ms {t_dense * 1e3:>8.2f}ms "
+                f"{t_table * 1e3:>8.2f}ms {t_dense / t_table:>7.2f}x "
+                f"{f'{lens.mean():.1f}/{lens.max()}':>14}"
+            )
 
 
 def main():
@@ -162,6 +174,7 @@ def main():
             (queries, grid),
         ),
         ("nearest_abs_dots (20000 x 4608)", _kernels.nearest_abs_dots, (queries, grid)),
+        ("nearest_fixed (2000 x 4608)", _kernels.nearest_fixed, (queries[:2000], grid)),
         ("min_max_abs_dot (10000 x 4608)", _kernels.min_max_abs_dot, (queries[:10000], grid)),
         (
             "min_angle_sq_to_targets (20000 x 4 modes)",

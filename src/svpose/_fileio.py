@@ -1,10 +1,20 @@
-"""JSON inputs, and atomic file writes: a sibling temp file, then os.replace."""
+"""Text and JSON inputs, and atomic file writes: a sibling temp file, then os.replace."""
 
 import json
 import os
 import tempfile
 
 from .errors import FormatError
+
+
+def read_text(path):
+    """The text in `path`; bytes that are not UTF-8 raise FormatError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e})") from None
 
 
 def read_json(path, expect_format=None, expect_version=None):
@@ -14,11 +24,10 @@ def read_json(path, expect_format=None, expect_version=None):
     that is not an object with the expected "format" and "version" keys
     when `expect_format` is given.
     """
-    with open(path, "rb") as f:
-        data = f.read()
+    text = read_text(path)
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from None
     if expect_format is not None:
         if not isinstance(doc, dict) or doc.get("format") != expect_format:

@@ -9,6 +9,12 @@ index.
 The grid-sized kernels work through their rows in blocks of about
 `_BLOCK_ENTRIES` entries and reuse each block's buffer in place, so no
 full rows x grid product is ever held.
+
+The matrix-product kernels round each |dot| in an order the BLAS picks
+for the block's shape, so a near-tie can resolve differently in a batch
+than in a single row. `fixed_abs_dots` and `nearest_fixed` sum the four
+terms element-wise in one fixed order instead: a pair's value is the
+same whatever else is computed with it.
 """
 
 import numpy as np
@@ -46,6 +52,30 @@ def nearest_abs_dots(queries, grid):
     for s in range(0, n, step):
         block = queries[s : s + step] @ grid.T
         np.abs(block, out=block)
+        k = block.argmax(axis=1)
+        idx[s : s + step] = k
+        dot[s : s + step] = block[np.arange(block.shape[0]), k]
+    return idx, dot
+
+
+def fixed_abs_dots(a, b):
+    """|((a0 b0 + a1 b1) + a2 b2) + a3 b3| over broadcast (..., 4) arrays."""
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
+    out += a[..., 3] * b[..., 3]
+    np.abs(out, out=out)
+    return out
+
+
+def nearest_fixed(queries, grid):
+    """`nearest_abs_dots` with every |dot| from `fixed_abs_dots`."""
+    n = queries.shape[0]
+    step = _block_rows(grid.shape[0])
+    idx = np.empty(n, dtype=np.int64)
+    dot = np.empty(n)
+    for s in range(0, n, step):
+        block = fixed_abs_dots(queries[s : s + step, None, :], grid)
         k = block.argmax(axis=1)
         idx[s : s + step] = k
         dot[s : s + step] = block[np.arange(block.shape[0]), k]

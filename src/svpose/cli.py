@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fileio import json_text, read_json, write_text_atomic
+from ._fileio import json_text, read_json, read_text, write_text_atomic
 from .energy import EnergyTable, TableScorer, load_table, score_over_grid
 from .errors import ConsistencyError, FormatError
 from .evaluation import center_errors, evaluate, rotation_errors_deg
@@ -410,20 +410,19 @@ def cmd_report(config: RunConfig):
     rows = []
     values = []  # the numeric cells of each row
     for path in config.inputs:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            try:
-                this_header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty CSV") from None
-            if header is None:
-                header = this_header
-            elif this_header != header:
-                raise FormatError(f"{path}: CSV header differs from {config.inputs[0]}")
-            for r in reader:
-                if r and r[0] != "mean":
-                    values.append(_metric_cells(path, reader.line_num, r, len(header)))
-                    rows.append(r)
+        reader = csv.reader(io.StringIO(read_text(path), newline=""))
+        try:
+            this_header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty CSV") from None
+        if header is None:
+            header = this_header
+        elif this_header != header:
+            raise FormatError(f"{path}: CSV header differs from {config.inputs[0]}")
+        for r in reader:
+            if r and r[0] != "mean":
+                values.append(_metric_cells(path, reader.line_num, r, len(header)))
+                rows.append(r)
     if not rows:
         raise ConsistencyError("no data rows to aggregate")
     mean_row = ["mean"]

@@ -39,11 +39,15 @@ _COVERING_SAMPLES = 10_000
 _COVERING_SEED = 402653189
 
 # Nearest-grid lookups: a batch whose size times the grid size is at
-# most _DENSE_WORK is compared against the whole grid at once; larger
-# batches go through the grid's cell index. Below about this much work
-# the index's per-cell overhead costs more than the pairs it prunes.
-# Each cell holds about _POINTS_PER_CELL grid points.
-_DENSE_WORK = 1 << 21
+# most _DENSE_WORK scans the whole grid (`_kernels.nearest_fixed`);
+# larger batches go through the grid's nearest table, built once per
+# grid. With the table built, a lookup beats the scan from about 2^14
+# (batch x grid) pairs at G=576, 4608 and 36864 (0.26 ms against
+# 0.08 ms for 14 rows at G=4608, 2 CPUs), but the build costs 0.03,
+# 0.3 and 5 s at those sizes. At 2^16 a single row stays on the scan up
+# to G=65536, so a solve that snaps single rotations never builds one.
+_DENSE_WORK = 1 << 16
+# Each cell of the cell index holds about _POINTS_PER_CELL grid points.
 _POINTS_PER_CELL = 16
 # Slack on the cell separation test, in radians; far above the rounding
 # error of arccos near 1 (about 1.5e-8).
@@ -58,6 +62,17 @@ _CELL_SLACK = 1e-6
 # with 10. Small grids gain nothing: the bound and candidate passes cost
 # about what a dense pass does, and building the index costs more.
 _BOUND_WORK = 1 << 18
+# Nearest table: (query or bucket, point) pairs per chunk of its build
+# and its lookups, which keeps each temporary to a few hundred kB.
+_TABLE_PAIRS = 1 << 14
+# Slack on the table's keep test, in face coordinates; far above the
+# rounding of a |dot| (about 1e-15) and of a bucket's edges.
+_TABLE_SLACK = 1e-12
+# Component order on each cube-map face: the face's component first.
+_FACE_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]])
+# Child j of a bucket takes the upper half of its axis a when bit 2 - a
+# of j is set.
+_CHILD_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
 
 
 def quat_normalize(q):
@@ -266,15 +281,187 @@ def _half_angle(abs_dot):
     return np.arccos(np.minimum(abs_dot, 1.0))
 
 
+def _gather(ptr, entries, lists):
+    """The CSR lists numbered `lists`, concatenated in order, and their lengths.
+
+    List l is entries[ptr[l]:ptr[l + 1]].
+    """
+    lens = ptr[lists + 1] - ptr[lists]
+    ends = np.cumsum(lens)
+    src = np.arange(int(ends[-1]) if ends.shape[0] else 0)
+    src += np.repeat(ptr[lists] - (ends - lens), lens)
+    return entries[src], lens
+
+
+def _child_boxes(bins, n):
+    """The box lo <= u <= hi of each child, from its bins' dyadic edges in arctan.
+
+    `bins` is (parents, 8, 3); returns (3, 8, parents) arrays of u per
+    axis: the center, mid and half of each box.
+    """
+    a = bins.transpose(2, 1, 0) * (2.0 / n) - 1.0
+    lo = np.tan(math.pi / 4.0 * a)
+    hi = np.tan(math.pi / 4.0 * (a + 2.0 / n))
+    return np.tan(math.pi / 4.0 * (a + 1.0 / n)), 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _refine(faced, ptr, entries, face, bins, n):
+    """The children's CSR lists from their parents' (see `NearestTable`).
+
+    `faced` holds the grid in each face's coordinates, component-major
+    (4, 4 G); parent b lies on face `face[b]`, as do its 8 children,
+    whose bins on the n x n x n face are `bins[8 b:8 b + 8]`. Parents
+    are taken in blocks of about _TABLE_PAIRS / 8 list entries, or one
+    parent with a longer list, whose entries are then taken in chunks
+    of that size.
+    """
+    g = faced.shape[1] // 4
+    step = _TABLE_PAIRS // 8
+    counts, lists = [], []
+    b0 = 0
+    while b0 < face.shape[0]:
+        b1 = max(b0 + 1, int(np.searchsorted(ptr, ptr[b0] + step, side="right")) - 1)
+        center, mid, half = _child_boxes(bins[8 * b0 : 8 * b1].reshape(-1, 8, 3), n)
+        chunks = []
+        for s in range(ptr[b0], ptr[b1], step):
+            pos = np.arange(s, min(s + step, ptr[b1]))
+            par, cand = np.searchsorted(ptr, pos, side="right") - 1 - b0, entries[pos]
+            chunks.append((par, cand, faced[:, face[b0 + par] * g + cand]))
+        # p*: per child, the parent-list point nearest its center.
+        best = np.full((8, b1 - b0), -1.0)
+        star = np.zeros((8, b1 - b0), dtype=np.int64)
+        for par, cand, p in chunks:
+            c = center[:, :, par]
+            d = p[0] + c[0] * p[1] + c[1] * p[2] + c[2] * p[3]
+            np.abs(d, out=d)
+            fresh = np.diff(par, prepend=-1) != 0
+            new = np.flatnonzero(fresh)
+            top = np.maximum.reduceat(d, new, axis=1)
+            at = np.where(d == top[:, np.cumsum(fresh) - 1], np.arange(d.shape[1]), d.shape[1])
+            first = cand[np.minimum.reduceat(at, new, axis=1)]
+            b = par[new]
+            better = top > best[:, b]
+            best[:, b] = np.where(better, top, best[:, b])
+            star[:, b] = np.where(better, first, star[:, b])
+        # p* with the sign that faces the center, in face coordinates.
+        f = faced[:, face[b0:b1] * g + star]
+        f *= np.where(f[0] + np.sum(center * f[1:], axis=0) < 0.0, -1.0, 1.0)
+        # Keep p when the box's largest <v, w>, for w = p - p* or -p - p*,
+        # is <(1, mid), w> + sum_i half_i |w_i| >= 0.
+        rows = np.concatenate([f[1:], half, mid, [f[0] + np.sum(mid * f[1:], axis=0)]])
+        child, point = [], []
+        for par, cand, p in chunks:
+            lin = p[0] + rows[6][:, par] * p[1] + rows[7][:, par] * p[2] + rows[8][:, par] * p[3]
+            plus = lin - rows[9][:, par]
+            minus = plus - 2.0 * lin
+            for i in range(3):
+                f_i, h_i = rows[i][:, par], rows[3 + i][:, par]
+                plus += h_i * np.abs(p[1 + i] - f_i)
+                minus += h_i * np.abs(p[1 + i] + f_i)
+            j, e = np.nonzero((plus >= -_TABLE_SLACK) | (minus >= -_TABLE_SLACK))
+            child.append(8 * par[e] + j)
+            point.append(cand[e])
+        child = np.concatenate(child)
+        lists.append(np.concatenate(point)[np.argsort(child, kind="stable")])
+        counts.append(np.bincount(child, minlength=8 * (b1 - b0)))
+        b0 = b1
+    return np.concatenate([[0], np.cumsum(np.concatenate(counts))]), np.concatenate(lists)
+
+
+class NearestTable:
+    """Exact nearest-grid lookup by arithmetic: a cube map of point lists.
+
+    A quaternion q lies on face k, its largest |component| (the first
+    on ties), where it reads v = q / q_k = (1, u) in face coordinates
+    (`_FACE_ORDER`), each |u_i| <= 1. Each arctan(u_i) / (pi/4) is binned
+    n = 2**levels ways, so the faces hold 4 n^3 buckets, numbered in
+    nested order: bucket 8 b + j is child j of bucket b one level up.
+    levels = round(log8(0.875 G)), so n is 8, 16 and 32 at G = 576, 4608
+    and 36864, about 3.5 buckets per grid point.
+
+    Each bucket lists, ascending, every grid point that can be nearest
+    to some quaternion in it, and a lookup scans only its bucket's list
+    with `_kernels.fixed_abs_dots`, taking the first maximum: the answer
+    of a whole-grid scan with the same sums, whatever the batch.
+
+    Lists are built a level at a time, each child from its parent's
+    list, starting from every point on each face; no pass scans the
+    whole grid per bucket. A child takes p*, the parent-list point
+    nearest its center, and keeps a point p when |<v, p>| >= <v, p*> for
+    some v in its box, which the nearest point of every v does. For
+    each sign of p the test is linear in v, so over the box it is
+    exactly w_0 + sum_i max(lo_i w_i, hi_i w_i) >= 0 for w = +-p - p*
+    (less _TABLE_SLACK for rounding). Where p* is not in front of the
+    whole box, some v has <v, p*> < 0 and every point passes.
+    """
+
+    def __init__(self, quats):
+        self.quats = quats
+        self.levels = max(0, round(math.log(0.875 * quats.shape[0], 8)))
+        g = quats.shape[0]
+        faced = np.ascontiguousarray(quats[:, _FACE_ORDER].transpose(2, 1, 0).reshape(4, 4 * g))
+        face = np.arange(4)
+        bins = np.zeros((4, 3), dtype=np.int64)
+        ptr = np.arange(5) * g
+        entries = np.tile(np.arange(g, dtype=np.int32), 4)
+        for level in range(1, self.levels + 1):
+            bins = (2 * bins[:, None, :] + _CHILD_BITS).reshape(-1, 3)
+            ptr, entries = _refine(faced, ptr, entries, face, bins, 2**level)
+            face = np.repeat(face, 8)
+        self.ptr = ptr
+        self.entries = entries
+
+    def buckets(self, queries):
+        """The bucket of each (m, 4) query."""
+        n = 1 << self.levels
+        face = np.abs(queries).argmax(axis=1)
+        q = np.take_along_axis(queries, _FACE_ORDER[face], axis=1)
+        a = np.arctan(q[:, 1:] / q[:, :1]) * (4.0 / math.pi)
+        b = np.floor((a + 1.0) * (n / 2.0)).astype(np.int64)
+        np.clip(b, 0, n - 1, out=b)
+        code = face
+        for bit in range(self.levels - 1, -1, -1):
+            code = 8 * code + ((b >> bit) & 1) @ np.array([4, 2, 1])
+        return code
+
+    def lookup(self, queries):
+        """Nearest grid index and its |dot| per (m, 4) query, lowest index on ties.
+
+        Queries are taken in chunks of about _TABLE_PAIRS (query, point)
+        pairs.
+        """
+        n = queries.shape[0]
+        idx = np.empty(n, dtype=np.int64)
+        dot = np.empty(n)
+        buckets = self.buckets(queries)
+        ends = np.cumsum(self.ptr[buckets + 1] - self.ptr[buckets])
+        s = 0
+        while s < n:
+            done = int(ends[s - 1]) if s else 0
+            e = max(s + 1, int(np.searchsorted(ends, done + _TABLE_PAIRS, side="right")))
+            cand, lens = _gather(self.ptr, self.entries, buckets[s:e])
+            row = np.repeat(np.arange(e - s), lens)
+            starts = np.cumsum(lens) - lens
+            d = _kernels.fixed_abs_dots(queries[s:e][row], self.quats[cand])
+            best = np.maximum.reduceat(d, starts)
+            at = np.where(d == best[row], np.arange(d.shape[0]), d.shape[0])
+            idx[s:e] = cand[np.minimum.reduceat(at, starts)]
+            dot[s:e] = best
+            s = e
+        return idx, dot
+
+
 class CellIndex:
-    """Coarse partition of a grid that prunes nearest-grid candidates exactly.
+    """Coarse partition of a grid into cells, for bounds over many points.
 
     Centers are a super-Fibonacci sample about 1/16 the size of the grid.
     Each grid point belongs to its nearest center; centers that own no
     point are dropped, and each cell keeps its radius r, the largest
-    theta from its center to a point it owns.
+    theta from its center to a point it owns. `order[start[c]:start[c + 1]]`
+    lists, ascending, the grid indices cell c owns.
 
-    For queries whose nearest center is c, at most rho away, each
+    `groups` bounds where the nearest grid points of many queries lie:
+    for queries whose nearest center is c, at most rho away, each
     query's nearest grid point lies within rho + r_c of it (c owns a
     point that close), so it sits in a cell c' with
     theta(c, c') <= 2 rho + r_c + r_c'. Only those cells are searched.
@@ -292,7 +479,14 @@ class CellIndex:
         np.maximum.at(radius, owner, _half_angle(dot))
         self.centers = np.ascontiguousarray(centers[used])
         self.radius = radius
-        self.owner = owner
+        # int32 halves the two G-sized arrays; grids stay far below 2^31.
+        self.owner = owner.astype(np.int32)
+        self.order = np.argsort(self.owner, kind="stable").astype(np.int32)
+        self.start = np.concatenate([[0], np.cumsum(np.bincount(owner))])
+
+    def points(self, cells):
+        """Ascending grid indices of the points the given cells own."""
+        return np.sort(_gather(self.start, self.order, np.asarray(cells))[0])
 
     def groups(self, queries):
         """(query rows, candidate grid indices) per nonempty cell of queries.
@@ -307,8 +501,9 @@ class CellIndex:
         for c, rows in zip(cells, np.split(order, starts[1:])):
             rho = theta[rows].max()
             sep = _half_angle(np.abs(self.centers @ self.centers[c]))
-            near = sep <= 2.0 * rho + self.radius[c] + self.radius + _CELL_SLACK
-            yield rows, np.flatnonzero(near[self.owner])
+            yield rows, self.points(
+                np.flatnonzero(sep <= 2.0 * rho + self.radius[c] + self.radius + _CELL_SLACK)
+            )
 
 
 @dataclass
@@ -320,9 +515,8 @@ class SO3Grid:
     _rotations: np.ndarray | None = field(default=None, repr=False)
     _covering: float | None = field(default=None, repr=False)
     _cells: CellIndex | None = field(default=None, repr=False)
-    _cells_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    _table: NearestTable | None = field(default=None, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def n(self):
@@ -334,26 +528,22 @@ class SO3Grid:
             self._rotations = quat_to_matrix(self.quats)
         return self._rotations
 
+    def _cached(self, name, build):
+        # Threaded solves share one grid; the lock keeps them from
+        # building an index twice.
+        if getattr(self, name) is None:
+            with self._lock:
+                if getattr(self, name) is None:
+                    setattr(self, name, build(self.quats))
+        return getattr(self, name)
+
     @property
     def cells(self):
-        # Threaded solves share one grid; the lock keeps them from
-        # building the index twice.
-        if self._cells is None:
-            with self._cells_lock:
-                if self._cells is None:
-                    self._cells = CellIndex(self.quats)
-        return self._cells
+        return self._cached("_cells", CellIndex)
 
-    def query_groups(self, queries):
-        """(query rows, candidate grid indices) pairs that cover `queries`.
-
-        Each query's nearest grid point is among its group's candidates.
-        A small batch is one group holding the whole grid, so it never
-        builds the cell index.
-        """
-        if queries.shape[0] * self.n <= _DENSE_WORK:
-            return [(slice(None), slice(None))]
-        return self.cells.groups(queries)
+    @property
+    def nearest_table(self):
+        return self._cached("_table", NearestTable)
 
     def search_cells(self, n_partners):
         """The cell index that bounds a solver search, or None.
@@ -371,14 +561,16 @@ class SO3Grid:
         """Estimated max distance from any rotation to the grid.
 
         Monte-Carlo estimate over a fixed probe set, so the value is
-        deterministic for a given grid and stable across runs.
+        deterministic for a given grid and stable across runs. Each
+        group of probes is compared, by matrix products, with the points
+        of the cells that can hold its nearest grid points.
         """
         if self._covering is None:
             rng = np.random.Generator(np.random.PCG64(_COVERING_SEED))
             probes = random_quats(rng, _COVERING_SAMPLES)
             worst = min(
                 _kernels.min_max_abs_dot(probes[rows], self.quats[cand])
-                for rows, cand in self.query_groups(probes)
+                for rows, cand in self.cells.groups(probes)
             )
             self._covering = 2.0 * math.acos(min(1.0, max(0.0, worst)))
         return self._covering
@@ -399,14 +591,14 @@ def grid_from_spec(spec: GridSpec) -> SO3Grid:
 
 
 def _nearest(grid: SO3Grid, quats):
-    """Nearest grid index and its |dot| per query, lowest index on ties."""
-    idx = np.empty(quats.shape[0], dtype=np.int64)
-    dot = np.empty(quats.shape[0])
-    for rows, cand in grid.query_groups(quats):
-        k, d = _kernels.nearest_abs_dots(quats[rows], grid.quats[cand])
-        idx[rows] = k if isinstance(cand, slice) else cand[k]
-        dot[rows] = d
-    return idx, dot
+    """Nearest grid index and its |dot| per query, lowest index on ties.
+
+    Every |dot| is `_kernels.fixed_abs_dots`, so a query's answer does
+    not depend on the batch it comes in.
+    """
+    if quats.shape[0] * grid.n <= _DENSE_WORK:
+        return _kernels.nearest_fixed(quats, grid.quats)
+    return grid.nearest_table.lookup(quats)
 
 
 def nearest_in_grid(grid: SO3Grid, rotation):

@@ -368,6 +368,16 @@ def test_non_utf8_config_is_exit_code_3(tmp_path, capsys):
     assert last_error(capsys)["error"] == "FormatError"
 
 
+def test_non_utf8_report_input_is_exit_code_3(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"scene,a\n\xff,1\n")
+    assert run("report", "-o", tmp_path / "merged.csv", "--inputs", bad) == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert "bad.csv" in err["message"]
+    assert not (tmp_path / "merged.csv").exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

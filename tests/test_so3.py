@@ -197,7 +197,7 @@ def test_grid_load_rejects_garbage(tmp_path):
 
 
 def brute_nearest(grid, quats):
-    idx, _ = _kernels.nearest_abs_dots(np.ascontiguousarray(quats), grid.quats)
+    idx, _ = _kernels.nearest_fixed(np.ascontiguousarray(quats), grid.quats)
     return idx
 
 
@@ -221,20 +221,32 @@ def test_pruned_nearest_matches_brute_force(generator, n):
         assert np.array_equal(got, brute_nearest(grid, quats))
 
 
-def test_pruned_nearest_uses_cell_index():
-    # Guard for the tests above: batches this size take the pruned path.
+def test_batched_nearest_uses_table(monkeypatch):
+    # Guard for the tests above: batches this size go through the
+    # nearest table, single rows scan the whole grid.
     grid = so3.build_grid(4608)
     queries = so3.random_quats(rng_for(21), 4608)
-    groups = list(grid.query_groups(queries))
-    assert len(groups) > 1
-    assert sorted(np.concatenate([rows for rows, _ in groups])) == list(range(4608))
-    assert max(len(cand) for _, cand in groups) < grid.n
+    calls = []
+    lookup = so3.NearestTable.lookup
+
+    def counted(table, q):
+        calls.append(q.shape[0])
+        return lookup(table, q)
+
+    monkeypatch.setattr(so3.NearestTable, "lookup", counted)
+    so3.nearest_in_grid(grid, so3.quat_to_matrix(queries[0]))
+    assert calls == [] and grid._table is None
+    so3.nearest_indices(grid, queries)
+    assert calls == [4608]
+    lens = np.diff(grid.nearest_table.ptr)
+    assert lens.shape[0] == 4 * 16**3
+    assert lens.min() >= 1 and lens.max() < grid.n // 100
 
 
 def test_small_batch_skips_cell_index():
     grid = so3.build_grid(36864)
     so3.nearest_in_grid(grid, so3.random_rotation(rng_for(22)))
-    assert grid._cells is None
+    assert grid._cells is None and grid._table is None
 
 
 def test_pruned_nearest_grid_points_map_to_themselves():
@@ -279,7 +291,8 @@ def test_pruned_nearest_with_empty_cell():
 
 def test_cell_index_shared_across_threads(monkeypatch):
     # Threaded solves share one grid; the first thread to need its cell
-    # index builds it once, and every lookup must still be exact.
+    # index or its nearest table builds it once, and every lookup must
+    # still be exact.
     import sys
     import threading
 
@@ -287,10 +300,16 @@ def test_cell_index_shared_across_threads(monkeypatch):
 
     class CountedCellIndex(so3.CellIndex):
         def __init__(self, quats):
-            builds.append(1)
+            builds.append("cells")
+            super().__init__(quats)
+
+    class CountedTable(so3.NearestTable):
+        def __init__(self, quats):
+            builds.append("table")
             super().__init__(quats)
 
     monkeypatch.setattr(so3, "CellIndex", CountedCellIndex)
+    monkeypatch.setattr(so3, "NearestTable", CountedTable)
     grid = so3.build_grid(4608)
     rng = rng_for(26)
     batches = [so3.random_quats(rng, 1000) for _ in range(6)]
@@ -299,6 +318,7 @@ def test_cell_index_shared_across_threads(monkeypatch):
 
     def work(k):
         results[k] = so3.nearest_indices(grid, batches[k])
+        grid.search_cells(grid.n)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -313,4 +333,11 @@ def test_cell_index_shared_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for got, expect in zip(results, want):
         assert np.array_equal(got, expect)
-    assert len(builds) == 1
+    assert sorted(builds) == ["cells", "table"]
+
+
+def test_cell_points_are_the_cells_owners():
+    cells = so3.build_grid(4608).cells
+    for pick in ([0], [5, 2], list(range(0, cells.radius.shape[0], 7)), []):
+        want = np.flatnonzero(np.isin(cells.owner, pick))
+        assert np.array_equal(cells.points(np.array(pick, dtype=np.int64)), want)
