@@ -80,7 +80,6 @@ class RunConfig:
     kappa: float = 50.0
     noise_angle: float = 0.0
     max_sweeps: int = 50
-    patience: int = 1
     translation: str = "gt"
     external: str = ""
     jobs: int = 1
@@ -100,6 +99,10 @@ class RunConfig:
             raise ValueError(f"unknown translation source: {self.translation!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        for name in ("radius_min", "radius_max", "jitter", "kappa", "noise_angle", "lookat"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if name == "lookat" else (value,))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def to_json(self):
         return json_text(asdict(self))
@@ -289,7 +292,7 @@ def cmd_solve(config: RunConfig):
     out = _out_dir(config)
     grid_spec = config.grid_spec()
     grid = grid_from_spec(grid_spec)
-    solver_config = SolverConfig(config.max_sweeps, config.patience)
+    solver_config = SolverConfig(config.max_sweeps)
 
     # Each loader returns (scorer, n_cameras, ground-truth poses or None).
     def load_scene_problem(path):
@@ -483,7 +486,6 @@ def parse_args(argv):
     p.add_argument("--tables", nargs="+")
     _add_scoring(p)
     p.add_argument("--max-sweeps", dest="max_sweeps", type=int)
-    p.add_argument("--patience", type=int)
     p.add_argument("--translation", choices=TRANSLATION_SOURCES)
     p.add_argument("--external", help="scene file/dir supplying translations")
     p.add_argument("--jobs", type=int)

@@ -43,8 +43,8 @@ _COVERING_SEED = 402653189
 # larger batches go through the grid's nearest table, built once per
 # grid. With the table built, a lookup beats the scan from about 2^14
 # (batch x grid) pairs at G=576, 4608 and 36864 (0.26 ms against
-# 0.08 ms for 14 rows at G=4608, 2 CPUs), but the build costs 0.03,
-# 0.3 and 5 s at those sizes. At 2^16 a single row stays on the scan up
+# 0.08 ms for 14 rows at G=4608, 2 CPUs), but the build costs 29 ms,
+# 0.29 s and 3.0 s at those sizes. At 2^16 a single row stays on the scan up
 # to G=65536, so a solve that snaps single rotations never builds one.
 _DENSE_WORK = 1 << 16
 # Each cell of the cell index holds about _POINTS_PER_CELL grid points.
@@ -52,16 +52,6 @@ _POINTS_PER_CELL = 16
 # Slack on the cell separation test, in radians; far above the rounding
 # error of arccos near 1 (about 1.5e-8).
 _CELL_SLACK = 1e-6
-# Solver searches (block updates, best pairwise rotations): a grid of G
-# points searched for a camera with p partners is scored whole, as one
-# cell, when G * p is at most _BOUND_WORK; larger searches are pruned by
-# per-cell score bounds over the cell index. Bounded over whole-grid
-# solve time, mode scorer, four scenes, cell index built per solve, 2
-# CPUs: 1.16-1.72 at G=4608 (4 to 40 cameras); 3.15, 1.32, 1.16, 0.68
-# and 0.45 at G=36864 with 4, 6, 8, 10 and 20 cameras; 0.70 at G=18432
-# with 10. Small grids gain nothing: the bound and candidate passes cost
-# about what a dense pass does, and building the index costs more.
-_BOUND_WORK = 1 << 18
 # Nearest table: (query or bucket, point) pairs per chunk of its build
 # and its lookups, which keeps each temporary to a few hundred kB.
 _TABLE_PAIRS = 1 << 14
@@ -544,17 +534,6 @@ class SO3Grid:
     @property
     def nearest_table(self):
         return self._cached("_table", NearestTable)
-
-    def search_cells(self, n_partners):
-        """The cell index that bounds a solver search, or None.
-
-        None means the search scores the whole grid as one cell, which
-        is cheaper for a small grid or few partners and never builds the
-        index.
-        """
-        if self.n * n_partners <= _BOUND_WORK:
-            return None
-        return self.cells
 
     @property
     def covering_radius(self):

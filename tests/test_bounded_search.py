@@ -125,7 +125,7 @@ def test_scene_solves_match_dense_oracle_on_both_sides_of_rule(
     monkeypatch, grid_n, n, bounded
 ):
     grid = grid_of(grid_n)
-    assert (grid.search_cells(n - 1) is not None) == bounded
+    assert (grid.n * (n - 1) > solver._BOUND_WORK) == bounded
     hyp, oracle, rows = checked_solve(monkeypatch, scene_scorer(grid_n + n, n), n, grid)
     assert_same(hyp, oracle)
     assert hyp.sweeps_used >= 2  # a sweep after the projection onto the grid
@@ -150,7 +150,7 @@ def test_scene_solves_match_dense_oracle_on_both_sides_of_rule(
 )
 @pytest.mark.parametrize("grid_n", [576, 4608])
 def test_forced_bounded_search_matches_dense_oracle(monkeypatch, make, n, seed, grid_n):
-    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
     grid = grid_of(grid_n, "random_uniform" if seed % 2 else "super_fibonacci")
     scorer = make()
     hyp, oracle, rows = checked_solve(monkeypatch, scorer, n, grid)
@@ -161,7 +161,7 @@ def test_forced_bounded_search_matches_dense_oracle(monkeypatch, make, n, seed, 
 def test_table_scorer_searches_the_whole_grid(monkeypatch):
     # No bound: every search scores the whole grid as one cell, even
     # where a mode scorer would be bounded.
-    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
     grid = grid_of(576)
     source = scene_scorer(35, 5)
     rows = {
@@ -178,7 +178,7 @@ def test_table_scorer_searches_the_whole_grid(monkeypatch):
 def test_search_current_index_scored_with_candidates(monkeypatch):
     # The current index far from the maximum is still scored in the
     # candidates' evaluation, and equals the oracle's value there.
-    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
     grid = grid_of(4608)
     scorer = scene_scorer(36, 6)
     rng = rng_for(36)
@@ -196,7 +196,7 @@ def test_search_never_scores_a_lone_row(monkeypatch):
     # is the only one to survive. Scored alone, a row's matrix product
     # can round differently from the whole-grid one, so the search pads
     # it with a second row.
-    monkeypatch.setattr(so3, "_BOUND_WORK", 0)
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
     rng = rng_for(40)
     noise = 0.05 * rng.standard_normal((2000, 4))
     near = so3.quat_normalize(np.array([1.0, 0.0, 0.0, 0.0]) + noise)
@@ -224,7 +224,7 @@ def test_search_never_scores_a_lone_row(monkeypatch):
 def test_rerun_from_converged_hypothesis_accepts_nothing():
     grid = grid_of(36864)
     n = 10
-    assert grid.search_cells(n - 1) is not None
+    assert grid.n * (n - 1) > solver._BOUND_WORK
     scorer = scene_scorer(37, n)
     hyp = solver.solve(scorer, n, grid)
     assert hyp.sweeps_used < 50

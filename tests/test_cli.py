@@ -428,3 +428,34 @@ def test_table_solve_without_translations_fails_before_solving(tmp_path, monkeyp
     monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved first"))
     assert run("solve", "-o", tmp_path / "p", "--tables", scenes, "--grid-n", 72) == 4
     assert "needs scene inputs" in last_error(capsys)["message"]
+
+
+def test_nan_noise_angle_is_exit_code_4_before_any_output(tmp_path, capsys):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)
+    assert run(*solve_args(scenes, preds, noise_angle="nan")) == 4
+    err = last_error(capsys)
+    assert err["error"] == "ValueError"
+    assert "noise_angle" in err["message"]
+    assert not (preds / "scene_000.json").exists()
+    assert not (preds / "manifest.json").exists()
+
+
+def test_non_finite_config_value_is_exit_code_4(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)
+    config = tmp_path / "config.json"
+    config.write_text('{"kappa": NaN}')
+    assert run(*solve_args(scenes, tmp_path / "p"), "--config", config) == 4
+    err = last_error(capsys)
+    assert err["error"] == "ValueError"
+    assert "kappa" in err["message"]
+    assert not (tmp_path / "p" / "scene_000.json").exists()
+
+
+def test_config_naming_a_removed_field_is_exit_code_3(tmp_path, capsys):
+    # run_config.json files written while solve took --patience name it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"patience": 1}))
+    assert run("synth", "--config", config, "-o", tmp_path / "s") == 3
+    assert "unknown config fields ['patience']" in last_error(capsys)["message"]

@@ -18,6 +18,8 @@ from svpose.energy import (
     score_over_grid,
 )
 from svpose.errors import ConsistencyError, CorruptTableError, FormatError
+from svpose.solver import best_pairwise
+from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 
 def rng_for(seed):
@@ -400,3 +402,34 @@ def test_l1_translation_loss():
     assert l1_translation_loss([1.0, 2.0, 3.0], [2.0, 0.0, 3.5]) == 3.5
     with pytest.raises(ValueError):
         l1_translation_loss(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("generator", sorted(so3.GENERATOR_IDS))
+@pytest.mark.parametrize("grid_n", [576, 4608])
+def test_scene_and_table_paths_agree_on_the_grid(grid_n, generator):
+    # A table of a scene scorer's rows holds the same scores, rounded to
+    # float32, and its best pairwise rotations are the scorer's, apart
+    # from float32 ties.
+    grid = so3.build_grid(grid_n, generator=generator, seed=2)
+    n = 6
+    for seed in range(3):
+        rig = RigSpec(n_cameras=n, seed=seed, radius_min=0.7, radius_max=1.3, jitter=0.05)
+        mode = scene_to_scorer(generate_scene(rig), kappa=50.0, noise_angle=0.05)
+        rows = {
+            (i, j): score_over_grid(mode, i, j, grid)
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        table = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+        for i, j in rows:
+            stored = table.table.rows[(i, j)]
+            want = mode.score_quats(i, j, grid.quats).astype(np.float32)
+            assert np.array_equal(table.score_quats(i, j, grid.quats), want)
+            picks = []
+            for scorer in (mode, table):
+                rotation, _ = best_pairwise(scorer, i, j, grid, n - 1)
+                k, _ = so3.nearest_in_grid(grid, rotation)
+                assert np.array_equal(rotation, grid.rotations[k])
+                picks.append(k)
+            k_mode, k_table = picks
+            assert k_table == k_mode or stored[k_table] == stored[k_mode]

@@ -318,7 +318,7 @@ def test_cell_index_shared_across_threads(monkeypatch):
 
     def work(k):
         results[k] = so3.nearest_indices(grid, batches[k])
-        grid.search_cells(grid.n)
+        grid.cells
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

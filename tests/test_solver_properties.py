@@ -47,3 +47,11 @@ def test_energy_trace_monotone_from_grid_init(instance):
     assert trace[0] == start
     assert all(b >= a for a, b in zip(trace, trace[1:]))
     assert out.total_energy >= start
+    if out.sweeps_used < 4:
+        # Converged: its last sweep accepted nothing, and that sweep is a
+        # fixed point, so a rerun repeats it once and stops.
+        again = coordinate_ascent(scorer, out, grid, max_sweeps=4)
+        assert np.array_equal(again.rotations, out.rotations)
+        assert again.total_energy == out.total_energy
+        assert again.sweeps_used == 1
+        assert again.energy_trace == [out.total_energy]
