@@ -72,7 +72,7 @@ def bench_block_update():
     grid.cells
     t_cells = time.perf_counter() - t0
     scene = generate_scene(RigSpec(n_cameras=n, seed=1000, jitter=0.05))
-    scorer = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02, noise_seed=1000)
+    scorer = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02)
     rotations = solver.mst_init(scorer, n, grid).rotations
     quats = [so3.matrix_to_quat(r) for r in rotations]
     camera = 7

@@ -72,7 +72,6 @@ from .so3 import (
 )
 from .solver import (
     RotationHypothesis,
-    SolverConfig,
     best_pairwise,
     coordinate_ascent,
     mst_init,

@@ -12,7 +12,8 @@ Every run resolves to a RunConfig. Passing --config loads one from
 JSON (each field checked against its type), explicit flags override
 individual fields, and synth, solve and eval write the resolved config
 next to their outputs, so such a run can be reproduced from its config
-alone. SVP_SEED in the environment overrides the seed field. Exit
+alone. The seed field, which SVP_SEED in the environment overrides,
+seeds synth's rigs and nothing else; every subcommand records it. Exit
 codes: 0 ok, 2 IO, 3 format, 4 consistency; errors go to stderr as one
 JSON line each. Output files are written atomically.
 """
@@ -34,10 +35,11 @@ import numpy as np
 from ._fileio import json_text, read_json, read_text, write_text_atomic
 from .energy import EnergyTable, TableScorer, load_table, score_over_grid
 from .errors import ConsistencyError, FormatError
-from .evaluation import center_errors, evaluate, rotation_errors_deg
+# perfbench/spans.py patches rotation_errors_deg and center_errors here.
+from .evaluation import center_errors, evaluate, rotation_errors_deg  # noqa: F401
 from .frame import CameraPose
-from .so3 import GridSpec, build_grid, grid_from_spec, save_grid
-from .solver import SolverConfig, solve
+from .so3 import GridSpec, grid_from_spec, save_grid
+from .solver import solve
 from .synth import (
     RigSpec,
     generate_scene,
@@ -99,6 +101,8 @@ class RunConfig:
             raise ValueError(f"unknown translation source: {self.translation!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.max_sweeps < 0:
+            raise ValueError("max_sweeps must be non-negative")
         for name in ("radius_min", "radius_max", "jitter", "kappa", "noise_angle", "lookat"):
             value = getattr(self, name)
             if not all(map(math.isfinite, value if name == "lookat" else (value,))):
@@ -135,6 +139,8 @@ def _fits(value, kind):
         item = typing.get_args(kind)[0]
         return isinstance(value, list) and all(_fits(v, item) for v in value)
     if kind is float:
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            return False  # too large to convert
         kind = (int, float)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
@@ -292,14 +298,11 @@ def cmd_solve(config: RunConfig):
     out = _out_dir(config)
     grid_spec = config.grid_spec()
     grid = grid_from_spec(grid_spec)
-    solver_config = SolverConfig(config.max_sweeps)
 
     # Each loader returns (scorer, n_cameras, ground-truth poses or None).
     def load_scene_problem(path):
         scene = load_scene(path)
-        scorer = scene_to_scorer(
-            scene, config.kappa, config.noise_angle, noise_seed=config.seed
-        )
+        scorer = scene_to_scorer(scene, config.kappa, config.noise_angle)
         return scorer, scene.rig.n_cameras, scene.poses
 
     def load_table_problem(path):
@@ -322,7 +325,8 @@ def cmd_solve(config: RunConfig):
         scene_id = Path(path).stem
         # Before the solve, so a missing translation source fails fast.
         translations = _translations(config, scene_id, n_cameras, gt_poses)
-        hyp = solve(scorer, n_cameras, grid, solver_config)
+        # Positional: perfbench's traced solve takes a 4th argument by position.
+        hyp = solve(scorer, n_cameras, grid, config.max_sweeps)
         _write_pred(config, out, scene_id, hyp, translations, grid_spec)
         return scene_id
 
@@ -356,7 +360,7 @@ def cmd_eval(config: RunConfig):
 
     rows = []
     flat_keys = None
-    errors_by_kind = {"rot": [], "center": []}
+    reports = []
     for scene_id in sorted(preds):
         scene = gts[scene_id]
         pred_poses = preds[scene_id]
@@ -369,11 +373,7 @@ def cmd_eval(config: RunConfig):
         flat = report.to_flat_dict()
         flat_keys = list(flat)
         rows.append([scene_id] + [_fmt(flat[k]) for k in flat_keys])
-        if config.sweep:
-            errors_by_kind["rot"].append(rotation_errors_deg(pred_poses, scene.poses))
-            errors_by_kind["center"].append(
-                center_errors(pred_poses, scene.poses) / scene.sigma
-            )
+        reports.append(report)
     _write_csv(out / "per_scene.csv", ["scene_id"] + flat_keys, rows)
 
     aggregate = {"n_scenes": len(rows)}
@@ -383,10 +383,10 @@ def cmd_eval(config: RunConfig):
 
     if config.sweep:
         sweep_rows = []
-        rot = np.concatenate(errors_by_kind["rot"])
+        rot = np.concatenate([r.rotation_errors_deg for r in reports])
         for t in range(1, 61):
             sweep_rows.append(["rotation_deg", _fmt(float(t)), _fmt((rot < t).mean())])
-        cen = np.concatenate(errors_by_kind["center"])
+        cen = np.concatenate([r.center_errors_frac for r in reports])
         for k in range(1, 41):
             t = k / 100.0
             sweep_rows.append(["center_frac", _fmt(t), _fmt((cen < t).mean())])
@@ -396,7 +396,7 @@ def cmd_eval(config: RunConfig):
 
 
 def cmd_grid(config: RunConfig):
-    spec = GridSpec(config.grid_generator, config.grid_n, config.seed)
+    spec = config.grid_spec()
     grid = grid_from_spec(spec)
     save_grid(grid, _out_file(config))
     summary = asdict(spec)
@@ -500,6 +500,7 @@ def parse_args(argv):
     _add_common(p)
     p.add_argument("--n", dest="grid_n", type=int)
     p.add_argument("--generator", dest="grid_generator")
+    p.add_argument("--grid-seed", dest="grid_seed", type=int)
     p.add_argument("--covering", action="store_const", const=True)
 
     p = subs.add_parser("report", help="merge metric CSVs")

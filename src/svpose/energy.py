@@ -155,13 +155,14 @@ class SymmetricModeScorer(PairwiseScorer):
     score(i, j, R) = -kappa * min over modes m of geodesic(R, m)^2, so a
     mode scores exactly 0 and everything else is negative. Modes are
     stored per ordered pair; when only (i, j) is present, (j, i) is
-    served with the transposed modes, which makes the scorer symmetric.
+    served with the transposed modes. The scorer is directional exactly
+    when some pair is stored in both orders, as for `TableScorer`.
     Pairs with no modes at all are uninformative and score 0 everywhere.
     """
 
-    def __init__(self, modes, kappa, directional=None):
-        if kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+    def __init__(self, modes, kappa):
+        if not (math.isfinite(kappa) and kappa > 0.0):
+            raise ValueError("kappa must be finite and positive")
         self.kappa = float(kappa)
         self.modes = {}
         for (i, j), quats in modes.items():
@@ -169,9 +170,7 @@ class SymmetricModeScorer(PairwiseScorer):
                 raise ValueError("pair indices must differ")
             q = quat_normalize(np.asarray(quats, dtype=np.float64).reshape(-1, 4))
             self.modes[(int(i), int(j))] = np.ascontiguousarray(q)
-        if directional is None:
-            directional = any((j, i) in self.modes for (i, j) in self.modes)
-        self.directional = bool(directional)
+        self.directional = any((j, i) in self.modes for (i, j) in self.modes)
         self._targets = {}
 
     def mode_quats(self, i, j):

@@ -173,7 +173,10 @@ def accuracy_curve_auc(errors, max_threshold, steps=AUC_STEPS):
 
 @dataclass
 class EvalReport:
-    """Flat, stable-schema metric bundle for one scene."""
+    """Flat, stable-schema metric bundle for one scene.
+
+    The error arrays are kept for pooling and stay out of the flat dict.
+    """
 
     n_cameras: int
     sigma: float
@@ -182,6 +185,8 @@ class EvalReport:
     center_accuracy: dict
     center_auc: float
     translation_accuracy: dict
+    rotation_errors_deg: np.ndarray  # per pair i < j
+    center_errors_frac: np.ndarray  # per camera, in units of sigma
 
     def to_flat_dict(self):
         """Fixed column order; new thresholds would append, not reorder."""
@@ -216,4 +221,6 @@ def evaluate(pred_poses, gt_poses, sigma):
         translation_accuracy={
             t: accuracy(tra_errs, t) for t in TRANSLATION_THRESHOLDS
         },
+        rotation_errors_deg=rot_errs,
+        center_errors_frac=cen_errs,
     )

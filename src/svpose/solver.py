@@ -55,15 +55,6 @@ _BOUND_WORK = 1 << 18
 
 
 @dataclass
-class SolverConfig:
-    max_sweeps: int = 50
-
-    def __post_init__(self):
-        if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be non-negative")
-
-
-@dataclass
 class RotationHypothesis:
     """Solver output: rotations with the first camera at identity."""
 
@@ -268,6 +259,8 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
     the first sweep with no accepted update, a fixed point every later
     sweep would repeat, or at max_sweeps.
     """
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be non-negative")
     directional = scorer.directional
     init_rotations = getattr(init, "rotations", init)
     rotations = [np.array(r, dtype=np.float64) for r in init_rotations]
@@ -332,9 +325,7 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
     )
 
 
-def solve(scorer, n_cameras, grid: SO3Grid, config: SolverConfig | None = None):
+def solve(scorer, n_cameras, grid: SO3Grid, max_sweeps=50):
     """MST initialization followed by coordinate ascent."""
-    if config is None:
-        config = SolverConfig()
     init = mst_init(scorer, n_cameras, grid)
-    return coordinate_ascent(scorer, init, grid, config.max_sweeps)
+    return coordinate_ascent(scorer, init, grid, max_sweeps)

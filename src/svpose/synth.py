@@ -109,7 +109,6 @@ def scene_to_scorer(
     kappa=50.0,
     noise_angle=0.0,
     symmetry=None,
-    noise_seed=None,
 ) -> SymmetricModeScorer:
     """Mode scorer whose wells sit at the scene's relative rotations.
 
@@ -118,10 +117,10 @@ def scene_to_scorer(
     indistinguishable relative-rotation hypotheses a k-fold symmetric
     object would produce. `noise_angle` bounds a per-pair perturbation
     (uniform angle in [0, noise_angle], uniform axis) applied to all of
-    a pair's modes; its stream defaults to the rig seed.
+    a pair's modes, drawn from the rig seed's stream: one scene, one scorer.
     """
-    if noise_angle < 0.0:
-        raise ValueError("noise_angle must be non-negative")
+    if not (math.isfinite(noise_angle) and noise_angle >= 0.0):
+        raise ValueError("noise_angle must be finite and non-negative")
     sym = {}
     for (i, j), (axis, k) in (symmetry or {}).items():
         if i == j:
@@ -130,9 +129,7 @@ def scene_to_scorer(
             raise ValueError("symmetry order must be at least 1")
         key = (min(i, j), max(i, j))
         sym[key] = (np.asarray(axis, dtype=np.float64), int(k))
-    rng = np.random.Generator(
-        np.random.PCG64(scene.rig.seed if noise_seed is None else noise_seed)
-    )
+    rng = np.random.Generator(np.random.PCG64(scene.rig.seed))
     n = len(scene.poses)
     modes = {}
     for i in range(n):

@@ -99,9 +99,7 @@ def scene_scorer(seed, n, symmetric=False):
     symmetry = None
     if symmetric:
         symmetry = {(0, 1): ((0.0, 0.0, 1.0), 2), (1, 3): ((0.0, 1.0, 0.0), 4)}
-    return scene_to_scorer(
-        scene, kappa=50.0, noise_angle=0.02, noise_seed=seed, symmetry=symmetry
-    )
+    return scene_to_scorer(scene, kappa=50.0, noise_angle=0.02, symmetry=symmetry)
 
 
 def directional_scorer(seed, n, missing=()):
@@ -114,7 +112,7 @@ def directional_scorer(seed, n, missing=()):
         for j in range(n)
         if i != j and (min(i, j), max(i, j)) not in missing
     }
-    return SymmetricModeScorer(modes=modes, kappa=20.0, directional=True)
+    return SymmetricModeScorer(modes=modes, kappa=20.0)
 
 
 @pytest.mark.parametrize(

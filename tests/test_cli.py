@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from svpose import cli, so3
+from svpose import cli, evaluation, so3, synth
+from svpose.energy import load_table, score_over_grid
 from svpose.synth import load_scene
 
 
@@ -459,3 +460,103 @@ def test_config_naming_a_removed_field_is_exit_code_3(tmp_path, capsys):
     config.write_text(json.dumps({"patience": 1}))
     assert run("synth", "--config", config, "-o", tmp_path / "s") == 3
     assert "unknown config fields ['patience']" in last_error(capsys)["message"]
+
+
+def test_config_int_too_large_for_a_float_is_exit_code_3(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"kappa": 1' + "0" * 400 + "}")
+    assert run("synth", "--config", config, "-o", tmp_path / "s") == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert "'kappa'" in err["message"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_negative_max_sweeps_is_exit_code_4_before_any_output(tmp_path, capsys):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)
+    assert run(*solve_args(scenes, preds, max_sweeps=-1)) == 4
+    err = last_error(capsys)
+    assert err["error"] == "ValueError"
+    assert "max_sweeps" in err["message"]
+    assert not preds.exists()
+
+
+def test_scene_solve_scores_the_modes_synth_tabled(tmp_path, monkeypatch):
+    # A scene's noise comes from its own rig seed, so the scorer solve
+    # builds from a scene reproduces the table synth wrote beside it.
+    scenes = tmp_path / "scenes"
+    run(
+        "synth", "-o", scenes, "--n", 4, "--scenes", 3, "--seed", 5,
+        "--emit-tables", "--grid-n", 576, "--noise-angle", 0.1,
+    )
+    built = {}
+
+    def capture(scene, *args, **kwargs):
+        scorer = synth.scene_to_scorer(scene, *args, **kwargs)
+        built[scene.rig.seed] = scorer
+        return scorer
+
+    monkeypatch.setattr(cli, "scene_to_scorer", capture)
+    assert run(*solve_args(scenes, tmp_path / "p", noise_angle=0.1)) == 0
+    grid = so3.build_grid(576)
+    manifest = json.loads((scenes / "manifest.json").read_text())
+    assert sorted(built) == [e["seed"] for e in manifest["scenes"]]
+    for entry in manifest["scenes"]:
+        table = load_table(scenes / entry["table"])
+        scorer = built[entry["seed"]]
+        for (i, j), row in table.rows.items():
+            want = score_over_grid(scorer, i, j, grid).astype(np.float32)
+            assert np.array_equal(row, want), (entry["id"], i, j)
+
+
+def test_seed_does_not_change_scene_solves(tmp_path, monkeypatch):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 4, "--scenes", 3, "--seed", 2)
+    preds = []
+    for name, seed in (("s0", 0), ("s7", 7)):
+        assert run(*solve_args(scenes, tmp_path / name, noise_angle=0.1, seed=seed)) == 0
+        preds.append(read_dir_bytes(tmp_path / name))
+    monkeypatch.setenv("SVP_SEED", "9")
+    assert run(*solve_args(scenes, tmp_path / "env", noise_angle=0.1)) == 0
+    preds.append(read_dir_bytes(tmp_path / "env"))
+    for p in preds:
+        del p["run_config.json"]  # records out and seed
+    assert len(preds[0]) == 4 and preds[0] == preds[1] == preds[2]
+
+
+def test_grid_file_depends_on_grid_seed_not_seed(tmp_path, monkeypatch, capsys):
+    args = ["--n", 72, "--generator", "random_uniform"]
+    assert run("grid", "-o", tmp_path / "plain.so3g", *args) == 0
+    monkeypatch.setenv("SVP_SEED", "5")
+    assert run("grid", "-o", tmp_path / "env.so3g", *args) == 0
+    plain = (tmp_path / "plain.so3g").read_bytes()
+    assert (tmp_path / "env.so3g").read_bytes() == plain
+    assert run("grid", "-o", tmp_path / "flag.so3g", *args, "--seed", 6) == 0
+    assert (tmp_path / "flag.so3g").read_bytes() == plain
+    assert run("grid", "-o", tmp_path / "g5.so3g", *args, "--grid-seed", 5) == 0
+    reseeded = so3.load_grid(tmp_path / "g5.so3g")
+    assert reseeded.spec.seed == 5
+    assert np.array_equal(reseeded.quats, so3.build_grid(72, "random_uniform", 5).quats)
+    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [s["seed"] for s in summaries] == [0, 0, 0, 5]
+
+
+def test_eval_computes_each_error_once(tmp_path, monkeypatch):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 4, "--seed", 13)
+    run(*solve_args(scenes, preds))
+    calls = {"rotation_errors_deg": 0, "center_errors": 0}
+    for name in calls:
+        original = getattr(evaluation, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        # Both the name eval imported and the one evaluate calls.
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(evaluation, name, counted)
+    argv = ["eval", "-o", tmp_path / "m", "--pred", preds, "--gt", scenes, "--sweep"]
+    assert run(*argv) == 0
+    assert calls == {"rotation_errors_deg": 4, "center_errors": 4}

@@ -111,6 +111,15 @@ def test_directional_autodetect():
         SymmetricModeScorer(modes={}, kappa=0.0)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_mode_scorer_refuses_non_finite_kappa(kappa):
+    # A NaN kappa used to pass the sign check and score NaN everywhere.
+    with pytest.raises(ValueError, match="kappa"):
+        SymmetricModeScorer(
+            modes={(0, 1): so3.random_quats(rng_for(5), 1)}, kappa=kappa
+        )
+
+
 def test_unknown_pair_scores_zero():
     s = mode_scorer(rng_for(6), [(0, 1)])
     q = so3.random_quats(rng_for(7), 4)

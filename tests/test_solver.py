@@ -12,7 +12,6 @@ from svpose.energy import (
 )
 from svpose.solver import (
     RotationHypothesis,
-    SolverConfig,
     best_pairwise,
     coordinate_ascent,
     mst_init,
@@ -257,11 +256,11 @@ def test_solve_through_score_grid_matches_composed_candidates():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_sweeps=-1)
     grid = so3.build_grid(72)
     scorer, _ = planted_instance(9, grid)
-    out = solve(scorer, 3, grid, SolverConfig(max_sweeps=0))
+    with pytest.raises(ValueError, match="max_sweeps"):
+        solve(scorer, 3, grid, -1)
+    out = solve(scorer, 3, grid, 0)
     assert out.sweeps_used == 0
 
 

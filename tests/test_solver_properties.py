@@ -30,7 +30,8 @@ def instances(draw):
         pairs += [(j, i) for i, j in pairs]
     modes = {p: so3.random_quats(rng, int(rng.integers(1, 4))) for p in pairs}
     kappa = draw(st.floats(0.1, 100.0))
-    scorer = SymmetricModeScorer(modes=modes, kappa=kappa, directional=directional)
+    scorer = SymmetricModeScorer(modes=modes, kappa=kappa)
+    assert scorer.directional == directional
     init = [np.eye(3)] + [
         grid.rotations[int(k)] for k in rng.integers(0, grid.n, n_cameras - 1)
     ]
@@ -55,3 +56,18 @@ def test_energy_trace_monotone_from_grid_init(instance):
         assert again.total_energy == out.total_energy
         assert again.sweeps_used == 1
         assert again.energy_trace == [out.total_energy]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_energy_invariant_to_rotating_the_world(instance, seed):
+    # Scores see only relative rotations R_j R_i^T, which a common world
+    # rotation W (R_i -> R_i W) leaves unchanged.
+    scorer, _, _ = instance
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = max(max(pair) for pair in scorer.modes) + 1
+    rotations = [so3.random_rotation(rng) for _ in range(n)]
+    world = so3.random_rotation(rng)
+    energy = total_energy(scorer, rotations)
+    moved = total_energy(scorer, [r @ world for r in rotations])
+    assert abs(moved - energy) <= 1e-9 * (1.0 + abs(energy))

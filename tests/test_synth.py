@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,12 +109,10 @@ def test_scorer_modes_sit_at_true_relative_rotations():
 
 
 def test_scorer_noise_is_bounded():
-    scene = generate_scene(RigSpec(n_cameras=3, seed=7))
     noise_angle = 0.15
-    for noise_seed in range(30):
-        scorer = scene_to_scorer(
-            scene, kappa=10.0, noise_angle=noise_angle, noise_seed=noise_seed
-        )
+    for seed in range(30):
+        scene = generate_scene(RigSpec(n_cameras=3, seed=seed))
+        scorer = scene_to_scorer(scene, kappa=10.0, noise_angle=noise_angle)
         for (i, j), modes in scorer.modes.items():
             rel = so3.relative_rotation(
                 scene.poses[i].rotation, scene.poses[j].rotation
@@ -124,11 +123,22 @@ def test_scorer_noise_is_bounded():
         scene_to_scorer(scene, noise_angle=-0.1)
 
 
+@pytest.mark.parametrize("noise_angle", [math.nan, math.inf])
+def test_scorer_refuses_non_finite_noise(noise_angle):
+    # A NaN angle used to pass the sign check and give noise-free modes.
+    scene = generate_scene(RigSpec(n_cameras=3, seed=7))
+    with pytest.raises(ValueError, match="noise_angle"):
+        scene_to_scorer(scene, noise_angle=noise_angle)
+
+
 def test_scorer_noise_seed_reproducible():
+    # The noise stream is the rig seed's: the same scene gives the same
+    # modes, and a rig that differs only in its seed gets other noise.
     scene = generate_scene(RigSpec(n_cameras=3, seed=8))
-    a = scene_to_scorer(scene, noise_angle=0.1, noise_seed=5)
-    b = scene_to_scorer(scene, noise_angle=0.1, noise_seed=5)
-    c = scene_to_scorer(scene, noise_angle=0.1, noise_seed=6)
+    a = scene_to_scorer(scene, noise_angle=0.1)
+    b = scene_to_scorer(scene, noise_angle=0.1)
+    reseeded = replace(scene, rig=RigSpec(n_cameras=3, seed=9))
+    c = scene_to_scorer(reseeded, noise_angle=0.1)
     for key in a.modes:
         assert np.array_equal(a.modes[key], b.modes[key])
     assert any(
