@@ -10,11 +10,11 @@ The grid-sized kernels work through their rows in blocks of about
 `_BLOCK_ENTRIES` entries and reuse each block's buffer in place, so no
 full rows x grid product is ever held.
 
-The matrix-product kernels round each |dot| in an order the BLAS picks
-for the block's shape, so a near-tie can resolve differently in a batch
-than in a single row. `fixed_abs_dots` and `nearest_fixed` sum the four
-terms element-wise in one fixed order instead: a pair's value is the
-same whatever else is computed with it.
+One rounding rule: `fixed_abs_dots` sums the four terms in one fixed
+order, so a row's |dot| is the same alone as in any batch. Two kernels
+keep a BLAS product, whose rounding cannot change an answer: the cell
+radii and `so3._CELL_SLACK` absorb it in `nearest_abs_dots`, which only
+assigns cells, and `min_max_abs_dot` reproduces the frozen covering radii.
 """
 
 import numpy as np
@@ -31,11 +31,9 @@ def _block_rows(n_cols):
 
 def min_angle_sq_to_targets(quats, targets):
     """Squared geodesic angle from each quaternion to its nearest target."""
-    # In place after the product: each extra temporary is a second
-    # (rows, targets) or rows-sized allocation per call.
-    dots = quats @ targets.T
-    np.abs(dots, out=dots)
-    best = dots.max(axis=1)
+    best = fixed_abs_dots(quats, targets[0])
+    for t in targets[1:]:
+        np.maximum(best, fixed_abs_dots(quats, t), out=best)
     np.minimum(best, 1.0, out=best)
     np.arccos(best, out=best)
     best *= 2.0

@@ -157,7 +157,7 @@ class SymmetricModeScorer(PairwiseScorer):
     stored per ordered pair; when only (i, j) is present, (j, i) is
     served with the transposed modes. The scorer is directional exactly
     when some pair is stored in both orders, as for `TableScorer`.
-    Pairs with no modes at all are uninformative and score 0 everywhere.
+    A pair with no modes, or a zero-row mode array, scores 0 everywhere.
     """
 
     def __init__(self, modes, kappa):
@@ -168,8 +168,9 @@ class SymmetricModeScorer(PairwiseScorer):
         for (i, j), quats in modes.items():
             if i == j:
                 raise ValueError("pair indices must differ")
-            q = quat_normalize(np.asarray(quats, dtype=np.float64).reshape(-1, 4))
-            self.modes[(int(i), int(j))] = np.ascontiguousarray(q)
+            q = np.asarray(quats, dtype=np.float64).reshape(-1, 4)
+            if q.shape[0]:
+                self.modes[(int(i), int(j))] = quat_normalize(q)
         self.directional = any((j, i) in self.modes for (i, j) in self.modes)
         self._targets = {}
 
@@ -177,7 +178,7 @@ class SymmetricModeScorer(PairwiseScorer):
         if (i, j) in self.modes:
             return self.modes[(i, j)]
         if (j, i) in self.modes:
-            return np.ascontiguousarray(quat_conj(self.modes[(j, i)]))
+            return quat_conj(self.modes[(j, i)])
         return None
 
     def score_quats(self, i, j, quats):
@@ -186,7 +187,7 @@ class SymmetricModeScorer(PairwiseScorer):
         return self._scores(quats, self.mode_quats(i, j))
 
     def _scores(self, quats, targets):
-        quats = np.ascontiguousarray(quats, dtype=np.float64)
+        quats = np.asarray(quats, dtype=np.float64)
         if targets is None:
             return np.zeros(quats.shape[0])
         return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
@@ -218,14 +219,15 @@ class SymmetricModeScorer(PairwiseScorer):
                 targets = quat_conj(targets)
             if fixed is not None:
                 targets = quat_mul(targets, np.asarray(fixed)[None, :])
-            targets = np.ascontiguousarray(targets)
         self._targets[key] = targets
         return targets
 
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
         """Moves the k modes instead of composing the G candidates."""
         targets = self._grid_targets(i, j, fixed, moving)
-        return self._scores(grid.quats if rows is None else grid.quats[rows], targets)
+        # Gathered through quats.T, so the rows keep the grid's layout.
+        quats = grid.quats if rows is None else grid.quats.T[:, rows].T
+        return self._scores(quats, targets)
 
     def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         """Bounds each cell from its center.

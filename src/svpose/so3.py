@@ -467,7 +467,7 @@ class CellIndex:
         used, owner = np.unique(owner, return_inverse=True)
         radius = np.zeros(used.shape[0])
         np.maximum.at(radius, owner, _half_angle(dot))
-        self.centers = np.ascontiguousarray(centers[used])
+        self.centers = np.ascontiguousarray(centers[used].T).T  # as SO3Grid.quats
         self.radius = radius
         # int32 halves the two G-sized arrays; grids stay far below 2^31.
         self.owner = owner.astype(np.int32)
@@ -498,7 +498,11 @@ class CellIndex:
 
 @dataclass
 class SO3Grid:
-    """A finite candidate set of rotations with cached derived data."""
+    """A finite candidate set of rotations with cached derived data.
+
+    `quats` is (G, 4), the transpose of a contiguous (4, G) array, so
+    `_kernels.fixed_abs_dots` reads each component as a contiguous row.
+    """
 
     quats: np.ndarray
     spec: GridSpec
@@ -507,6 +511,9 @@ class SO3Grid:
     _cells: CellIndex | None = field(default=None, repr=False)
     _table: NearestTable | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.quats = np.ascontiguousarray(np.asarray(self.quats, dtype=np.float64).T).T
 
     @property
     def n(self):
@@ -566,7 +573,7 @@ def grid_from_spec(spec: GridSpec) -> SO3Grid:
     else:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         quats = random_quats(rng, spec.n)
-    return SO3Grid(quats=np.ascontiguousarray(quats), spec=spec)
+    return SO3Grid(quats=quats, spec=spec)
 
 
 def _nearest(grid: SO3Grid, quats):
@@ -593,8 +600,7 @@ def nearest_in_grid(grid: SO3Grid, rotation):
 
 def nearest_indices(grid: SO3Grid, quats):
     """Vector version of nearest_in_grid over an (m, 4) quaternion batch."""
-    quats = np.ascontiguousarray(quats, dtype=np.float64)
-    idx, _ = _nearest(grid, quats)
+    idx, _ = _nearest(grid, np.asarray(quats, dtype=np.float64))
     return idx
 
 
@@ -628,8 +634,7 @@ def load_grid(path) -> SO3Grid:
             f"{path}: expected {n * 32} quaternion bytes, found {len(body)}"
         )
     quats = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(n, 4)
-    norms = np.linalg.norm(quats, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise FormatError(f"{path}: stored quaternions are not unit norm")
+    if not np.all(np.abs(np.linalg.norm(quats, axis=1) - 1.0) <= 1e-9):  # NaN fails
+        raise FormatError(f"{path}: stored quaternions are not finite and unit norm")
     spec = GridSpec(generator=_ID_TO_GENERATOR[gen_id], n=n, seed=seed)
-    return SO3Grid(quats=np.ascontiguousarray(quats), spec=spec)
+    return SO3Grid(quats=quats, spec=spec)

@@ -96,9 +96,9 @@ def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
         cells = grid.cells
         # A cell whose bound equals the floor is still searched: one of
         # its points may tie the maximum at a lower index.
-        seed = _candidate_rows(cells.points([int(np.argmax(bound))]), current, grid.n)
+        seed = _candidate_rows(cells.points([int(np.argmax(bound))]), current)
         floor = _summed_scores(scorer, grid, terms, seed).max()
-        rows = _candidate_rows(cells.points(np.flatnonzero(bound >= floor)), current, grid.n)
+        rows = _candidate_rows(cells.points(np.flatnonzero(bound >= floor)), current)
     obj = _summed_scores(scorer, grid, terms, rows)
     a = int(np.argmax(obj))
     k = a if rows is None else int(rows[a])
@@ -108,18 +108,12 @@ def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
     return k, float(obj[a]), float(obj[at])
 
 
-def _candidate_rows(rows, current, n):
-    """The ascending grid indices `rows`, plus `current` when it is not -1.
-
-    Never a single row: a one-row matrix product can round differently
-    from the same row of a batch, and the dense search scores batches.
-    """
+def _candidate_rows(rows, current):
+    """The ascending grid indices `rows`, plus `current` when it is not -1."""
     if current >= 0:
         at = int(np.searchsorted(rows, current))
         if at == rows.shape[0] or rows[at] != current:
             rows = np.insert(rows, at, current)
-    if rows.shape[0] == 1 and n > 1:
-        rows = np.array([0, 1]) if rows[0] == 0 else np.insert(rows, 0, 0)
     return rows
 
 

@@ -187,13 +187,13 @@ def test_search_current_index_scored_with_candidates(monkeypatch):
         assert got == dense_search(scorer, grid, terms, 5, current)
 
 
-def test_search_never_scores_a_lone_row(monkeypatch):
+def test_search_scores_a_lone_row_like_the_dense_search(monkeypatch):
     # A tight cluster of points near the identity and one point on the
     # cell-index center farthest from it, so that point is alone in a
     # cell of radius 0. With the pair's best mode next to it, that cell
-    # is the only one to survive. Scored alone, a row's matrix product
-    # can round differently from the whole-grid one, so the search pads
-    # it with a second row.
+    # is the only one to survive, and the search scores its one row
+    # alone. Each |dot| is a fixed-order sum, so that row's score is
+    # the whole grid's, bit for bit.
     monkeypatch.setattr(solver, "_BOUND_WORK", 0)
     rng = rng_for(40)
     noise = 0.05 * rng.standard_normal((2000, 4))
@@ -207,7 +207,7 @@ def test_search_never_scores_a_lone_row(monkeypatch):
     owner = grid.cells.owner
     assert np.count_nonzero(owner == owner[-1]) == 1
     assert grid.cells.radius[owner[-1]] == 0.0
-    # A second, distant mode makes the kernel a two-column product.
+    # A second, distant mode: the kernel takes a maximum over two.
     far = so3.quat_normalize(np.array([0.5, 0.5, 0.5, -0.5]))
     for _ in range(40):
         wobble = so3.axis_angle_rotation(rng.standard_normal(3), 0.05 * rng.uniform())
@@ -217,6 +217,27 @@ def test_search_never_scores_a_lone_row(monkeypatch):
         got = solver.grid_search(scorer, grid, terms, 1)
         assert got[0] == grid.n - 1
         assert got == dense_search(scorer, grid, terms, 1)
+
+
+def test_one_row_scores_match_the_whole_grid_bit_for_bit():
+    # A candidate scored alone must score what it scores in a batch, or
+    # a one-row search could decide differently from the dense one.
+    grid = grid_of(36864)
+    rng = rng_for(41)
+    ks = np.sort(rng.choice(grid.n, 14, replace=False))
+    differ = []
+    for n_modes in (1, 2, 4):
+        scorer = SymmetricModeScorer(
+            modes={(0, 1): so3.random_quats(rng, n_modes)}, kappa=50.0
+        )
+        fixed = so3.random_quats(rng, 1)[0]
+        for moving in ("i", "j"):
+            whole = scorer.score_grid(0, 1, grid, fixed, moving=moving)
+            for k in ks:
+                one = scorer.score_grid(0, 1, grid, fixed, moving=moving, rows=np.array([k]))
+                if one[0] != whole[k]:
+                    differ.append((n_modes, moving, int(k)))
+    assert not differ, f"{len(differ)} of {3 * 2 * len(ks)} rows differ: {differ}"
 
 
 def test_rerun_from_converged_hypothesis_accepts_nothing():

@@ -126,6 +126,25 @@ def test_unknown_pair_scores_zero():
     assert np.array_equal(s.score_quats(2, 3, q), np.zeros(4))
 
 
+def test_zero_row_modes_are_no_modes():
+    # A zero-row mode array is a pair with no modes: it scores 0
+    # everywhere, bounds 0 on every cell, and makes nothing directional.
+    rng = rng_for(7)
+    grid = so3.build_grid(576)
+    modes = {(0, 1): so3.random_quats(rng, 1), (1, 0): np.zeros((0, 4))}
+    s = SymmetricModeScorer(modes=modes, kappa=3.0)
+    assert not s.directional
+    q = so3.random_quats(rng, 5)
+    for i, j in ((0, 2), (2, 0)):
+        s = SymmetricModeScorer(modes={(i, j): np.empty((0, 4))}, kappa=3.0)
+        assert np.array_equal(s.score_quats(i, j, q), np.zeros(5))
+        assert np.array_equal(s.score_quats(j, i, q), np.zeros(5))
+        assert np.array_equal(s.score_grid(i, j, grid, q[0], moving="i"), np.zeros(576))
+        assert np.array_equal(s.score_grid(i, j, grid, rows=np.array([3])), [0.0])
+        bound = s.cell_bounds(i, j, grid, q[1], moving="j")
+        assert bound.shape == grid.cells.radius.shape and not bound.any()
+
+
 def test_score_over_grid_argmax_near_mode():
     rng = rng_for(8)
     grid = so3.build_grid(576)

@@ -12,8 +12,8 @@ def rng_for(seed):
 def abs_dots(q, others):
     """|<q, g>| for every row g, summed term by term in a fixed order.
 
-    A different order of operations from the kernels' matrix products,
-    so the two agree only to rounding.
+    The order of `_kernels.fixed_abs_dots`, so the kernels built on it
+    match exactly; the matrix-product kernels agree only to rounding.
     """
     return np.abs(
         ((others[:, 0] * q[0] + others[:, 1] * q[1]) + others[:, 2] * q[2])
@@ -29,6 +29,8 @@ def check_nearest(queries, grid, idx, dot):
 
 
 def test_min_angle_sq_matches_oracle():
+    # Exact: the oracle sums each |dot| in the kernel's order, so the
+    # result is the same one row at a time and in any layout.
     rng = rng_for(0)
     quats = so3.random_quats(rng, 500)
     for n_targets in (1, 2, 4):
@@ -36,10 +38,12 @@ def test_min_angle_sq_matches_oracle():
         # One query on a target, where the clamp at |dot| = 1 matters.
         batch = np.vstack([quats, targets[-1:]])
         got = _kernels.min_angle_sq_to_targets(batch, targets)
-        want = [
-            (2.0 * np.arccos(min(1.0, abs_dots(q, targets).max()))) ** 2 for q in batch
-        ]
-        assert np.abs(got - want).max() <= 1e-9
+        want = []
+        for q in batch:
+            angle = 2.0 * np.arccos(np.minimum(abs_dots(q, targets).max(), 1.0))
+            want.append(angle * angle)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_kernels.min_angle_sq_to_targets(batch.T.copy().T, targets), got)
         assert got[-1] <= 1e-9
 
 

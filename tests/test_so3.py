@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ def test_nearest_within_covering_radius():
         assert dist <= grid.covering_radius + 1e-6
 
 
+def test_grid_quats_are_component_major():
+    quats = so3.random_quats(rng_for(26), 64)
+    grid = so3.SO3Grid(quats=quats, spec=so3.GridSpec("random_uniform", 64))
+    assert np.array_equal(grid.quats, quats)
+    for q in (grid.quats, grid.cells.centers, so3.build_grid(576).quats):
+        assert q.shape[1] == 4 and q.T.flags.c_contiguous
+
+
 def test_grid_save_load_roundtrip(tmp_path):
     grid = so3.build_grid(72)
     path = tmp_path / "g.so3g"
@@ -194,6 +203,17 @@ def test_grid_load_rejects_garbage(tmp_path):
     (tmp_path / "trunc.so3g").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         so3.load_grid(tmp_path / "trunc.so3g")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.0])
+def test_grid_load_rejects_non_finite_or_non_unit_rows(tmp_path, value):
+    path = tmp_path / "g.so3g"
+    so3.save_grid(so3.build_grid(8), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 21, value)  # the first row's w
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unit norm"):
+        so3.load_grid(path)
 
 
 def brute_nearest(grid, quats):
