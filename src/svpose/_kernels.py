@@ -12,9 +12,9 @@ full rows x grid product is ever held.
 
 One rounding rule: `fixed_abs_dots` sums the four terms in one fixed
 order, so a row's |dot| is the same alone as in any batch. Two kernels
-keep a BLAS product, whose rounding cannot change an answer: the cell
-radii and `so3._CELL_SLACK` absorb it in `nearest_abs_dots`, which only
-assigns cells, and `min_max_abs_dot` reproduces the frozen covering radii.
+keep a BLAS product: `min_max_abs_dot` reproduces the frozen covering
+radii, and `nearest_abs_dots`, which svpose no longer calls, stays
+because the benchmark's traced runs (`perfbench/spans.py`) wrap it.
 """
 
 import numpy as np

@@ -47,13 +47,11 @@ _COVERING_SEED = 402653189
 # 0.29 s and 3.0 s at those sizes. At 2^16 a single row stays on the scan up
 # to G=65536, so a solve that snaps single rotations never builds one.
 _DENSE_WORK = 1 << 16
-# Each cell of the cell index holds about _POINTS_PER_CELL grid points.
-_POINTS_PER_CELL = 16
 # Slack on the cell separation test, in radians; far above the rounding
 # error of arccos near 1 (about 1.5e-8).
 _CELL_SLACK = 1e-6
-# Nearest table: (query or bucket, point) pairs per chunk of its build
-# and its lookups, which keeps each temporary to a few hundred kB.
+# Pairs per chunk of the nearest table's build and lookups and of the
+# cell index's separation test; each temporary stays a few hundred kB.
 _TABLE_PAIRS = 1 << 14
 # Slack on the table's keep test, in face coordinates; far above the
 # rounding of a |dot| (about 1e-15) and of a bucket's edges.
@@ -358,6 +356,34 @@ def _refine(faced, ptr, entries, face, bins, n):
     return np.concatenate([[0], np.cumsum(np.concatenate(counts))]), np.concatenate(lists)
 
 
+def _table_levels(g):
+    """Levels of a G-point grid's nearest table: about 3.5 buckets per point."""
+    return max(0, round(math.log(0.875 * g, 8)))
+
+
+def _cube_buckets(queries, levels):
+    """The bucket, `levels` levels down, of each (m, 4) query, with its face and bins."""
+    n = 1 << levels
+    face = np.abs(queries).argmax(axis=1)
+    q = np.take_along_axis(queries, _FACE_ORDER[face], axis=1)
+    a = np.arctan(q[:, 1:] / q[:, :1]) * (4.0 / math.pi)
+    b = np.floor((a + 1.0) * (n / 2.0)).astype(np.int64)
+    np.clip(b, 0, n - 1, out=b)
+    code = face
+    for bit in range(levels - 1, -1, -1):
+        code = 8 * code + ((b >> bit) & 1) @ np.array([4, 2, 1])
+    return code, face, b
+
+
+def _box_centers(face, bins, levels):
+    """The unit quaternion at the center of each bucket, from its face and bins."""
+    v = np.ones((face.shape[0], 4))
+    v[:, 1:] = _child_boxes(bins[None], 1 << levels)[0][:, :, 0].T
+    q = np.empty_like(v)
+    np.put_along_axis(q, _FACE_ORDER[face], v, axis=1)
+    return quat_normalize(q)
+
+
 class NearestTable:
     """Exact nearest-grid lookup by arithmetic: a cube map of point lists.
 
@@ -387,7 +413,7 @@ class NearestTable:
 
     def __init__(self, quats):
         self.quats = quats
-        self.levels = max(0, round(math.log(0.875 * quats.shape[0], 8)))
+        self.levels = _table_levels(quats.shape[0])
         g = quats.shape[0]
         faced = np.ascontiguousarray(quats[:, _FACE_ORDER].transpose(2, 1, 0).reshape(4, 4 * g))
         face = np.arange(4)
@@ -401,19 +427,6 @@ class NearestTable:
         self.ptr = ptr
         self.entries = entries
 
-    def buckets(self, queries):
-        """The bucket of each (m, 4) query."""
-        n = 1 << self.levels
-        face = np.abs(queries).argmax(axis=1)
-        q = np.take_along_axis(queries, _FACE_ORDER[face], axis=1)
-        a = np.arctan(q[:, 1:] / q[:, :1]) * (4.0 / math.pi)
-        b = np.floor((a + 1.0) * (n / 2.0)).astype(np.int64)
-        np.clip(b, 0, n - 1, out=b)
-        code = face
-        for bit in range(self.levels - 1, -1, -1):
-            code = 8 * code + ((b >> bit) & 1) @ np.array([4, 2, 1])
-        return code
-
     def lookup(self, queries):
         """Nearest grid index and its |dot| per (m, 4) query, lowest index on ties.
 
@@ -423,7 +436,7 @@ class NearestTable:
         n = queries.shape[0]
         idx = np.empty(n, dtype=np.int64)
         dot = np.empty(n)
-        buckets = self.buckets(queries)
+        buckets = _cube_buckets(queries, self.levels)[0]
         ends = np.cumsum(self.ptr[buckets + 1] - self.ptr[buckets])
         s = 0
         while s < n:
@@ -444,56 +457,61 @@ class NearestTable:
 class CellIndex:
     """Coarse partition of a grid into cells, for bounds over many points.
 
-    Centers are a super-Fibonacci sample about 1/16 the size of the grid.
-    Each grid point belongs to its nearest center; centers that own no
-    point are dropped, and each cell keeps its radius r, the largest
-    theta from its center to a point it owns. `order[start[c]:start[c + 1]]`
-    lists, ascending, the grid indices cell c owns.
+    Cells are the cube-map buckets two levels above the grid's nearest
+    table (`_cube_buckets`): 32, 256 and 2048 at G = 576, 4608 and 36864.
+    A grid point belongs to its bucket; buckets that own no point are
+    dropped, and each cell keeps its box center and its radius r, the
+    largest theta from that center to a point it owns.
+    `order[start[c]:start[c + 1]]` lists, ascending, the grid indices
+    cell c owns.
 
     `groups` bounds where the nearest grid points of many queries lie:
-    for queries whose nearest center is c, at most rho away, each
-    query's nearest grid point lies within rho + r_c of it (c owns a
-    point that close), so it sits in a cell c' with
-    theta(c, c') <= 2 rho + r_c + r_c'. Only those cells are searched.
-
-    Points and queries are assigned to centers by the dense kernel,
-    which works through them in row chunks, so no full points x centers
-    product is ever held.
+    for queries in bucket c, at most rho from its center, some cell c'
+    owns a point within reach(c) = min over c' of sep(c, c') + r_c' of
+    that center, so each query's nearest grid point lies within
+    rho + reach(c) of it, in a cell c' with sep(c, c') <= 2 rho +
+    reach(c) + r_c'. Only those cells are searched, also for a bucket
+    that owns no point.
     """
 
     def __init__(self, quats):
-        centers = super_fibonacci_quats(max(1, quats.shape[0] // _POINTS_PER_CELL))
-        owner, dot = _kernels.nearest_abs_dots(quats, centers)
-        used, owner = np.unique(owner, return_inverse=True)
-        radius = np.zeros(used.shape[0])
-        np.maximum.at(radius, owner, _half_angle(dot))
-        self.centers = np.ascontiguousarray(centers[used].T).T  # as SO3Grid.quats
-        self.radius = radius
+        self.level = max(0, _table_levels(quats.shape[0]) - 2)
+        bucket, face, bins = _cube_buckets(quats, self.level)
+        _, first, owner = np.unique(bucket, return_index=True, return_inverse=True)
+        self.centers = np.ascontiguousarray(_box_centers(face[first], bins[first], self.level).T).T
         # int32 halves the two G-sized arrays; grids stay far below 2^31.
         self.owner = owner.astype(np.int32)
         self.order = np.argsort(self.owner, kind="stable").astype(np.int32)
         self.start = np.concatenate([[0], np.cumsum(np.bincount(owner))])
+        dot = _kernels.fixed_abs_dots(quats[self.order], self.centers[owner[self.order]])
+        self.radius = np.maximum.reduceat(_half_angle(dot), self.start[:-1])
 
     def points(self, cells):
         """Ascending grid indices of the points the given cells own."""
         return np.sort(_gather(self.start, self.order, np.asarray(cells))[0])
 
     def groups(self, queries):
-        """(query rows, candidate grid indices) per nonempty cell of queries.
+        """(query rows, candidate grid indices) per nonempty bucket of queries.
 
         Candidates are in ascending grid order, so a first-maximum argmax
-        over them keeps the lowest-index tie-break of the whole grid.
+        over them keeps the lowest-index tie-break of the whole grid. The
+        separation test takes chunks of about _TABLE_PAIRS (bucket, cell)
+        pairs.
         """
-        cell, dot = _kernels.nearest_abs_dots(queries, self.centers)
-        theta = _half_angle(dot)
-        order = np.argsort(cell, kind="stable")
-        cells, starts = np.unique(cell[order], return_index=True)
-        for c, rows in zip(cells, np.split(order, starts[1:])):
-            rho = theta[rows].max()
-            sep = _half_angle(np.abs(self.centers @ self.centers[c]))
-            yield rows, self.points(
-                np.flatnonzero(sep <= 2.0 * rho + self.radius[c] + self.radius + _CELL_SLACK)
-            )
+        bucket, face, bins = _cube_buckets(queries, self.level)
+        order = np.argsort(bucket, kind="stable")
+        starts = np.unique(bucket[order], return_index=True)[1]
+        centers = _box_centers(face[order], bins[order], self.level)
+        theta = _half_angle(_kernels.fixed_abs_dots(queries[order], centers))
+        rho = np.maximum.reduceat(theta, starts)
+        rows = np.split(order, starts[1:])
+        step = max(1, _TABLE_PAIRS // self.radius.shape[0])
+        for s in range(0, starts.shape[0], step):
+            sep = _half_angle(np.abs(centers[starts[s : s + step]] @ self.centers.T))
+            reach = np.min(sep + self.radius, axis=1)
+            near = sep <= (2.0 * rho[s : s + step] + reach + _CELL_SLACK)[:, None] + self.radius
+            for k, hit in enumerate(near, start=s):
+                yield rows[k], self.points(np.flatnonzero(hit))
 
 
 @dataclass
@@ -628,6 +646,8 @@ def load_grid(path) -> SO3Grid:
         raise FormatError(f"{path}: unsupported grid version {version}")
     if gen_id not in _ID_TO_GENERATOR:
         raise FormatError(f"{path}: unknown generator id {gen_id}")
+    if n == 0:
+        raise FormatError(f"{path}: grid declares no quaternions")
     body = blob[21:]
     if len(body) != n * 4 * 8:
         raise FormatError(

@@ -24,8 +24,8 @@ the cells of the grid's cell index (`PairwiseScorer.cell_bounds`) and
 the search is large enough (`_BOUND_WORK`), the search is
 exact branch and bound over one level of cells, in the manner of
 Hartley and Kahl's rotation search:
-- the bounds of the about G/16 cells, one G/16 x k comparison per term
-  for the mode scorer (k modes);
+- the bounds of the cells, one C x k comparison per term for the mode
+  scorer (k modes; C is 32, 256 and 2048 at G = 576, 4608 and 36864);
 - exact scores of the best-bounded cell's points, whose maximum is a
   lower bound on the block's;
 - exact scores of the points of every cell whose bound reaches it.
@@ -46,8 +46,8 @@ from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 # whole, as one cell, when G * p is at most _BOUND_WORK; larger searches
 # are pruned by per-cell score bounds over the cell index. Bounded over
 # whole-grid solve time, mode scorer, four scenes, cell index built per
-# solve, 2 CPUs: 1.16-1.72 at G=4608 (4 to 40 cameras); 3.15, 1.32,
-# 1.16, 0.68 and 0.45 at G=36864 with 4, 6, 8, 10 and 20 cameras; 0.70
+# solve, 2 CPUs: 1.39-2.04 at G=4608 (4 to 40 cameras); 1.75, 0.92,
+# 0.81, 0.67 and 0.46 at G=36864 with 4, 6, 8, 10 and 20 cameras; 0.91
 # at G=18432 with 10. Small grids gain nothing: the bound and candidate
 # passes cost about what a dense pass does, and building the index
 # costs more.

@@ -189,16 +189,16 @@ def test_search_current_index_scored_with_candidates(monkeypatch):
 
 def test_search_scores_a_lone_row_like_the_dense_search(monkeypatch):
     # A tight cluster of points near the identity and one point on the
-    # cell-index center farthest from it, so that point is alone in a
-    # cell of radius 0. With the pair's best mode next to it, that cell
-    # is the only one to survive, and the search scores its one row
-    # alone. Each |dot| is a fixed-order sum, so that row's score is
-    # the whole grid's, bit for bit.
+    # cube-map cell center farthest from it (every 2001-point grid has
+    # the same cells), so that point is alone in a cell of radius 0. With the pair's best mode next to it,
+    # that cell is the only one to survive, and the search scores its
+    # one row alone. Each |dot| is a fixed-order sum, so that row's score
+    # is the whole grid's, bit for bit.
     monkeypatch.setattr(solver, "_BOUND_WORK", 0)
     rng = rng_for(40)
     noise = 0.05 * rng.standard_normal((2000, 4))
     near = so3.quat_normalize(np.array([1.0, 0.0, 0.0, 0.0]) + noise)
-    centers = so3.super_fibonacci_quats(2001 // so3._POINTS_PER_CELL)
+    centers = so3.build_grid(2001).cells.centers
     lone = centers[np.argmin(np.abs(centers[:, 0]))]
     grid = so3.SO3Grid(
         quats=np.ascontiguousarray(np.concatenate([near, lone[None, :]])),

@@ -203,6 +203,10 @@ def test_grid_load_rejects_garbage(tmp_path):
     (tmp_path / "trunc.so3g").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         so3.load_grid(tmp_path / "trunc.so3g")
+    # A whole header that declares no quaternions, and nothing after it.
+    (tmp_path / "empty.so3g").write_bytes(blob[:4] + struct.pack("<IIBQ", 1, 0, 1, 0))
+    with pytest.raises(FormatError):
+        so3.load_grid(tmp_path / "empty.so3g")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0])
@@ -297,14 +301,14 @@ def test_pruned_nearest_duplicates_resolve_to_lowest_index():
 
 
 def test_pruned_nearest_with_empty_cell():
-    # All points near the identity: most of the 288 centers own nothing
-    # and are dropped before queries are assigned.
+    # All points near the identity: most of the 256 cells own nothing
+    # and are dropped from the cell index.
     rng = rng_for(25)
     quats = so3.quat_normalize(
         np.array([1.0, 0.0, 0.0, 0.0]) + 0.2 * rng.standard_normal((4608, 4))
     )
     grid = so3.SO3Grid(quats=quats, spec=so3.GridSpec("random_uniform", 4608))
-    assert grid.cells.centers.shape[0] < 4608 // 16
+    assert grid.cells.centers.shape[0] < 4 * 8**grid.cells.level
     queries = np.concatenate([so3.random_quats(rng, 2000), quats[:500]])
     assert np.array_equal(so3.nearest_indices(grid, queries), brute_nearest(grid, queries))
 
@@ -361,3 +365,47 @@ def test_cell_points_are_the_cells_owners():
     for pick in ([0], [5, 2], list(range(0, cells.radius.shape[0], 7)), []):
         want = np.flatnonzero(np.isin(cells.owner, pick))
         assert np.array_equal(cells.points(np.array(pick, dtype=np.int64)), want)
+
+
+def covering_estimate(quats):
+    """The covering radius from the whole grid at once, over the same probes."""
+    probes = so3.random_quats(rng_for(so3._COVERING_SEED), so3._COVERING_SAMPLES)
+    return 2.0 * math.acos(min(1.0, max(0.0, _kernels.min_max_abs_dot(probes, quats))))
+
+
+def clustered_grid(n, seed):
+    rng = rng_for(seed)
+    quats = so3.quat_normalize(np.array([1.0, 0.0, 0.0, 0.0]) + 0.05 * rng.standard_normal((n, 4)))
+    return so3.SO3Grid(quats=quats, spec=so3.GridSpec("random_uniform", n))
+
+
+@pytest.mark.parametrize("generator", sorted(so3.GENERATOR_IDS))
+@pytest.mark.parametrize("n", [1, 7, 72, 576])
+def test_covering_radius_matches_dense_estimate(generator, n):
+    grid = so3.build_grid(n, generator=generator)
+    assert grid.covering_radius == covering_estimate(grid.quats)
+
+
+def test_covering_radius_with_empty_buckets_matches_dense_estimate():
+    # Most probes land in buckets that own no grid point; each such
+    # group is bounded through the nearest cell that owns one.
+    sparse = so3.build_grid(7, generator="random_uniform", seed=3)
+    assert sparse.cells.radius.shape[0] == 2 and sparse.cells.level == 0
+    for grid in (sparse, clustered_grid(576, 27), clustered_grid(4608, 28)):
+        assert grid.cells.radius.shape[0] < 4 * 8**grid.cells.level
+        assert grid.covering_radius == covering_estimate(grid.quats)
+
+
+@pytest.mark.parametrize("n", [1, 7, 576, 4608])
+def test_cells_are_nearest_table_buckets_two_levels_up(n):
+    grid = so3.build_grid(n, generator="random_uniform", seed=9)
+    cells, table = grid.cells, grid.nearest_table
+    up = table.levels - cells.level
+    assert up == min(2, table.levels)
+    # A cell's center lies inside its bucket, so it names the bucket.
+    cell_bucket = so3._cube_buckets(cells.centers, cells.level)[0]
+    assert np.all(np.diff(cell_bucket) > 0)
+    bucket = so3._cube_buckets(grid.quats, table.levels)[0]
+    assert all(i in table.entries[table.ptr[b] : table.ptr[b + 1]] for i, b in enumerate(bucket))
+    assert np.array_equal(cell_bucket[cells.owner], bucket >> 3 * up)
+    assert np.array_equal(cells.points(np.arange(cells.radius.shape[0])), np.arange(n))
