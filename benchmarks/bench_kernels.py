@@ -7,11 +7,15 @@ Run from the repository root:
 First, one block update of a 20-camera scene at G=36864 (the mode
 scorer, partners at their spanning-tree rotations) is timed both ways:
 the bounded search over the grid's cells, against the same search with
-the scorer's bound hook hidden, which scores the whole grid as one
-cell. The two must return the same argmax, value and current-index
-value. The bounded search's candidate fraction, the grid rows it
-scores over G, is printed beside its timing. Building the cell index
-is timed on its own; a solve builds it once per grid.
+the block's bound hidden, which scores the whole grid as one cell. The
+two must return the same argmax, value and current-index value. The
+bounded search's candidate fraction, the grid rows it scores over G, is
+printed beside its timing. Building the cell index is timed on its own;
+a solve builds it once per grid. The same bounded block update is then
+timed through the mode scorer's stacked block, which scores all its
+terms in one kernel call per evaluation, against the default
+`GridBlock`, which asks `cell_bounds` and `score_grid` once per term;
+again the two must return the same three numbers.
 
 Then one partner's term of a block update at G=36864 is timed both
 ways: composing every grid candidate with the partner's rotation and
@@ -30,9 +34,11 @@ return the indices of a whole-grid scan with the same sums
 are printed beside each size.
 
 Then the mode kernel `_kernels.min_angle_sq_to_targets` is timed on
-the shapes the solver gives it: the G=4608 and G=36864 grids (a
-`score_grid` term) and their 256 and 2048 cell centers (a
+the shapes the solver gives a single term: the G=4608 and G=36864 grids
+(a `score_grid` term) and their 256 and 2048 cell centers (a
 `cell_bounds` term), each against 1, 2 and 4 targets, a pair's modes.
+The stacked kernel `_kernels.min_angle_sq_stacked` is timed on a
+20-camera block's 19 terms against the same cell centers.
 
 Last, the other kernels are timed on sizes close to the real workloads
 (nearest-neighbour projection, covering-radius probes).
@@ -43,7 +49,7 @@ import time
 import numpy as np
 
 from svpose import _kernels, so3, solver
-from svpose.energy import SymmetricModeScorer, pair_quats
+from svpose.energy import GridBlock, SymmetricModeScorer, pair_quats
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 
@@ -56,34 +62,53 @@ def _timeit(fn, *args, repeat=5):
     return best
 
 
-class WholeGrid:
-    """The scorer with its bound hook hidden: every search scores the whole grid."""
+class Proxy:
+    """Forwards every attribute to a scorer or a block it wraps."""
 
-    def __init__(self, scorer):
-        self._scorer = scorer
-        self.directional = scorer.directional
+    def __init__(self, inner):
+        self._inner = inner
 
-    def cell_bounds(self, *args, **kwargs):
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class WholeGrid(Proxy):
+    """The scorer with its block bound hidden: every search scores the whole grid."""
+
+    def block(self, grid, terms):
+        return Unbounded(self._inner.block(grid, terms))
+
+
+class Unbounded(Proxy):
+    def bounds(self):
         return None
 
-    def __getattr__(self, name):
-        return getattr(self._scorer, name)
+
+class PerTerm(Proxy):
+    """The scorer through the default block: one call per term."""
+
+    def block(self, grid, terms):
+        return GridBlock(self._inner, grid, terms)
 
 
-class RowCounter:
-    """The scorer, counting the grid rows its `score_grid` calls score."""
+class RowCounter(Proxy):
+    """The scorer, counting the grid rows its blocks score."""
 
-    def __init__(self, scorer):
-        self._scorer = scorer
-        self.directional = scorer.directional
-        self.rows = 0
+    rows = 0
 
-    def score_grid(self, i, j, grid, fixed=None, moving="j", rows=None):
-        self.rows += grid.n if rows is None else rows.shape[0]
-        return self._scorer.score_grid(i, j, grid, fixed, moving=moving, rows=rows)
+    def block(self, grid, terms):
+        return Counted(self._inner.block(grid, terms), self, grid.n)
 
-    def __getattr__(self, name):
-        return getattr(self._scorer, name)
+
+class Counted(Proxy):
+    def __init__(self, block, counter, n):
+        super().__init__(block)
+        self._counter = counter
+        self._n = n
+
+    def scores(self, rows=None):
+        self._counter.rows += self._n if rows is None else rows.shape[0]
+        return self._inner.scores(rows)
 
 
 def bench_block_update():
@@ -106,20 +131,30 @@ def bench_block_update():
     def whole():
         return solver.grid_search(WholeGrid(scorer), grid, terms, n - 1, current)
 
-    got, want = bounded(), whole()
+    def per_term():
+        return solver.grid_search(PerTerm(scorer), grid, terms, n - 1, current)
+
+    got, want, looped = bounded(), whole(), per_term()
     assert got == want, f"bounded search {got} differs from whole grid {want}"
+    assert got == looped, f"stacked block {got} differs from per-term block {looped}"
     counter = RowCounter(scorer)
     solver.grid_search(counter, grid, terms, n - 1, current)
-    scored = counter.rows // len(terms)
     t_whole = _timeit(whole)
     t_bounded = _timeit(bounded)
+    t_per_term = _timeit(per_term, repeat=20)
+    t_stacked = _timeit(bounded, repeat=20)
     print(f"{'block update, 20 cameras, G=36864':<44} {'whole':>10} {'bounded':>10} {'speedup':>8}")
     print(
         f"{f'argmax {got[0]}, value {got[1]:.6f}':<44} {t_whole * 1e3:>8.2f}ms "
         f"{t_bounded * 1e3:>8.2f}ms {t_whole / t_bounded:>7.2f}x"
     )
-    print(f"{f'bounded search scored {scored} of {grid.n} rows':<44} {scored / grid.n:>9.1%}")
+    print(f"{f'bounded search scored {counter.rows} of {grid.n} rows':<44} {counter.rows / grid.n:>9.1%}")
     print(f"{'cell index build (once per grid)':<44} {t_cells * 1e3:>8.2f}ms")
+    print(f"{f'bounded, {len(terms)} terms':<44} {'per-term':>10} {'stacked':>10} {'speedup':>8}")
+    print(
+        f"{'same argmax, value and current value':<44} {t_per_term * 1e3:>8.2f}ms "
+        f"{t_stacked * 1e3:>8.2f}ms {t_per_term / t_stacked:>7.2f}x"
+    )
 
 
 def bench_score_grid():
@@ -192,6 +227,10 @@ def bench_mode_kernel():
         for name, quats in shapes:
             times = [_timeit(_kernels.min_angle_sq_to_targets, quats, targets[k]) for k in counts]
             print(f"{name:<44}" + "".join(f"{t * 1e3:>10.3f}ms" for t in times))
+        stacks = {k: so3.random_quats(rng, 19 * k).reshape(19, 1, k, 4) for k in counts}
+        times = [_timeit(_kernels.min_angle_sq_stacked, centers[None], stacks[k]) for k in counts]
+        name = f"G={n}, 19 terms x {len(centers)} centers, stacked"
+        print(f"{name:<44}" + "".join(f"{t * 1e3:>10.3f}ms" for t in times))
 
 
 def main():

@@ -29,16 +29,27 @@ def _block_rows(n_cols):
     return max(1, _BLOCK_ENTRIES // max(1, n_cols))
 
 
-def min_angle_sq_to_targets(quats, targets):
-    """Squared geodesic angle from each quaternion to its nearest target."""
-    best = fixed_abs_dots(quats, targets[0])
-    for t in targets[1:]:
-        np.maximum(best, fixed_abs_dots(quats, t), out=best)
+def min_angle_sq_stacked(quats, targets):
+    """Squared geodesic angle from each quaternion to its nearest target.
+
+    Broadcasts (..., 4) quaternions against (..., k, 4) stacks of k
+    targets: a (1, R, 4) batch against a (T, 1, k, 4) stack gives a
+    (T, R) array, one row per stack. Every entry is the entry the same
+    quaternion and stack give alone.
+    """
+    best = fixed_abs_dots(quats, targets[..., 0, :])
+    for m in range(1, targets.shape[-2]):
+        np.maximum(best, fixed_abs_dots(quats, targets[..., m, :]), out=best)
     np.minimum(best, 1.0, out=best)
     np.arccos(best, out=best)
     best *= 2.0
     np.multiply(best, best, out=best)
     return best
+
+
+def min_angle_sq_to_targets(quats, targets):
+    """Squared geodesic angle from each of (R, 4) quaternions to the nearest of (k, 4) targets."""
+    return min_angle_sq_stacked(quats, targets)
 
 
 def nearest_abs_dots(queries, grid):

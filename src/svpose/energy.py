@@ -5,15 +5,16 @@ camera j is R". Higher is better. Scorers may be directional: when
 `directional` is False, score(i, j, R) == score(j, i, R^T) is guaranteed
 and callers may skip the reverse term in sums over ordered pairs.
 
-Every scorer answers two questions. `score_quats` scores a batch of
-candidate relative rotations given as unit quaternions. `score_grid`
-scores a pair over a whole grid, or over some of its rows, while one
-camera of the pair runs over the grid and the other stays fixed: the
-solver's block update and the per-pair grid rows ask only this. Its
-default composes the candidates and calls `score_quats`; a scorer that
-can score a whole grid faster than by composing it (the mode scorer
-moves its few modes instead of the G candidates, the table scorer looks
-up grid indices) overrides it.
+Every scorer answers three questions. `score_quats` scores a batch of
+candidate relative rotations of one pair, given as unit quaternions.
+`score_pairs` scores one relative rotation for each of a list of pairs:
+the solver's energies ask only this. `score_grid` scores a pair over a
+whole grid, or over some of its rows, while one camera of the pair runs
+over the grid and the other stays fixed. Each default is written in
+terms of `score_quats`; a scorer that can score a whole grid faster
+than by composing it (the mode scorer moves its few modes instead of
+the G candidates, the table scorer looks up grid indices) overrides
+`score_grid`.
 
 A scorer may also bound `score_grid` from above on each cell of the
 grid's cell index (`cell_bounds`): every grid point a cell owns scores
@@ -22,6 +23,13 @@ points of cells whose summed bound reaches the best score it has found.
 The default offers no bound, and the solver scores the whole grid as
 one cell. The mode scorer bounds each cell from its center, since the
 geodesic angle is 1-Lipschitz.
+
+A search asks for a sum of `score_grid` terms, one per partner of the
+moving camera, through `block`: the block is prepared once per search
+and then gives the summed bounds and the summed scores of any rows.
+The default `GridBlock` asks `cell_bounds` and `score_grid` once per
+term. The mode scorer stacks its terms: one quaternion product moves
+every term's modes, and one kernel call scores every term.
 Table rows are stored float32; every accumulation happens in float64.
 """
 
@@ -90,6 +98,13 @@ class PairwiseScorer:
     least `score_grid` at every grid point the cell owns, as computed in
     floating point. A scorer that returns a bound must accept `rows` in
     `score_grid`; the solver passes `rows` to no other scorer.
+
+    `block` and `score_pairs` batch the solver's questions: a block
+    sums a search's `score_grid` terms, and `score_pairs` scores many
+    pairs at once. Their defaults ask the hooks above once per term or
+    pair. An override should return what its default returns; the mode
+    scorer's return the same bits, so its solves do not depend on which
+    path scored them.
     """
 
     directional = True
@@ -134,6 +149,54 @@ class PairwiseScorer:
         """Upper bound of `score_grid` on each cell of `grid.cells`, or None."""
         return None
 
+    def block(self, grid: SO3Grid, terms):
+        """The sum of the `score_grid` terms `terms` over `grid`; see `GridBlock`."""
+        return GridBlock(self, grid, terms)
+
+    def score_pairs(self, pairs, quats):
+        """Score row m of the (m, 4) batch `quats` as pair pairs[m]'s relative rotation."""
+        return np.array(
+            [self.score_quats(i, j, q[None, :])[0] for (i, j), q in zip(pairs, quats)],
+            dtype=np.float64,
+        )
+
+
+class GridBlock:
+    """A sum of `score_grid` terms over a grid, prepared once for one search.
+
+    `terms` lists the (i, j, fixed, moving) arguments of each term. Both
+    sums run in term order from 0.0, asking the scorer once per term.
+    """
+
+    def __init__(self, scorer, grid: SO3Grid, terms):
+        self.scorer = scorer
+        self.grid = grid
+        self.terms = terms
+
+    def bounds(self):
+        """The summed `cell_bounds`, or None when some term offers none.
+
+        Summed in the order of `scores`; rounding is monotone, so the sum
+        of bounds stays at least the sum of scores.
+        """
+        total = 0.0
+        for i, j, fixed, moving in self.terms:
+            bound = self.scorer.cell_bounds(i, j, self.grid, fixed, moving=moving)
+            if bound is None:
+                return None
+            total = total + bound
+        return total
+
+    def scores(self, rows=None):
+        """The summed `score_grid` rows; rows=None is the whole grid."""
+        # The whole grid is asked without `rows`, so scorers that offer
+        # no bound need not accept it.
+        extra = {} if rows is None else {"rows": rows}
+        obj = np.zeros(self.grid.n if rows is None else rows.shape[0])
+        for i, j, fixed, moving in self.terms:
+            obj += self.scorer.score_grid(i, j, self.grid, fixed, moving=moving, **extra)
+        return obj
+
 
 class ConstantScorer(PairwiseScorer):
     """Same score everywhere; an uninformative pair."""
@@ -172,7 +235,6 @@ class SymmetricModeScorer(PairwiseScorer):
             if q.shape[0]:
                 self.modes[(int(i), int(j))] = quat_normalize(q)
         self.directional = any((j, i) in self.modes for (i, j) in self.modes)
-        self._targets = {}
 
     def mode_quats(self, i, j):
         if (i, j) in self.modes:
@@ -184,66 +246,128 @@ class SymmetricModeScorer(PairwiseScorer):
     def score_quats(self, i, j, quats):
         if i == j:
             raise ValueError("pair indices must differ")
-        return self._scores(quats, self.mode_quats(i, j))
-
-    def _scores(self, quats, targets):
         quats = np.asarray(quats, dtype=np.float64)
+        targets = self.mode_quats(i, j)
         if targets is None:
             return np.zeros(quats.shape[0])
         return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
 
-    def _grid_targets(self, i, j, fixed, moving):
-        """The pair's modes moved so the grid itself is compared with them.
+    def score_pairs(self, pairs, quats):
+        """All rows in one kernel call, against each pair's own modes."""
+        quats = np.asarray(quats, dtype=np.float64)
+        out = np.zeros(quats.shape[0])
+        at, targets = self._stacked_modes(pairs, ["j"] * len(pairs))
+        if at:
+            out[at] = -self.kappa * _kernels.min_angle_sq_stacked(quats[at], targets)
+        return out
 
-        Left and right multiplication by a unit quaternion preserve the
-        inner product, so |<q S^-1, m>| = |<S, m^-1 q>| and
-        |<S q^-1, m>| = |<S, m q>|: the grid is compared against the
-        modes composed with the fixed camera's rotation q. None for a
-        pair without modes.
+    def _stacked_modes(self, pairs, moving):
+        """The modes of each pair that has any, as one (T, k, 4) stack.
 
-        Memoized on the fixed quaternion's bytes: a search asks each
-        term for its bound and then its scores, and the solver fixes the
-        same partner rotation again in every block update until that
-        partner moves.
+        Returns the positions in `pairs` of the T pairs with modes, and
+        their modes in that order, conjugated where `moving` is "i".
+        Ragged mode counts are padded by repeating a pair's modes, which
+        leaves every minimum over them as it is.
         """
-        if i == j:
-            raise ValueError("pair indices must differ")
-        _check_moving(moving)
-        q = None if fixed is None else np.asarray(fixed, dtype=np.float64).tobytes()
-        key = (i, j, q, moving)
-        if key in self._targets:
-            return self._targets[key]
-        targets = self.mode_quats(i, j)
-        if targets is not None:
-            if moving == "i":
-                targets = quat_conj(targets)
-            if fixed is not None:
-                targets = quat_mul(targets, np.asarray(fixed)[None, :])
-        self._targets[key] = targets
-        return targets
+        at, stack, conj = [], [], []
+        for t, ((i, j), side) in enumerate(zip(pairs, moving)):
+            if i == j:
+                raise ValueError("pair indices must differ")
+            _check_moving(side)
+            # A pair served from its reverse takes conjugated modes, and
+            # a moving first camera conjugates them again.
+            flip = side == "i"
+            modes = self.modes.get((i, j))
+            if modes is None:
+                modes = self.modes.get((j, i))
+                if modes is None:
+                    continue
+                flip = not flip
+            at.append(t)
+            stack.append(modes)
+            conj.append(flip)
+        k = max((m.shape[0] for m in stack), default=1)
+        stack = [m if m.shape[0] == k else np.resize(m, (k, 4)) for m in stack]
+        stack = np.array(stack).reshape(-1, k, 4)
+        if any(conj):
+            stack[conj, :, 1:] = -stack[conj, :, 1:]
+        return at, stack
+
+    def block(self, grid: SO3Grid, terms):
+        """Every term's modes moved at once; see `_ModeBlock`."""
+        return _ModeBlock(self, grid, terms)
 
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
         """Moves the k modes instead of composing the G candidates."""
-        targets = self._grid_targets(i, j, fixed, moving)
-        # Gathered through quats.T, so the rows keep the grid's layout.
-        quats = grid.quats if rows is None else grid.quats.T[:, rows].T
-        return self._scores(quats, targets)
+        # The term's own scores, not their sum from 0.0, which would turn
+        # the -0.0 of a grid point on a mode into 0.0.
+        block = _ModeBlock(self, grid, [(i, j, fixed, moving)])
+        n = grid.n if rows is None else rows.shape[0]
+        return block.term_scores(rows)[0] if block.at else np.zeros(n)
 
     def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        """Bounds each cell from its center.
+        """Bounds each cell from its center; see `_ModeBlock.term_bounds`."""
+        block = _ModeBlock(self, grid, [(i, j, fixed, moving)])
+        return block.term_bounds()[0] if block.at else np.zeros(grid.cells.radius.shape[0])
+
+
+class _ModeBlock:
+    """A sum of mode-scorer terms, scored by one kernel call per evaluation.
+
+    Left and right multiplication by a unit quaternion preserve the
+    inner product, so |<q S^-1, m>| = |<S, m^-1 q>| and
+    |<S q^-1, m>| = |<S, m q>|: the grid itself is compared against the
+    modes composed with the fixed camera's rotation q, one quaternion
+    product for all terms. A term without modes scores 0 everywhere;
+    adding 0.0 to a sum that began at 0.0 changes no bit of it, so such
+    a term is left out of the stack.
+    """
+
+    def __init__(self, scorer, grid: SO3Grid, terms):
+        self.kappa = scorer.kappa
+        self.grid = grid
+        pairs = [(i, j) for i, j, _, _ in terms]
+        self.at, targets = scorer._stacked_modes(pairs, [moving for *_, moving in terms])
+        fixed = [terms[a][2] for a in self.at]
+        moved = [t for t, q in enumerate(fixed) if q is not None]
+        if moved:
+            q = np.array([fixed[t] for t in moved], dtype=np.float64)
+            targets[moved] = quat_mul(targets[moved], q[:, None, :])
+        self.targets = targets
+
+    def term_scores(self, rows=None):
+        """(T, R): each stacked term's scores at the grid rows `rows`."""
+        # Gathered through quats.T, so the rows keep the grid's layout.
+        quats = self.grid.quats if rows is None else self.grid.quats.T[:, rows].T
+        sq = _kernels.min_angle_sq_stacked(quats[None], self.targets[:, None])
+        return -self.kappa * sq
+
+    def term_bounds(self):
+        """(T, C): each stacked term's bound on each cell of the grid.
 
         The geodesic angle is 1-Lipschitz and a cell's points lie within
         2 r of its center (r is the cell's half-angle radius), so each
         point is at least angle(center, mode) - 2 r from every mode. The
         slack covers the rounding of arccos near 1.
         """
-        cells = grid.cells
-        targets = self._grid_targets(i, j, fixed, moving)
-        if targets is None:
-            return np.zeros(cells.radius.shape[0])
-        angle = np.sqrt(_kernels.min_angle_sq_to_targets(cells.centers, targets))
-        gap = np.maximum(angle - 2.0 * cells.radius - _CELL_SLACK, 0.0)
+        cells = self.grid.cells
+        sq = _kernels.min_angle_sq_stacked(cells.centers[None], self.targets[:, None])
+        gap = np.maximum(np.sqrt(sq) - 2.0 * cells.radius - _CELL_SLACK, 0.0)
         return -self.kappa * (gap * gap)
+
+    def bounds(self):
+        return _summed(self.term_bounds(), self.grid.cells.radius.shape[0])
+
+    def scores(self, rows=None):
+        return _summed(self.term_scores(rows), self.grid.n if rows is None else rows.shape[0])
+
+
+def _summed(terms, n):
+    # Row by row from 0.0, in the order of GridBlock's sums.
+    total = np.zeros(n)
+    for row in terms:
+        total += row
+    return total
 
 
 @dataclass

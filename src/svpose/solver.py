@@ -17,41 +17,50 @@ the running energy never decreases.
 A block update, like the search for a pair's best rotation, maximizes a
 sum of `PairwiseScorer.score_grid` terms over the grid: one per partner
 (two for a directional scorer), each with the partner's rotation fixed.
-The solver never composes the G candidates itself; a camera still off
-the grid is scored through the same terms at its own rotation,
-composed by `energy.pair_quats`. When the scorer bounds every term on
-the cells of the grid's cell index (`PairwiseScorer.cell_bounds`) and
-the search is large enough (`_BOUND_WORK`), the search is
-exact branch and bound over one level of cells, in the manner of
-Hartley and Kahl's rotation search:
-- the bounds of the cells, one C x k comparison per term for the mode
-  scorer (k modes; C is 32, 256 and 2048 at G = 576, 4608 and 36864);
+A search asks the scorer once for the block (`PairwiseScorer.block`),
+then for the block's summed cell bounds and the summed scores of the
+rows it picks. The mode scorer answers each of these with one stacked
+comparison of the rows against the k modes of all T terms; the default
+asks `cell_bounds` and `score_grid` once per term. The solver never
+composes the G candidates itself; a camera still off the grid is scored
+through the same terms at its own rotation, and an energy sums every
+ordered pair, each in one `PairwiseScorer.score_pairs` call. When the
+block bounds every term on the cells of the grid's cell index
+(`PairwiseScorer.cell_bounds`) and the search is large enough
+(`_BOUND_WORK`), the search is exact branch and bound over one level of
+cells, in the manner of Hartley and Kahl's rotation search:
+- the bounds of the cells, one T x C x k comparison for the mode scorer
+  (C is 32, 256 and 2048 at G = 576, 4608 and 36864);
 - exact scores of the best-bounded cell's points, whose maximum is a
   lower bound on the block's;
 - exact scores of the points of every cell whose bound reaches it.
 The last evaluation holds the camera's current grid index too, so the
 argmax, its lowest-index tie-break and the strict-improvement test come
 from one evaluation and match a dense search. Otherwise the whole grid
-is scored as one cell: one G x k comparison per term.
+is scored as one cell: one T x G x k comparison.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import pair_quats
 from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 
 # A grid of G points searched for a camera with p partners is scored
 # whole, as one cell, when G * p is at most _BOUND_WORK; larger searches
 # are pruned by per-cell score bounds over the cell index. Bounded over
-# whole-grid solve time, mode scorer, four scenes, cell index built per
-# solve, 2 CPUs: 1.39-2.04 at G=4608 (4 to 40 cameras); 1.75, 0.92,
-# 0.81, 0.67 and 0.46 at G=36864 with 4, 6, 8, 10 and 20 cameras; 0.91
-# at G=18432 with 10. Small grids gain nothing: the bound and candidate
-# passes cost about what a dense pass does, and building the index
-# costs more.
-_BOUND_WORK = 1 << 18
+# whole-grid solve time with stacked blocks, mode scorer, four scenes,
+# cell index built per solve, 2 CPUs (ranges over repeated runs):
+# - G=4608: 2.21, 0.93, 0.57-0.60, 0.46, 0.39 with 4, 10, 20, 30, 40 cameras;
+# - G=9216: 0.34 with 17;
+# - G=18432: 0.72, 0.61, 0.48-0.70 with 8, 9, 10;
+# - G=36864: 1.71-1.77, 1.24-1.32, 0.76-0.88, 0.70, 0.54-0.57, 0.40,
+#   0.20 with 4, 5, 6, 7, 8, 10, 20.
+# The limit is G=36864 with 5 cameras, the largest search that lost.
+# There the cell index build (about 20 ms) outweighs the few searches
+# it speeds up; smaller grids build it faster and win at smaller G * p,
+# which one limit on G * p leaves dense.
+_BOUND_WORK = 36864 * 4
 
 
 @dataclass
@@ -68,16 +77,16 @@ class RotationHypothesis:
 
 def total_energy(scorer, rotations):
     """Ordered-pair energy, accumulated in a fixed lexicographic order."""
-    rotations = [np.asarray(r, dtype=np.float64) for r in rotations]
-    quats = [matrix_to_quat(r) for r in rotations]
+    quats = np.array([matrix_to_quat(np.asarray(r, dtype=np.float64)) for r in rotations])
+    n = len(quats)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if not pairs:
+        return 0.0
+    first, second = np.array(pairs).T
+    rel = quat_mul(quats[second], quat_conj(quats[first]))
     total = 0.0
-    n = len(rotations)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rel = quat_mul(quats[j], quat_conj(quats[i]))
-            total += float(scorer.score_quats(i, j, rel[None, :])[0])
+    for score in scorer.score_pairs(pairs, rel):
+        total += float(score)
     return total
 
 
@@ -85,21 +94,22 @@ def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
     """Grid index maximizing a sum of `score_grid` terms, lowest on ties.
 
     `terms` lists the (i, j, fixed, moving) arguments of each term, summed
-    in order. `n_partners` sizes the search against `_BOUND_WORK`.
-    Returns the index, the sum there, and the sum at the grid index
-    `current` (None when `current` is -1), all from one evaluation.
+    in order by the scorer's `block`. `n_partners` sizes the search
+    against `_BOUND_WORK`. Returns the index, the sum there, and the sum
+    at the grid index `current` (None when `current` is -1), all from one
+    evaluation.
     """
-    bounded = grid.n * n_partners > _BOUND_WORK
-    bound = _summed_bounds(scorer, grid, terms) if bounded else None
+    block = scorer.block(grid, terms)
+    bound = block.bounds() if grid.n * n_partners > _BOUND_WORK else None
     rows = None  # the whole grid, as one cell
     if bound is not None:
         cells = grid.cells
         # A cell whose bound equals the floor is still searched: one of
         # its points may tie the maximum at a lower index.
         seed = _candidate_rows(cells.points([int(np.argmax(bound))]), current)
-        floor = _summed_scores(scorer, grid, terms, seed).max()
+        floor = block.scores(seed).max()
         rows = _candidate_rows(cells.points(np.flatnonzero(bound >= floor)), current)
-    obj = _summed_scores(scorer, grid, terms, rows)
+    obj = block.scores(rows)
     a = int(np.argmax(obj))
     k = a if rows is None else int(rows[a])
     if current < 0:
@@ -117,36 +127,17 @@ def _candidate_rows(rows, current):
     return rows
 
 
-def _summed_bounds(scorer, grid, terms):
-    # Summed in the order of _summed_scores; rounding is monotone, so
-    # the sum of bounds stays at least the sum of scores.
+def _summed_scores_at(scorer, terms, quat):
+    # The block's terms with the moving camera at the off-grid rotation
+    # `quat`, composed as `pair_quats` composes them (every block term
+    # fixes its partner), in one product and one `score_pairs` call.
+    left = [fixed if moving == "i" else quat for _, _, fixed, moving in terms]
+    right = [quat if moving == "i" else fixed for _, _, fixed, moving in terms]
+    rel = quat_mul(np.array(left), quat_conj(np.array(right)))
     total = 0.0
-    for i, j, fixed, moving in terms:
-        bound = scorer.cell_bounds(i, j, grid, fixed, moving=moving)
-        if bound is None:
-            return None
-        total = total + bound
-    return total
-
-
-def _summed_scores(scorer, grid, terms, rows):
-    # rows=None is the whole grid, asked without `rows` so scorers that
-    # offer no bound need not accept it.
-    extra = {} if rows is None else {"rows": rows}
-    obj = np.zeros(grid.n if rows is None else rows.shape[0])
-    for i, j, fixed, moving in terms:
-        obj += scorer.score_grid(i, j, grid, fixed, moving=moving, **extra)
-    return obj
-
-
-def _summed_scores_at(scorer, terms, quats):
-    # The terms of _summed_scores with the moving camera at each of the
-    # off-grid rotations `quats`, through the compositions score_grid's
-    # default makes.
-    obj = np.zeros(quats.shape[0])
-    for i, j, fixed, moving in terms:
-        obj += scorer.score_quats(i, j, pair_quats(quats, fixed, moving))
-    return obj
+    for score in scorer.score_pairs([(i, j) for i, j, _, _ in terms], rel):
+        total += score
+    return float(total)
 
 
 def best_pairwise(scorer, i, j, grid: SO3Grid, n_partners=1):
@@ -298,7 +289,7 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
             if cur is not None:
                 accept = best > cur
             else:
-                cur = float(_summed_scores_at(scorer, terms, quats[i][None, :])[0])
+                cur = _summed_scores_at(scorer, terms, quats[i])
                 accept = True
             if accept:
                 rotations[i] = grid.rotations[k].copy()

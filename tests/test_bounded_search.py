@@ -8,11 +8,19 @@ whole grid, takes the first maximum and compares the camera's current
 index strictly, as the dense block update did.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from svpose import so3, solver
-from svpose.energy import EnergyTable, PairwiseScorer, SymmetricModeScorer, TableScorer
+from svpose import _kernels, so3, solver
+from svpose.energy import (
+    EnergyTable,
+    GridBlock,
+    PairwiseScorer,
+    SymmetricModeScorer,
+    TableScorer,
+)
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -41,10 +49,10 @@ def dense_search(scorer, grid, terms, n_partners, current=-1):
 
 
 class Recorder:
-    """Forwards to a scorer and records the rows each score_grid call asks for.
+    """Forwards to a scorer and records the rows each block evaluation asks for.
 
     Like a tracing proxy it is not a subclass of the scorer, so the
-    solver must find the bound hook through the attribute, not the type.
+    solver must find the block hook through the attribute, not the type.
     """
 
     def __init__(self, scorer):
@@ -52,13 +60,24 @@ class Recorder:
         self.directional = scorer.directional
         self.rows = []
 
-    def score_grid(self, *args, **kwargs):
-        rows = kwargs.get("rows")
-        self.rows.append(None if rows is None else len(rows))
-        return self._scorer.score_grid(*args, **kwargs)
+    def block(self, grid, terms):
+        return RecordedBlock(self._scorer.block(grid, terms), self.rows)
 
     def __getattr__(self, name):
         return getattr(self._scorer, name)
+
+
+class RecordedBlock:
+    def __init__(self, block, rows):
+        self._block = block
+        self._rows = rows
+
+    def scores(self, rows=None):
+        self._rows.append(None if rows is None else len(rows))
+        return self._block.scores(rows)
+
+    def __getattr__(self, name):
+        return getattr(self._block, name)
 
 
 def checked_solve(monkeypatch, scorer, n, grid):
@@ -315,3 +334,109 @@ def test_rows_restrict_score_grid_bit_for_bit():
                 part = scorer.score_grid(0, 1, grid, fixed, moving=moving, rows=rows)
                 assert np.array_equal(part, whole[rows])
     assert QuatsOnly(mode).cell_bounds(0, 1, grid) is None
+
+
+def moved_modes(scorer, i, j, fixed, moving):
+    # A term's modes composed one term at a time, as the per-term code
+    # composed them before terms were stacked.
+    targets = scorer.mode_quats(i, j)
+    if targets is None:
+        return None
+    if moving == "i":
+        targets = so3.quat_conj(targets)
+    return targets if fixed is None else so3.quat_mul(targets, fixed[None, :])
+
+
+def one_term(scorer, grid, term, rows):
+    """A term's scores and cell bounds from the per-term formulas."""
+    targets = moved_modes(scorer, *term)
+    cells = grid.cells
+    if targets is None:
+        n = grid.n if rows is None else len(rows)
+        return np.zeros(n), np.zeros(cells.radius.shape[0])
+    quats = grid.quats if rows is None else grid.quats[rows]
+    scores = -scorer.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
+    angle = np.sqrt(_kernels.min_angle_sq_to_targets(cells.centers, targets))
+    gap = np.maximum(angle - 2.0 * cells.radius - so3._CELL_SLACK, 0.0)
+    return scores, -scorer.kappa * (gap * gap)
+
+
+@st.composite
+def block_cases(draw):
+    generator = draw(st.sampled_from(sorted(so3.GENERATOR_IDS)))
+    grid = grid_of(draw(st.sampled_from([576, 4608])), generator)
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    directional = draw(st.booleans())
+    modes = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j or (i > j and not directional):
+                continue
+            count = draw(st.integers(0, 4))
+            if count == 0:
+                if draw(st.booleans()):
+                    modes[(i, j)] = np.zeros((0, 4))
+                continue
+            quats = so3.random_quats(rng, count)
+            if draw(st.booleans()):
+                # On a grid point: that point scores -0.0 with no fixed camera.
+                quats[0] = grid.quats[int(rng.integers(grid.n))]
+            modes[(i, j)] = quats
+    scorer = SymmetricModeScorer(modes=modes, kappa=draw(st.floats(0.1, 200.0)))
+    camera = draw(st.integers(0, n - 1))
+    terms = []
+    for j in range(n):
+        if j == camera:
+            continue
+        fixed = draw(st.sampled_from([None, "random", "grid"]))
+        if fixed == "random":
+            fixed = so3.random_quats(rng, 1)[0]
+        elif fixed == "grid":
+            fixed = grid.quats[int(rng.integers(grid.n))]
+        sides = draw(st.sampled_from(["i", "j", "both"]))
+        if sides != "j":
+            terms.append((camera, j, fixed, "i"))
+        if sides != "i":
+            terms.append((j, camera, fixed, "j"))
+    rows = None
+    if draw(st.booleans()):
+        rows = np.sort(rng.choice(grid.n, draw(st.integers(1, 300)), replace=False))
+    return scorer, grid, terms, rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(block_cases())
+def test_stacked_block_matches_per_term_default_bit_for_bit(case):
+    scorer, grid, terms, rows = case
+    stacked, default = scorer.block(grid, terms), GridBlock(scorer, grid, terms)
+    assert stacked.scores(rows).tobytes() == default.scores(rows).tobytes()
+    assert stacked.bounds().tobytes() == default.bounds().tobytes()
+    for i, j, fixed, moving in terms:
+        # One term is the term's own row, -0.0 included, not a sum from 0.0.
+        scores, bounds = one_term(scorer, grid, (i, j, fixed, moving), rows)
+        got = scorer.score_grid(i, j, grid, fixed, moving=moving, rows=rows)
+        assert got.tobytes() == scores.tobytes()
+        assert scorer.cell_bounds(i, j, grid, fixed, moving=moving).tobytes() == bounds.tobytes()
+
+
+def test_one_term_keeps_the_negative_zero_of_a_mode_on_the_grid():
+    grid = grid_of(576)
+    # A grid point whose own |dot| rounds to 1 scores exactly -0.0.
+    k = int(np.flatnonzero(_kernels.fixed_abs_dots(grid.quats, grid.quats) >= 1.0)[0])
+    scorer = SymmetricModeScorer(modes={(0, 1): grid.quats[[k]]}, kappa=50.0)
+    row = scorer.score_grid(0, 1, grid)
+    assert row[k] == 0.0 and np.signbit(row[k])
+    assert np.signbit(row.astype(np.float32)[k])
+    summed = scorer.block(grid, [(0, 1, None, "j")]).scores()
+    assert summed[k] == 0.0 and not np.signbit(summed[k])
+
+
+def test_mode_scorer_keeps_no_state_across_a_solve():
+    # Nothing keyed on the rotations a solve visits may pile up on the
+    # scorer: its state after a solve is its state before.
+    for grid_n, n in ((4608, 6), (36864, 10)):
+        scorer = scene_scorer(42 + n, n)
+        before = pickle.dumps(scorer)
+        solver.solve(scorer, n, grid_of(grid_n))
+        assert pickle.dumps(scorer) == before

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from svpose import so3
+from svpose import so3, solver
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
+    pair_quats,
     score_over_grid,
 )
 from svpose.solver import (
@@ -286,3 +287,51 @@ def test_ascent_trace_starts_at_init_energy_without_rescoring(monkeypatch):
     calls.clear()
     assert coordinate_ascent(scorer, list(init.rotations), grid).energy_trace == out.energy_trace
     assert len(calls) == 2
+
+
+def looped_energy(scorer, rotations):
+    """Ordered-pair energy from one `score_quats` call per pair."""
+    quats = [so3.matrix_to_quat(r) for r in rotations]
+    total = 0.0
+    for i in range(len(quats)):
+        for j in range(len(quats)):
+            if i != j:
+                rel = so3.quat_mul(quats[j], so3.quat_conj(quats[i]))
+                total += float(scorer.score_quats(i, j, rel[None, :])[0])
+    return total
+
+
+def test_batched_energies_match_the_per_pair_loop_bit_for_bit():
+    grid = so3.build_grid(576)
+    rng = rng_for(43)
+    n = 5
+    modes = {
+        (i, j): so3.random_quats(rng, int(rng.integers(1, 5)))
+        for i in range(n)
+        for j in range(n)
+        if i != j and (min(i, j), max(i, j)) not in {(0, 3), (2, 4)}
+    }
+    directional = SymmetricModeScorer(modes=modes, kappa=20.0)
+    # One order per pair: the other is served reversed.
+    symmetric = SymmetricModeScorer(
+        modes={k: v for k, v in modes.items() if k[0] < k[1]}, kappa=7.0
+    )
+    scene = generate_scene(RigSpec(n_cameras=n, seed=43))
+    mode = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02)
+    rows = {(i, j): score_over_grid(mode, i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    table = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+    at_random = so3.quat_to_matrix(so3.random_quats(rng, n))
+    on_grid = grid.rotations[rng.choice(grid.n, n, replace=False)]
+    # Relative rotations on a mode can score -0.0.
+    on_mode = so3.quat_to_matrix(np.stack([[1.0, 0, 0, 0], *(modes[(0, j)][0] for j in (1, 2))]))
+    on_mode = np.concatenate([on_mode, at_random[3:]])
+    for scorer in (directional, symmetric, mode, table, ConstantScorer(-1.5)):
+        for rotations in (at_random, on_grid, on_mode):
+            assert total_energy(scorer, rotations) == looped_energy(scorer, rotations)
+            quats = [so3.matrix_to_quat(r) for r in rotations]
+            terms = [(3, j, quats[j], "i") for j in range(n) if j != 3]
+            terms += [(j, 3, quats[j], "j") for j in range(n) if j != 3]
+            looped = np.zeros(1)
+            for i, j, fixed, moving in terms:
+                looped += scorer.score_quats(i, j, pair_quats(quats[3][None, :], fixed, moving))
+            assert solver._summed_scores_at(scorer, terms, quats[3]) == looped[0]
