@@ -11,11 +11,11 @@ the block's bound hidden, which scores the whole grid as one cell. The
 two must return the same argmax, value and current-index value. The
 bounded search's candidate fraction, the grid rows it scores over G, is
 printed beside its timing. Building the cell index is timed on its own;
-a solve builds it once per grid. The same bounded block update is then
-timed through the mode scorer's stacked block, which scores all its
-terms in one kernel call per evaluation, against the default
-`GridBlock`, which asks `cell_bounds` and `score_grid` once per term;
-again the two must return the same three numbers.
+a solve builds it once per grid. The mode scorer's stacked bounded
+search, which scores all the block's terms in one kernel call per
+evaluation, is then timed against the default `GridBlock`, which
+offers no bound and sums one whole-grid `score_grid` row per term, so
+its search is dense; again the two must return the same three numbers.
 
 Then one partner's term of a block update at G=36864 is timed both
 ways: composing every grid candidate with the partner's rotation and
@@ -35,8 +35,8 @@ are printed beside each size.
 
 Then the mode kernel `_kernels.min_angle_sq_to_targets` is timed on
 the shapes the solver gives a single term: the G=4608 and G=36864 grids
-(a `score_grid` term) and their 256 and 2048 cell centers (a
-`cell_bounds` term), each against 1, 2 and 4 targets, a pair's modes.
+(a term's scores) and their 256 and 2048 cell centers (a term's cell
+bounds), each against 1, 2 and 4 targets, a pair's modes.
 The stacked kernel `_kernels.min_angle_sq_stacked` is timed on a
 20-camera block's 19 terms against the same cell centers.
 
@@ -85,7 +85,7 @@ class Unbounded(Proxy):
 
 
 class PerTerm(Proxy):
-    """The scorer through the default block: one call per term."""
+    """The scorer through the default block: dense, one `score_grid` call per term."""
 
     def block(self, grid, terms):
         return GridBlock(self._inner, grid, terms)
@@ -136,7 +136,7 @@ def bench_block_update():
 
     got, want, looped = bounded(), whole(), per_term()
     assert got == want, f"bounded search {got} differs from whole grid {want}"
-    assert got == looped, f"stacked block {got} differs from per-term block {looped}"
+    assert got == looped, f"stacked bounded search {got} differs from dense per-term {looped}"
     counter = RowCounter(scorer)
     solver.grid_search(counter, grid, terms, n - 1, current)
     t_whole = _timeit(whole)
@@ -150,7 +150,8 @@ def bench_block_update():
     )
     print(f"{f'bounded search scored {counter.rows} of {grid.n} rows':<44} {counter.rows / grid.n:>9.1%}")
     print(f"{'cell index build (once per grid)':<44} {t_cells * 1e3:>8.2f}ms")
-    print(f"{f'bounded, {len(terms)} terms':<44} {'per-term':>10} {'stacked':>10} {'speedup':>8}")
+    name = f"{len(terms)} terms, default dense vs stacked bounded"
+    print(f"{name:<44} {'per-term':>10} {'stacked':>10} {'speedup':>8}")
     print(
         f"{'same argmax, value and current value':<44} {t_per_term * 1e3:>8.2f}ms "
         f"{t_stacked * 1e3:>8.2f}ms {t_per_term / t_stacked:>7.2f}x"

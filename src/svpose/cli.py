@@ -347,12 +347,21 @@ def _load_pred(path):
         poses = [pose_from_dict(p) for p in doc["poses"]]
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed prediction ({e})") from None
+    if not isinstance(scene_id, str):
+        raise FormatError(f"{path}: scene_id must be a string, got {scene_id!r}")
     return scene_id, poses
 
 
 def cmd_eval(config: RunConfig):
     out = _out_dir(config)
-    preds = dict(_load_pred(path) for path in _scene_files(config.pred))
+    preds, sources = {}, {}
+    for path in _scene_files(config.pred):
+        scene_id, poses = _load_pred(path)
+        if scene_id in preds:
+            raise ConsistencyError(
+                f"scene_id {scene_id!r} is predicted by both {sources[scene_id]} and {path}"
+            )
+        preds[scene_id], sources[scene_id] = poses, path
     gts = {Path(path).stem: load_scene(path) for path in _scene_files(config.gt)}
     missing = sorted(set(preds) - set(gts))
     if missing:

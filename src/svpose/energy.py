@@ -5,31 +5,25 @@ camera j is R". Higher is better. Scorers may be directional: when
 `directional` is False, score(i, j, R) == score(j, i, R^T) is guaranteed
 and callers may skip the reverse term in sums over ordered pairs.
 
-Every scorer answers three questions. `score_quats` scores a batch of
-candidate relative rotations of one pair, given as unit quaternions.
-`score_pairs` scores one relative rotation for each of a list of pairs:
-the solver's energies ask only this. `score_grid` scores a pair over a
-whole grid, or over some of its rows, while one camera of the pair runs
-over the grid and the other stays fixed. Each default is written in
-terms of `score_quats`; a scorer that can score a whole grid faster
-than by composing it (the mode scorer moves its few modes instead of
-the G candidates, the table scorer looks up grid indices) overrides
-`score_grid`.
-
-A scorer may also bound `score_grid` from above on each cell of the
-grid's cell index (`cell_bounds`): every grid point a cell owns scores
-at most the cell's bound. The solver then scores exactly only the
-points of cells whose summed bound reaches the best score it has found.
-The default offers no bound, and the solver scores the whole grid as
-one cell. The mode scorer bounds each cell from its center, since the
-geodesic angle is 1-Lipschitz.
-
-A search asks for a sum of `score_grid` terms, one per partner of the
-moving camera, through `block`: the block is prepared once per search
-and then gives the summed bounds and the summed scores of any rows.
-The default `GridBlock` asks `cell_bounds` and `score_grid` once per
-term. The mode scorer stacks its terms: one quaternion product moves
-every term's modes, and one kernel call scores every term.
+`PairwiseScorer` has one required method, `score_quats`, which scores a
+batch of candidate relative rotations of one pair, given as unit
+quaternions. Three optional overrides each answer one question faster
+than their defaults, which are written in terms of `score_quats`:
+- `score_grid` scores one pair over a whole grid while one camera of
+  the pair runs over the grid and the other stays fixed. The mode
+  scorer moves its few modes instead of the G candidates; the table
+  scorer looks up grid indices.
+- `block` answers one search: a sum of `score_grid` terms, one per
+  partner of the moving camera, prepared once and then asked for its
+  summed cell bounds and the summed scores of any rows. It is the only
+  place a bound or a row subset exists. The default `GridBlock` offers
+  no bound, so the solver scores the whole grid. The mode scorer's
+  block stacks its terms: one quaternion product moves every term's
+  modes, one kernel call scores every term, and each cell of the
+  grid's cell index is bounded from its center, since the geodesic
+  angle is 1-Lipschitz.
+- `score_pairs` scores one relative rotation for each of a list of
+  pairs: the solver's energies ask only this.
 Table rows are stored float32; every accumulation happens in float64.
 """
 
@@ -55,7 +49,6 @@ from .so3 import (
     quat_conj,
     quat_mul,
     quat_normalize,
-    quat_to_matrix,
 )
 
 TABLE_MAGIC = b"RPET"
@@ -85,69 +78,37 @@ def _check_moving(moving):
 
 
 class PairwiseScorer:
-    """Base scorer; subclasses override score, score_quats or both.
+    """Base scorer: a subclass overrides `score_quats` and may override more.
 
-    Each default is written in terms of the other, so a subclass must
-    override at least one of them. A subclass may also override
-    `score_grid` when it can score a whole grid faster than by composing
-    every candidate; it must return what the default returns, up to
-    rounding.
-
-    `cell_bounds` is the optional bound hook. It returns None (the
-    default: no bound), or one float per cell of `grid.cells` that is at
-    least `score_grid` at every grid point the cell owns, as computed in
-    floating point. A scorer that returns a bound must accept `rows` in
-    `score_grid`; the solver passes `rows` to no other scorer.
-
-    `block` and `score_pairs` batch the solver's questions: a block
-    sums a search's `score_grid` terms, and `score_pairs` scores many
-    pairs at once. Their defaults ask the hooks above once per term or
-    pair. An override should return what its default returns; the mode
-    scorer's return the same bits, so its solves do not depend on which
-    path scored them.
+    `score_quats` is the one required method. `score_grid`, `block` and
+    `score_pairs` are optional overrides for a scorer that can answer
+    them faster than the defaults. An override must return what its
+    default returns, up to rounding; the mode scorer's `block` and
+    `score_pairs` return the same bits as the defaults, so its solves do
+    not depend on which path scored them. A block may also bound its
+    sum on the cells of the grid's cell index; see `GridBlock`.
     """
 
     directional = True
 
-    def _require_override(self):
-        cls = type(self)
-        if (
-            cls.score is PairwiseScorer.score
-            and cls.score_quats is PairwiseScorer.score_quats
-        ):
-            raise NotImplementedError(
-                f"{cls.__name__} must override score or score_quats"
-            )
-
     def score_quats(self, i, j, quats):
         """Scores for a (m, 4) batch of candidate relative rotations."""
-        self._require_override()
-        quats = np.asarray(quats, dtype=np.float64)
-        mats = quat_to_matrix(quats)
-        return np.array([self.score(i, j, m) for m in mats], dtype=np.float64)
+        raise NotImplementedError(f"{type(self).__name__} must override score_quats")
 
     def score(self, i, j, rotation):
-        self._require_override()
-        out = self.score_quats(i, j, matrix_to_quat(rotation)[None, :])
-        return float(out[0])
+        """The score of one relative rotation, given as a matrix."""
+        return float(self.score_quats(i, j, matrix_to_quat(rotation)[None, :])[0])
 
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         """Scores of pair (i, j) for every grid rotation of one camera.
 
         The camera named by `moving` ("i" or "j") takes each grid
         rotation in turn while the other stays at the unit quaternion
         `fixed` (None is the identity); see `pair_quats`. With
         fixed=None and moving="j" this is the pair's score row over the
-        grid. `rows`, an ascending index array, restricts the row to
-        those grid rotations. The default composes the candidates and
-        scores them.
+        grid. The default composes the candidates and scores them.
         """
-        quats = grid.quats if rows is None else grid.quats[rows]
-        return self.score_quats(i, j, pair_quats(quats, fixed, moving))
-
-    def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        """Upper bound of `score_grid` on each cell of `grid.cells`, or None."""
-        return None
+        return self.score_quats(i, j, pair_quats(grid.quats, fixed, moving))
 
     def block(self, grid: SO3Grid, terms):
         """The sum of the `score_grid` terms `terms` over `grid`; see `GridBlock`."""
@@ -164,8 +125,13 @@ class PairwiseScorer:
 class GridBlock:
     """A sum of `score_grid` terms over a grid, prepared once for one search.
 
-    `terms` lists the (i, j, fixed, moving) arguments of each term. Both
-    sums run in term order from 0.0, asking the scorer once per term.
+    `terms` lists the (i, j, fixed, moving) arguments of each term. The
+    sum runs in term order from 0.0, one whole-grid `score_grid` row per
+    term. This default offers no bound, so the solver scores the whole
+    grid as one cell. A block that offers one returns from `bounds` one
+    float per cell of `grid.cells` that is at least `scores` at every
+    grid point the cell owns, as computed in floating point, and scores
+    any rows bit for bit as it scores them in the whole grid.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
@@ -174,28 +140,15 @@ class GridBlock:
         self.terms = terms
 
     def bounds(self):
-        """The summed `cell_bounds`, or None when some term offers none.
-
-        Summed in the order of `scores`; rounding is monotone, so the sum
-        of bounds stays at least the sum of scores.
-        """
-        total = 0.0
-        for i, j, fixed, moving in self.terms:
-            bound = self.scorer.cell_bounds(i, j, self.grid, fixed, moving=moving)
-            if bound is None:
-                return None
-            total = total + bound
-        return total
+        """Upper bound of `scores` on each cell of `grid.cells`, or None."""
+        return None
 
     def scores(self, rows=None):
-        """The summed `score_grid` rows; rows=None is the whole grid."""
-        # The whole grid is asked without `rows`, so scorers that offer
-        # no bound need not accept it.
-        extra = {} if rows is None else {"rows": rows}
-        obj = np.zeros(self.grid.n if rows is None else rows.shape[0])
+        """The sum at the ascending grid indices `rows`; None is the whole grid."""
+        obj = np.zeros(self.grid.n)
         for i, j, fixed, moving in self.terms:
-            obj += self.scorer.score_grid(i, j, self.grid, fixed, moving=moving, **extra)
-        return obj
+            obj += self.scorer.score_grid(i, j, self.grid, fixed, moving=moving)
+        return obj if rows is None else obj[rows]
 
 
 class ConstantScorer(PairwiseScorer):
@@ -297,18 +250,12 @@ class SymmetricModeScorer(PairwiseScorer):
         """Every term's modes moved at once; see `_ModeBlock`."""
         return _ModeBlock(self, grid, terms)
 
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j", rows=None):
+    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         """Moves the k modes instead of composing the G candidates."""
         # The term's own scores, not their sum from 0.0, which would turn
         # the -0.0 of a grid point on a mode into 0.0.
         block = _ModeBlock(self, grid, [(i, j, fixed, moving)])
-        n = grid.n if rows is None else rows.shape[0]
-        return block.term_scores(rows)[0] if block.at else np.zeros(n)
-
-    def cell_bounds(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        """Bounds each cell from its center; see `_ModeBlock.term_bounds`."""
-        block = _ModeBlock(self, grid, [(i, j, fixed, moving)])
-        return block.term_bounds()[0] if block.at else np.zeros(grid.cells.radius.shape[0])
+        return block.term_scores()[0] if block.at else np.zeros(grid.n)
 
 
 class _ModeBlock:
@@ -342,29 +289,28 @@ class _ModeBlock:
         sq = _kernels.min_angle_sq_stacked(quats[None], self.targets[:, None])
         return -self.kappa * sq
 
-    def term_bounds(self):
-        """(T, C): each stacked term's bound on each cell of the grid.
+    def bounds(self):
+        """The summed bound of the stacked terms on each cell of the grid.
 
         The geodesic angle is 1-Lipschitz and a cell's points lie within
         2 r of its center (r is the cell's half-angle radius), so each
         point is at least angle(center, mode) - 2 r from every mode. The
-        slack covers the rounding of arccos near 1.
+        slack covers the rounding of arccos near 1. Summed in the order
+        of `scores`; rounding is monotone, so the sum of bounds stays at
+        least the sum of scores.
         """
         cells = self.grid.cells
         sq = _kernels.min_angle_sq_stacked(cells.centers[None], self.targets[:, None])
         gap = np.maximum(np.sqrt(sq) - 2.0 * cells.radius - _CELL_SLACK, 0.0)
-        return -self.kappa * (gap * gap)
-
-    def bounds(self):
-        return _summed(self.term_bounds(), self.grid.cells.radius.shape[0])
+        return _summed(-self.kappa * (gap * gap))
 
     def scores(self, rows=None):
-        return _summed(self.term_scores(rows), self.grid.n if rows is None else rows.shape[0])
+        return _summed(self.term_scores(rows))
 
 
-def _summed(terms, n):
-    # Row by row from 0.0, in the order of GridBlock's sums.
-    total = np.zeros(n)
+def _summed(terms):
+    # Row by row from 0.0, in the order of GridBlock's sum.
+    total = np.zeros(terms.shape[1])
     for row in terms:
         total += row
     return total

@@ -21,12 +21,12 @@ A search asks the scorer once for the block (`PairwiseScorer.block`),
 then for the block's summed cell bounds and the summed scores of the
 rows it picks. The mode scorer answers each of these with one stacked
 comparison of the rows against the k modes of all T terms; the default
-asks `cell_bounds` and `score_grid` once per term. The solver never
-composes the G candidates itself; a camera still off the grid is scored
-through the same terms at its own rotation, and an energy sums every
-ordered pair, each in one `PairwiseScorer.score_pairs` call. When the
-block bounds every term on the cells of the grid's cell index
-(`PairwiseScorer.cell_bounds`) and the search is large enough
+block offers no bound and sums one whole-grid `score_grid` row per
+term. The solver never composes the G candidates itself; a camera
+still off the grid is scored through the same terms at its own
+rotation, and an energy sums every ordered pair, each in one
+`PairwiseScorer.score_pairs` call. When the block bounds its sum on
+the cells of the grid's cell index and the search is large enough
 (`_BOUND_WORK`), the search is exact branch and bound over one level of
 cells, in the manner of Hartley and Kahl's rotation search:
 - the bounds of the cells, one T x C x k comparison for the mode scorer

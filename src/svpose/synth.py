@@ -41,6 +41,10 @@ class RigSpec:
     lookat: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        for name in ("n_cameras", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_cameras < 1:
             raise ValueError("need at least one camera")
         if self.seed < 0:

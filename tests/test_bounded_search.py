@@ -1,9 +1,9 @@
 """The solver's bounded grid search against a dense oracle.
 
 A block update (and a pair's best rotation in `mst_init`) maximizes a
-sum of `score_grid` terms over the grid. When the scorer bounds every
-term on the grid's cells, only the points of cells whose bound reaches
-the best exact score are scored. The oracle scores every term over the
+sum of `score_grid` terms over the grid. When the scorer's block bounds
+the sum on the grid's cells, only the points of cells whose bound
+reaches the best exact score are scored. The oracle scores every term over the
 whole grid, takes the first maximum and compares the camera's current
 index strictly, as the dense block update did.
 """
@@ -251,9 +251,10 @@ def test_one_row_scores_match_the_whole_grid_bit_for_bit():
         )
         fixed = so3.random_quats(rng, 1)[0]
         for moving in ("i", "j"):
-            whole = scorer.score_grid(0, 1, grid, fixed, moving=moving)
+            block = scorer.block(grid, [(0, 1, fixed, moving)])
+            whole = block.scores()
             for k in ks:
-                one = scorer.score_grid(0, 1, grid, fixed, moving=moving, rows=np.array([k]))
+                one = block.scores(np.array([k]))
                 if one[0] != whole[k]:
                     differ.append((n_modes, moving, int(k)))
     assert not differ, f"{len(differ)} of {3 * 2 * len(ks)} rows differ: {differ}"
@@ -296,7 +297,7 @@ def bound_cases(draw):
 @given(bound_cases())
 def test_cell_bound_covers_every_point_of_the_cell(case):
     scorer, grid, (i, j), fixed, moving = case
-    bound = scorer.cell_bounds(i, j, grid, fixed, moving=moving)
+    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds()
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     cell_max = np.full(bound.shape[0], -np.inf)
     np.maximum.at(cell_max, grid.cells.owner, scores)
@@ -307,13 +308,13 @@ def test_modeless_pair_bound_is_zero():
     grid = grid_of(576)
     modes = {(0, 1): so3.random_quats(rng_for(38), 1)}
     scorer = SymmetricModeScorer(modes=modes, kappa=5.0)
-    bound = scorer.cell_bounds(0, 2, grid)
+    bound = scorer.block(grid, [(0, 2, None, "j")]).bounds()
     assert bound.shape == grid.cells.radius.shape
     assert not bound.any()
 
 
 class QuatsOnly(PairwiseScorer):
-    """The mode scorer seen through `score_quats` alone: the default hooks."""
+    """The mode scorer seen through `score_quats` alone: the default overrides."""
 
     def __init__(self, scorer):
         self.scorer = scorer
@@ -322,7 +323,7 @@ class QuatsOnly(PairwiseScorer):
         return self.scorer.score_quats(i, j, quats)
 
 
-def test_rows_restrict_score_grid_bit_for_bit():
+def test_rows_restrict_block_scores_bit_for_bit():
     grid = grid_of(4608)
     rng = rng_for(39)
     mode = directional_scorer(39, 3)
@@ -330,10 +331,9 @@ def test_rows_restrict_score_grid_bit_for_bit():
     for scorer in (mode, QuatsOnly(mode)):
         for fixed in (None, so3.random_quats(rng, 1)[0]):
             for moving in ("i", "j"):
-                whole = scorer.score_grid(0, 1, grid, fixed, moving=moving)
-                part = scorer.score_grid(0, 1, grid, fixed, moving=moving, rows=rows)
-                assert np.array_equal(part, whole[rows])
-    assert QuatsOnly(mode).cell_bounds(0, 1, grid) is None
+                block = scorer.block(grid, [(0, 1, fixed, moving), (2, 1, fixed, moving)])
+                assert np.array_equal(block.scores(rows), block.scores()[rows])
+    assert QuatsOnly(mode).block(grid, [(0, 1, None, "j")]).bounds() is None
 
 
 def moved_modes(scorer, i, j, fixed, moving):
@@ -410,14 +410,21 @@ def block_cases(draw):
 def test_stacked_block_matches_per_term_default_bit_for_bit(case):
     scorer, grid, terms, rows = case
     stacked, default = scorer.block(grid, terms), GridBlock(scorer, grid, terms)
-    assert stacked.scores(rows).tobytes() == default.scores(rows).tobytes()
-    assert stacked.bounds().tobytes() == default.bounds().tobytes()
-    for i, j, fixed, moving in terms:
+    assert stacked.scores().tobytes() == default.scores().tobytes()
+    assert default.bounds() is None
+    # The per-term formulas, summed in term order from 0.0.
+    scores = np.zeros(grid.n if rows is None else len(rows))
+    bounds = np.zeros(grid.cells.radius.shape[0])
+    for term in terms:
+        term_scores, term_bounds = one_term(scorer, grid, term, rows)
+        scores += term_scores
+        bounds += term_bounds
         # One term is the term's own row, -0.0 included, not a sum from 0.0.
-        scores, bounds = one_term(scorer, grid, (i, j, fixed, moving), rows)
-        got = scorer.score_grid(i, j, grid, fixed, moving=moving, rows=rows)
-        assert got.tobytes() == scores.tobytes()
-        assert scorer.cell_bounds(i, j, grid, fixed, moving=moving).tobytes() == bounds.tobytes()
+        i, j, fixed, moving = term
+        got = scorer.score_grid(i, j, grid, fixed, moving=moving)
+        assert got.tobytes() == one_term(scorer, grid, term, None)[0].tobytes()
+    assert stacked.scores(rows).tobytes() == scores.tobytes()
+    assert stacked.bounds().tobytes() == bounds.tobytes()
 
 
 def test_one_term_keeps_the_negative_zero_of_a_mode_on_the_grid():

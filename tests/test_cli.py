@@ -258,6 +258,49 @@ def test_non_finite_prediction_pose_is_exit_code_3(tmp_path, capsys):
     assert "non-finite" in err["message"]
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("n_cameras", 6.0), ("seed", True)])
+def test_non_integer_scene_rig_field_is_exit_code_3(tmp_path, capsys, field, value):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 8)
+    path = scenes / "scene_000.json"
+    doc = json.loads(path.read_text())
+    doc["rig"][field] = value
+    path.write_text(json.dumps(doc))
+    assert run("solve", "-o", tmp_path / "p", "--scenes", scenes, "--grid-n", 72) == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert f"{field} must be an integer" in err["message"]
+
+
+@pytest.mark.parametrize("scene_id", [["scene_000"], 0])
+def test_non_string_prediction_scene_id_is_exit_code_3(tmp_path, capsys, scene_id):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 9)
+    assert run("solve", "-o", preds, "--scenes", scenes, "--grid-n", 72) == 0
+    path = preds / "scene_000.json"
+    doc = json.loads(path.read_text())
+    doc["scene_id"] = scene_id
+    path.write_text(json.dumps(doc))
+    assert run("eval", "-o", tmp_path / "m", "--pred", preds, "--gt", scenes) == 3
+    err = last_error(capsys)
+    assert err["error"] == "FormatError"
+    assert "scene_id must be a string" in err["message"]
+
+
+def test_two_predictions_of_one_scene_are_exit_code_4(tmp_path, capsys):
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 9)
+    assert run("solve", "-o", preds, "--scenes", scenes, "--grid-n", 72) == 0
+    copy = preds / "scene_000_again.json"
+    copy.write_bytes((preds / "scene_000.json").read_bytes())
+    code = run("eval", "-o", tmp_path / "m", "--pred", preds, "--gt", scenes)
+    assert code == 4
+    err = last_error(capsys)
+    assert err["error"] == "ConsistencyError"
+    assert "scene_000.json" in err["message"] and "scene_000_again.json" in err["message"]
+    assert not (tmp_path / "m" / "per_scene.csv").exists()
+
+
 def test_json_outputs_refuse_non_finite_numbers():
     from svpose._fileio import json_text
 

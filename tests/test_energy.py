@@ -45,18 +45,10 @@ def test_base_scorer_needs_an_override():
         pass
 
     r = so3.random_rotation(rng_for(0))
-    with pytest.raises(NotImplementedError, match="Bare must override"):
+    with pytest.raises(NotImplementedError, match="Bare must override score_quats"):
         Bare().score(0, 1, r)
-    with pytest.raises(NotImplementedError, match="Bare must override"):
+    with pytest.raises(NotImplementedError, match="Bare must override score_quats"):
         Bare().score_quats(0, 1, so3.random_quats(rng_for(0), 2))
-
-    class ByMatrix(PairwiseScorer):
-        def score(self, i, j, rotation):
-            return float(rotation[0, 0])
-
-    quats = so3.random_quats(rng_for(1), 3)
-    got = ByMatrix().score_quats(0, 1, quats)
-    assert np.array_equal(got, so3.quat_to_matrix(quats)[:, 0, 0])
 
 
 def test_mode_scores_zero_at_mode():
@@ -140,8 +132,9 @@ def test_zero_row_modes_are_no_modes():
         assert np.array_equal(s.score_quats(i, j, q), np.zeros(5))
         assert np.array_equal(s.score_quats(j, i, q), np.zeros(5))
         assert np.array_equal(s.score_grid(i, j, grid, q[0], moving="i"), np.zeros(576))
-        assert np.array_equal(s.score_grid(i, j, grid, rows=np.array([3])), [0.0])
-        bound = s.cell_bounds(i, j, grid, q[1], moving="j")
+        block = s.block(grid, [(i, j, q[1], "j")])
+        assert np.array_equal(block.scores(np.array([3])), [0.0])
+        bound = block.bounds()
         assert bound.shape == grid.cells.radius.shape and not bound.any()
 
 
@@ -203,12 +196,14 @@ def test_mode_score_grid_matches_composed_batch():
 
 
 def test_default_score_grid_composes_then_scores():
-    class ByMatrix(PairwiseScorer):
-        def score(self, i, j, rotation):
-            return float(rotation[0, 1] + 2.0 * rotation[2, 0] + i - j)
+    class QuatsOnly(PairwiseScorer):
+        def score_quats(self, i, j, quats):
+            # Products of two components do not see a quaternion's sign.
+            q = np.asarray(quats)
+            return q[:, 0] * q[:, 1] + 2.0 * q[:, 2] * q[:, 3] + i - j
 
     grid = so3.build_grid(72)
-    s = ByMatrix()
+    s = QuatsOnly()
     q = so3.random_quats(rng_for(16), 1)[0]
     for moving in ("i", "j"):
         want = s.score_quats(0, 1, composed(grid, q, moving))
