@@ -6,16 +6,24 @@ Run from the repository root:
 
 First, one block update of a 20-camera scene at G=36864 (the mode
 scorer, partners at their spanning-tree rotations) is timed both ways:
-the bounded search over the grid's cells, against the same search with
-the block's bound hidden, which scores the whole grid as one cell. The
-two must return the same argmax, value and current-index value. The
-bounded search's candidate fraction, the grid rows it scores over G, is
-printed beside its timing. Building the cell index is timed on its own;
-a solve builds it once per grid. The mode scorer's stacked bounded
-search, which scores all the block's terms in one kernel call per
-evaluation, is then timed against the default `GridBlock`, which
-offers no bound and sums one whole-grid `score_grid` row per term, so
-its search is dense; again the two must return the same three numbers.
+the two-level bounded search over the parents and cells of the grid's
+cell index, against the same search with the block's bounds hidden,
+which scores the whole grid as one cell. The two must return the same
+argmax, value and current-index value. The bounded search's candidate
+fraction, the grid rows it scores over G, is printed beside its
+timing, and so are the parents and cells it bounds, for that update
+and on average over the block updates of a two-sweep solve. Building
+the cell index is timed on its own; a solve builds it once per grid.
+The mode scorer's stacked bounded search, which scores all the block's
+terms in one kernel call per evaluation, is then timed against the
+default `GridBlock`, which offers no bound and sums one whole-grid
+`score_grid` row per term, so its search is dense; again the two must
+return the same three numbers.
+
+The spanning tree's stacked search (`solver.grid_searches`), which
+finds all 190 pairs' best rotations of the same rig in one two-level
+search, is timed against one dense whole-grid search per pair. The two
+must return the same index and the same value bits for every pair.
 
 Then one partner's term of a block update at G=36864 is timed both
 ways: composing every grid candidate with the partner's rotation and
@@ -35,10 +43,10 @@ are printed beside each size.
 
 Then the mode kernel `_kernels.min_angle_sq_to_targets` is timed on
 the shapes the solver gives a single term: the G=4608 and G=36864 grids
-(a term's scores) and their 256 and 2048 cell centers (a term's cell
+(a term's scores) and their 32 and 256 parent centers (a term's parent
 bounds), each against 1, 2 and 4 targets, a pair's modes.
 The stacked kernel `_kernels.min_angle_sq_stacked` is timed on a
-20-camera block's 19 terms against the same cell centers.
+20-camera block's 19 terms against the same parent centers.
 
 Last, the other kernels are timed on sizes close to the real workloads
 (nearest-neighbour projection, covering-radius probes).
@@ -73,14 +81,17 @@ class Proxy:
 
 
 class WholeGrid(Proxy):
-    """The scorer with its block bound hidden: every search scores the whole grid."""
+    """The scorer with its block bounds hidden: every search scores the whole grid."""
 
     def block(self, grid, terms):
         return Unbounded(self._inner.block(grid, terms))
 
 
 class Unbounded(Proxy):
-    def bounds(self):
+    def bounds(self, centers, radius):
+        return None
+
+    def term_bounds(self, at, centers, radius):
         return None
 
 
@@ -111,6 +122,37 @@ class Counted(Proxy):
         return self._inner.scores(rows)
 
 
+class BoundCounter(Proxy):
+    """The scorer, recording how many centers each block update bounds.
+
+    A block update's first `bounds` call is over the parents; the rest
+    are over cells.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.updates = []
+
+    def block(self, grid, terms):
+        self.updates.append([])
+        return BoundsCounted(self._inner.block(grid, terms), self.updates[-1])
+
+
+class BoundsCounted(Proxy):
+    def __init__(self, block, sizes):
+        super().__init__(block)
+        self._sizes = sizes
+
+    def bounds(self, centers, radius):
+        self._sizes.append(centers.shape[0])
+        return self._inner.bounds(centers, radius)
+
+
+def bounded_sizes(updates):
+    """(parents, cells) bounded per block update that bounded anything."""
+    return [(sizes[0], sum(sizes[1:])) for sizes in updates if sizes]
+
+
 def bench_block_update():
     n = 20
     grid = so3.build_grid(36864)
@@ -139,6 +181,12 @@ def bench_block_update():
     assert got == looped, f"stacked bounded search {got} differs from dense per-term {looped}"
     counter = RowCounter(scorer)
     solver.grid_search(counter, grid, terms, n - 1, current)
+    bounded_here = BoundCounter(scorer)
+    solver.grid_search(bounded_here, grid, terms, n - 1, current)
+    [(parents, cells)] = bounded_sizes(bounded_here.updates)
+    in_solve = BoundCounter(scorer)
+    solver.coordinate_ascent(in_solve, rotations, grid, max_sweeps=2)
+    per_update = np.array(bounded_sizes(in_solve.updates))
     t_whole = _timeit(whole)
     t_bounded = _timeit(bounded)
     t_per_term = _timeit(per_term, repeat=20)
@@ -149,12 +197,44 @@ def bench_block_update():
         f"{t_bounded * 1e3:>8.2f}ms {t_whole / t_bounded:>7.2f}x"
     )
     print(f"{f'bounded search scored {counter.rows} of {grid.n} rows':<44} {counter.rows / grid.n:>9.1%}")
+    n_cells = grid.cells.radius.shape[0]
+    print(f"it bounded {parents} parents and {cells} of {n_cells} cells")
+    mean_parents, mean_cells = per_update.mean(axis=0)
+    name = f"{len(per_update)} updates of a 2-sweep solve, mean bounded"
+    print(f"{name:<44} {mean_parents:>6.0f} parents {mean_cells:>6.1f} cells")
     print(f"{'cell index build (once per grid)':<44} {t_cells * 1e3:>8.2f}ms")
     name = f"{len(terms)} terms, default dense vs stacked bounded"
     print(f"{name:<44} {'per-term':>10} {'stacked':>10} {'speedup':>8}")
     print(
         f"{'same argmax, value and current value':<44} {t_per_term * 1e3:>8.2f}ms "
         f"{t_stacked * 1e3:>8.2f}ms {t_per_term / t_stacked:>7.2f}x"
+    )
+
+
+def bench_pair_search():
+    n = 20
+    grid = so3.build_grid(36864)
+    scene = generate_scene(RigSpec(n_cameras=n, seed=1000, jitter=0.05))
+    scorer = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02)
+    terms = [(i, j, None, "j") for i in range(n) for j in range(i + 1, n)]
+
+    def stacked():
+        return solver.grid_searches(scorer, grid, terms, n - 1)
+
+    def per_pair():
+        return [solver.grid_search(WholeGrid(scorer), grid, [t], n - 1)[:2] for t in terms]
+
+    got, want = stacked(), per_pair()
+    assert [(k, v.hex()) for k, v in got] == [(k, v.hex()) for k, v in want], (
+        "stacked pair search differs from per-pair dense searches"
+    )
+    t_per_pair = _timeit(per_pair, repeat=2)
+    t_stacked = _timeit(stacked)
+    name = f"spanning tree, {len(terms)} pairs, G=36864"
+    print(f"{name:<44} {'per-pair':>10} {'stacked':>10} {'speedup':>8}")
+    print(
+        f"{'same index and value bits per pair':<44} {t_per_pair * 1e3:>8.2f}ms "
+        f"{t_stacked * 1e3:>8.2f}ms {t_per_pair / t_stacked:>7.2f}x"
     )
 
 
@@ -223,8 +303,8 @@ def bench_mode_kernel():
     print(f"{'min_angle_sq_to_targets, by targets':<44}" + "".join(f"{k:>12}" for k in counts))
     for n in (4608, 36864):
         grid = so3.build_grid(n)
-        centers = grid.cells.centers
-        shapes = [(f"G={n}, grid", grid.quats), (f"G={n}, {len(centers)} cell centers", centers)]
+        centers = grid.cells.parent_centers
+        shapes = [(f"G={n}, grid", grid.quats), (f"G={n}, {len(centers)} parent centers", centers)]
         for name, quats in shapes:
             times = [_timeit(_kernels.min_angle_sq_to_targets, quats, targets[k]) for k in counts]
             print(f"{name:<44}" + "".join(f"{t * 1e3:>10.3f}ms" for t in times))
@@ -236,6 +316,8 @@ def bench_mode_kernel():
 
 def main():
     bench_block_update()
+    print()
+    bench_pair_search()
     print()
     bench_score_grid()
     print()

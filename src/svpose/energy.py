@@ -14,14 +14,15 @@ than their defaults, which are written in terms of `score_quats`:
   scorer moves its few modes instead of the G candidates; the table
   scorer looks up grid indices.
 - `block` answers one search: a sum of `score_grid` terms, one per
-  partner of the moving camera, prepared once and then asked for its
-  summed cell bounds and the summed scores of any rows. It is the only
-  place a bound or a row subset exists. The default `GridBlock` offers
-  no bound, so the solver scores the whole grid. The mode scorer's
-  block stacks its terms: one quaternion product moves every term's
-  modes, one kernel call scores every term, and each cell of the
-  grid's cell index is bounded from its center, since the geodesic
-  angle is 1-Lipschitz.
+  partner of the moving camera, prepared once and then asked for
+  bounds, `bounds(centers, radius)`, and for the summed scores of any
+  rows; for the spanning tree's stacked search it answers the same of
+  each term alone. It is the only place a bound or a row subset
+  exists. The default `GridBlock` offers no bound, so the solver
+  scores the whole grid. The mode scorer's block stacks its terms: one
+  quaternion product moves every term's modes, one kernel call scores
+  every term, and every grid point within half-angle r of a center is
+  bounded from that center, since the geodesic angle is 1-Lipschitz.
 - `score_pairs` scores one relative rotation for each of a list of
   pairs: the solver's energies ask only this.
 Table rows are stored float32; every accumulation happens in float64.
@@ -86,7 +87,8 @@ class PairwiseScorer:
     default returns, up to rounding; the mode scorer's `block` and
     `score_pairs` return the same bits as the defaults, so its solves do
     not depend on which path scored them. A block may also bound its
-    sum on the cells of the grid's cell index; see `GridBlock`.
+    sum, and each of its terms, at every grid point within half-angle
+    `radius` of a center, `bounds(centers, radius)`; see `GridBlock`.
     """
 
     directional = True
@@ -128,10 +130,23 @@ class GridBlock:
     `terms` lists the (i, j, fixed, moving) arguments of each term. The
     sum runs in term order from 0.0, one whole-grid `score_grid` row per
     term. This default offers no bound, so the solver scores the whole
-    grid as one cell. A block that offers one returns from `bounds` one
-    float per cell of `grid.cells` that is at least `scores` at every
-    grid point the cell owns, as computed in floating point, and scores
-    any rows bit for bit as it scores them in the whole grid.
+    grid as one cell.
+
+    A block that offers a bound answers the solver's two-level search:
+    - `bounds(centers, radius)` returns, for each of the (C, 4) unit
+      quaternions `centers`, a float that is at least `scores` at every
+      grid point within half-angle `radius[c]` of center c, as computed
+      in floating point;
+    - `term_bounds(at, centers, radius)` bounds each term alone the same
+      way: entry m bounds term `at[m]`'s own score within `radius[m]` of
+      `centers[m]` (the three broadcast together);
+    - `term_scores(at, rows)` is term `at[m]`'s own score at grid row
+      `rows[m]`.
+    Any rows are scored bit for bit as in the whole grid. The
+    spanning-tree search asks only the `term_` pair, and a block update
+    only `bounds` and `scores`. A block written for the one-level search,
+    whose `bounds()` took no arguments and bounded each cell of
+    `grid.cells`, must be updated to these signatures.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
@@ -139,8 +154,12 @@ class GridBlock:
         self.grid = grid
         self.terms = terms
 
-    def bounds(self):
-        """Upper bound of `scores` on each cell of `grid.cells`, or None."""
+    def bounds(self, centers, radius):
+        """Upper bound of `scores` within `radius` of each center, or None."""
+        return None
+
+    def term_bounds(self, at, centers, radius):
+        """Upper bound of each term `at[m]` alone within `radius[m]` of `centers[m]`, or None."""
         return None
 
     def scores(self, rows=None):
@@ -255,7 +274,7 @@ class SymmetricModeScorer(PairwiseScorer):
         # The term's own scores, not their sum from 0.0, which would turn
         # the -0.0 of a grid point on a mode into 0.0.
         block = _ModeBlock(self, grid, [(i, j, fixed, moving)])
-        return block.term_scores()[0] if block.at else np.zeros(grid.n)
+        return block.stack_scores()[0] if block.at else np.zeros(grid.n)
 
 
 class _ModeBlock:
@@ -268,6 +287,11 @@ class _ModeBlock:
     product for all terms. A term without modes scores 0 everywhere;
     adding 0.0 to a sum that began at 0.0 changes no bit of it, so such
     a term is left out of the stack.
+
+    Bounds come from the centers: the geodesic angle is 1-Lipschitz and
+    a point within half-angle r of a center lies within angle 2 r of
+    it, so the point is at least angle(center, mode) - 2 r from every
+    mode. The slack covers the rounding of arccos near 1.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
@@ -281,31 +305,44 @@ class _ModeBlock:
             q = np.array([fixed[t] for t in moved], dtype=np.float64)
             targets[moved] = quat_mul(targets[moved], q[:, None, :])
         self.targets = targets
+        # Each term's modes by term position; a term without modes takes
+        # the identity's, and its `term_` answers are then set to 0.
+        self.has = np.zeros(len(terms), dtype=bool)
+        self.has[self.at] = True
+        self.by_term = np.zeros((len(terms),) + targets.shape[1:])
+        self.by_term[..., 0] = 1.0
+        self.by_term[self.at] = targets
 
-    def term_scores(self, rows=None):
+    def stack_scores(self, rows=None):
         """(T, R): each stacked term's scores at the grid rows `rows`."""
         # Gathered through quats.T, so the rows keep the grid's layout.
         quats = self.grid.quats if rows is None else self.grid.quats.T[:, rows].T
         sq = _kernels.min_angle_sq_stacked(quats[None], self.targets[:, None])
         return -self.kappa * sq
 
-    def bounds(self):
-        """The summed bound of the stacked terms on each cell of the grid.
+    def _bound(self, sq, radius):
+        gap = np.maximum(np.sqrt(sq) - 2.0 * radius - _CELL_SLACK, 0.0)
+        return -self.kappa * (gap * gap)
 
-        The geodesic angle is 1-Lipschitz and a cell's points lie within
-        2 r of its center (r is the cell's half-angle radius), so each
-        point is at least angle(center, mode) - 2 r from every mode. The
-        slack covers the rounding of arccos near 1. Summed in the order
-        of `scores`; rounding is monotone, so the sum of bounds stays at
-        least the sum of scores.
+    def bounds(self, centers, radius):
+        """The stacked terms' bounds, summed in the order of `scores`.
+
+        Rounding is monotone, so the sum of bounds stays at least the
+        sum of scores.
         """
-        cells = self.grid.cells
-        sq = _kernels.min_angle_sq_stacked(cells.centers[None], self.targets[:, None])
-        gap = np.maximum(np.sqrt(sq) - 2.0 * cells.radius - _CELL_SLACK, 0.0)
-        return _summed(-self.kappa * (gap * gap))
+        sq = _kernels.min_angle_sq_stacked(centers[None], self.targets[:, None])
+        return _summed(self._bound(sq, radius))
+
+    def term_bounds(self, at, centers, radius):
+        sq = _kernels.min_angle_sq_stacked(centers, self.by_term[at])
+        return np.where(self.has[at], self._bound(sq, radius), 0.0)
+
+    def term_scores(self, at, rows):
+        sq = _kernels.min_angle_sq_stacked(self.grid.quats.T[:, rows].T, self.by_term[at])
+        return np.where(self.has[at], -self.kappa * sq, 0.0)
 
     def scores(self, rows=None):
-        return _summed(self.term_scores(rows))
+        return _summed(self.stack_scores(rows))
 
 
 def _summed(terms):
@@ -411,12 +448,14 @@ class TableScorer(PairwiseScorer):
     other order (symmetric semantics); the scorer is directional exactly
     when some pair is stored in both orders.
 
-    Over its own grid, `score_grid` memoizes the snapped grid indices,
-    keyed on the fixed camera's quaternion, the moving camera and the
-    row's stored order: the solver scores the same partner rotation
-    again for every block update in which that partner has not moved.
-    The pair's stored row over its own grid is returned as it is, since
-    every grid rotation snaps to itself.
+    Over its own grid, `score_grid` memoizes the snapped grid indices:
+    one entry per fixed camera, moving side and stored order, holding
+    the fixed camera's quaternion and replaced when that camera's
+    rotation changes. The solver scores the same partner rotation again
+    for every block update in which that partner has not moved, and the
+    memo holds at most four entries per camera. The pair's stored row
+    over its own grid is returned as it is, since every grid rotation
+    snaps to itself.
     """
 
     def __init__(self, table: EnergyTable, grid: SO3Grid | None = None):
@@ -456,14 +495,14 @@ class TableScorer(PairwiseScorer):
         if fixed is None and moving == "j" and not transposed:
             return row.astype(np.float64)
         q = None if fixed is None else np.asarray(fixed, dtype=np.float64).tobytes()
-        key = (q, moving, transposed)
-        idx = self._snapped.get(key)
-        if idx is None:
+        key = (j if moving == "i" else i, moving, transposed)
+        memo = self._snapped.get(key)
+        if memo is None or memo[0] != q:
             quats = pair_quats(grid.quats, fixed, moving)
             if transposed:
                 quats = quat_conj(quats)
-            idx = self._snapped[key] = nearest_indices(self.grid, quats)
-        return row[idx].astype(np.float64)
+            memo = self._snapped[key] = (q, nearest_indices(self.grid, quats))
+        return row[memo[1]].astype(np.float64)
 
 
 def score_over_grid(scorer, i, j, grid: SO3Grid):

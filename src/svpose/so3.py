@@ -465,6 +465,13 @@ class CellIndex:
     `order[start[c]:start[c + 1]]` lists, ascending, the grid indices
     cell c owns.
 
+    The parents are the buckets one level up (a cell's bucket code
+    shifted right by 3 bits; a cell already at level 0 is its own
+    parent): 4, 32 and 256 at G = 576, 4608 and 36864. Cells are
+    numbered in bucket order, so parent p's cells are the run
+    `parent_start[p]:parent_start[p + 1]`, and each parent keeps its box
+    center and the largest theta from it to a point it owns.
+
     `groups` bounds where the nearest grid points of many queries lie:
     for queries in bucket c, at most rho from its center, some cell c'
     owns a point within reach(c) = min over c' of sep(c, c') + r_c' of
@@ -483,12 +490,29 @@ class CellIndex:
         self.owner = owner.astype(np.int32)
         self.order = np.argsort(self.owner, kind="stable").astype(np.int32)
         self.start = np.concatenate([[0], np.cumsum(np.bincount(owner))])
-        dot = _kernels.fixed_abs_dots(quats[self.order], self.centers[owner[self.order]])
+        ordered, cell = quats[self.order], owner[self.order]
+        dot = _kernels.fixed_abs_dots(ordered, self.centers[cell])
         self.radius = np.maximum.reduceat(_half_angle(dot), self.start[:-1])
+        up = min(1, self.level)
+        _, runs = np.unique(bucket[first] >> 3 * up, return_index=True)
+        self.parent_start = np.append(runs, first.shape[0])
+        lead = first[runs]
+        self.parent_centers = _box_centers(face[lead], bins[lead] >> up, self.level - up)
+        parent = np.repeat(np.arange(runs.shape[0]), np.diff(self.parent_start))
+        dot = _kernels.fixed_abs_dots(ordered, self.parent_centers[parent[cell]])
+        self.parent_radius = np.maximum.reduceat(_half_angle(dot), self.start[runs])
 
     def points(self, cells):
         """Ascending grid indices of the points the given cells own."""
-        return np.sort(_gather(self.start, self.order, np.asarray(cells))[0])
+        return np.sort(self.owned(cells)[0])
+
+    def owned(self, cells):
+        """The grid indices each of the given cells owns, concatenated, and their counts."""
+        return _gather(self.start, self.order, np.asarray(cells))
+
+    def children(self, parents):
+        """The cells of each of the given parents, concatenated, and their counts."""
+        return _gather(self.parent_start, np.arange(self.radius.shape[0]), np.asarray(parents))
 
     def groups(self, queries):
         """(query rows, candidate grid indices) per nonempty bucket of queries.

@@ -14,30 +14,44 @@ spanning tree; refinement is block coordinate ascent that searches the
 full grid for one camera at a time and accepts strict improvements, so
 the running energy never decreases.
 
-A block update, like the search for a pair's best rotation, maximizes a
-sum of `PairwiseScorer.score_grid` terms over the grid: one per partner
-(two for a directional scorer), each with the partner's rotation fixed.
-A search asks the scorer once for the block (`PairwiseScorer.block`),
-then for the block's summed cell bounds and the summed scores of the
-rows it picks. The mode scorer answers each of these with one stacked
-comparison of the rows against the k modes of all T terms; the default
-block offers no bound and sums one whole-grid `score_grid` row per
-term. The solver never composes the G candidates itself; a camera
-still off the grid is scored through the same terms at its own
+A block update maximizes a sum of `PairwiseScorer.score_grid` terms
+over the grid, one per partner (two for a directional scorer), each
+with the partner's rotation fixed (`grid_search`). The spanning tree
+needs each pair's own maximum, both orders for a directional scorer,
+and finds them all in one stacked search (`grid_searches`). A search
+asks the scorer once for its block (`PairwiseScorer.block`), then for
+bounds and for the scores of the rows it picks. The mode scorer answers
+each with one stacked comparison against the k modes of all T terms;
+the default block offers no bound and sums one whole-grid `score_grid`
+row per term. The solver never composes the G candidates itself; a
+camera still off the grid is scored through the same terms at its own
 rotation, and an energy sums every ordered pair, each in one
-`PairwiseScorer.score_pairs` call. When the block bounds its sum on
-the cells of the grid's cell index and the search is large enough
-(`_BOUND_WORK`), the search is exact branch and bound over one level of
-cells, in the manner of Hartley and Kahl's rotation search:
-- the bounds of the cells, one T x C x k comparison for the mode scorer
-  (C is 32, 256 and 2048 at G = 576, 4608 and 36864);
-- exact scores of the best-bounded cell's points, whose maximum is a
-  lower bound on the block's;
-- exact scores of the points of every cell whose bound reaches it.
-The last evaluation holds the camera's current grid index too, so the
-argmax, its lowest-index tie-break and the strict-improvement test come
-from one evaluation and match a dense search. Otherwise the whole grid
-is scored as one cell: one T x G x k comparison.
+`PairwiseScorer.score_pairs` call.
+
+When the block offers bounds and the search is large enough
+(`_BOUND_WORK`), the search is exact branch and bound over two levels
+of the nested cube map, in the manner of Hartley and Kahl's rotation
+search. The C cells of the grid's cell index are the children of its P
+parents, the buckets one level up (C is 32, 256 and 2048 and P is 4,
+32 and 256 at G = 576, 4608 and 36864):
+- the bounds of the P parents, one T x P x k comparison for the mode
+  scorer;
+- a floor, a lower bound on the maximum: the exact score at the
+  camera's current grid index, or else the best exact score among the
+  points of the best-bounded child of the best-bounded parent;
+- the bounds of the children of every parent whose bound reaches the
+  floor;
+- exact scores of the points of every child whose bound reaches it.
+A search thus bounds P parents plus the children of the parents that
+survive. At G=36864, in 20-camera scenes, that is 256 parents and
+about 33 of the 2048 cells per block update, and 256 parents and 42
+cells per spanning-tree pair. The last evaluation holds the camera's
+current grid index too, so the argmax, its lowest-index tie-break and
+the strict-improvement test come from one evaluation and match a dense
+search. The stacked search takes the same steps for every term at
+once, each term against its own floor, in chunks of `_STACK_PAIRS`
+(term, parent) pairs. Otherwise the whole grid is scored as one cell:
+one T x G x k comparison.
 """
 
 from dataclasses import dataclass, field
@@ -48,19 +62,26 @@ from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 
 # A grid of G points searched for a camera with p partners is scored
 # whole, as one cell, when G * p is at most _BOUND_WORK; larger searches
-# are pruned by per-cell score bounds over the cell index. Bounded over
-# whole-grid solve time with stacked blocks, mode scorer, four scenes,
-# cell index built per solve, 2 CPUs (ranges over repeated runs):
-# - G=4608: 2.21, 0.93, 0.57-0.60, 0.46, 0.39 with 4, 10, 20, 30, 40 cameras;
-# - G=9216: 0.34 with 17;
-# - G=18432: 0.72, 0.61, 0.48-0.70 with 8, 9, 10;
-# - G=36864: 1.71-1.77, 1.24-1.32, 0.76-0.88, 0.70, 0.54-0.57, 0.40,
-#   0.20 with 4, 5, 6, 7, 8, 10, 20.
-# The limit is G=36864 with 5 cameras, the largest search that lost.
-# There the cell index build (about 20 ms) outweighs the few searches
-# it speeds up; smaller grids build it faster and win at smaller G * p,
-# which one limit on G * p leaves dense.
+# are pruned by two-level bounds over the cell index. Bounded over
+# whole-grid solve time with two-level bounds and the stacked
+# spanning-tree search, mode scorer, four scenes, cell index built per
+# solve, 2 CPUs (ranges over two runs, single values from one):
+# - G=4608: 2.14-3.53, 1.39-1.58, 0.55-0.71, 0.31-0.36, 0.38, 0.28 with
+#   4, 6, 10, 20, 30, 40 cameras;
+# - G=9216: 0.91-0.96, 0.24-0.35 with 8, 17;
+# - G=18432: 1.37-1.38, 0.49-0.54, 0.23-0.32 with 5, 8, 10;
+# - G=36864: 2.84-3.37, 1.68-1.77, 1.27-1.32, 0.82-0.89, 0.56, 0.43-0.47,
+#   0.22, 0.14 with 3, 4, 5, 6, 7, 8, 10, 20.
+# The limit is G=36864 with 5 cameras, still the largest search that
+# lost. There the cell index build (about 17 ms) outweighs the few
+# searches it speeds up; smaller grids build it faster and win at
+# smaller G * p (G=4608 from 10 cameras, G=18432 from 8), which one
+# limit on G * p leaves dense.
 _BOUND_WORK = 36864 * 4
+# (term, parent) pairs per chunk of the stacked search, which keeps each
+# temporary a few hundred kB however many cameras there are: 64 terms
+# at G=36864, where 190 pairs would otherwise take 2.5 MB.
+_STACK_PAIRS = 1 << 14
 
 
 @dataclass
@@ -100,22 +121,115 @@ def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
     evaluation.
     """
     block = scorer.block(grid, terms)
-    bound = block.bounds() if grid.n * n_partners > _BOUND_WORK else None
-    rows = None  # the whole grid, as one cell
-    if bound is not None:
-        cells = grid.cells
-        # A cell whose bound equals the floor is still searched: one of
-        # its points may tie the maximum at a lower index.
-        seed = _candidate_rows(cells.points([int(np.argmax(bound))]), current)
-        floor = block.scores(seed).max()
-        rows = _candidate_rows(cells.points(np.flatnonzero(bound >= floor)), current)
-    obj = block.scores(rows)
+    found = None
+    if grid.n * n_partners > _BOUND_WORK:
+        found = _bounded(
+            grid.cells,
+            lambda at, centers, radius: block.bounds(centers, radius),
+            lambda at, rows: block.scores(rows),
+            1,
+            current,
+        )
+    if found is None:
+        rows, obj = np.arange(grid.n), block.scores()
+    else:
+        _, rows, obj = found
     a = int(np.argmax(obj))
-    k = a if rows is None else int(rows[a])
     if current < 0:
-        return k, float(obj[a]), None
-    at = current if rows is None else int(np.searchsorted(rows, current))
-    return k, float(obj[a]), float(obj[at])
+        return int(rows[a]), float(obj[a]), None
+    return int(rows[a]), float(obj[a]), float(obj[np.searchsorted(rows, current)])
+
+
+def grid_searches(scorer, grid: SO3Grid, terms, n_partners):
+    """`grid_search` of each single term in `terms`, as one stacked search.
+
+    Returns each term's (index, value): its own first maximum over the
+    grid and the value a one-term `grid_search` gives there. Sized by
+    `n_partners` as `grid_search` is; a block that offers no bound
+    answers from each term's whole-grid row.
+    """
+    if terms and grid.n * n_partners > _BOUND_WORK:
+        found = _stacked(scorer.block(grid, terms), grid.cells, len(terms))
+        if found is not None:
+            return found
+    found = []
+    for term in terms:
+        obj = scorer.block(grid, [term]).scores()
+        k = int(np.argmax(obj))
+        found.append((k, float(obj[k])))
+    return found
+
+
+def _stacked(block, cells, n):
+    # Each of the block's n terms' (index, value) from `_bounded`, taken
+    # in chunks of _STACK_PAIRS (term, parent) pairs; None without bounds.
+    step = max(1, _STACK_PAIRS // cells.parent_radius.shape[0])
+    found = []
+    for s in range(0, n, step):
+        ids = np.arange(s, min(s + step, n))
+        part = _bounded(
+            cells,
+            lambda at, centers, radius: block.term_bounds(ids[at], centers, radius),
+            lambda at, rows: block.term_scores(ids[at], rows),
+            ids.shape[0],
+        )
+        if part is None:
+            return None
+        at, rows, obj = part
+        # A one-term sum starts from 0.0, which turns -0.0 into 0.0.
+        found += [(int(rows[m]), float(obj[m]) + 0.0) for m in _first_max(obj, at)]
+    return found
+
+
+def _bounded(cells, bound, score, n, current=-1):
+    """Exact two-level branch and bound for n searches at once, or None.
+
+    `bound(at, centers, radius)` bounds search at[m]'s objective at
+    every grid point within half-angle radius[m] of centers[m], the
+    three broadcast together, or is None for a block without bounds;
+    `score(at, rows)` is search at[m]'s objective at grid row rows[m],
+    each search's rows ascending. Returns the (at, rows, obj) of the
+    last evaluation, grouped by search: the points of every cell that
+    can hold a search's maximum, and `current` (for one search, unless
+    -1).
+    """
+    searches = np.arange(n)
+    top = bound(searches[:, None], cells.parent_centers, cells.parent_radius)
+    if top is None:
+        return None
+    top = np.reshape(top, (n, -1))
+    # The floor is a lower bound on each search's maximum: the score at
+    # `current`, or else the best score among the points of the best
+    # child of the search's best parent.
+    if current >= 0:
+        floor = score(searches, np.array([current]))
+    else:
+        at, kids = _children(cells, searches, top.argmax(axis=1))
+        seed = kids[_first_max(bound(at, cells.centers[kids], cells.radius[kids]), at)]
+        at, rows = _owned(cells, searches, seed, -1)
+        floor = np.maximum.reduceat(score(at, rows), _starts(at))
+    # A parent or cell whose bound equals the floor is still searched:
+    # one of its points may tie the maximum at a lower index.
+    search, parent = np.nonzero(top >= floor[:, None])
+    at, kids = _children(cells, search, parent)
+    keep = bound(at, cells.centers[kids], cells.radius[kids]) >= floor[at]
+    at, rows = _owned(cells, at[keep], kids[keep], current)
+    return at, rows, score(at, rows)
+
+
+def _children(cells, searches, parents):
+    # The cells of parents[m], each tagged with its search searches[m].
+    kids, counts = cells.children(parents)
+    return np.repeat(searches, counts), kids
+
+
+def _owned(cells, searches, kids, current):
+    # The grid points of cells kids[m] for search searches[m], ascending
+    # within each search, and `current` for search 0 unless it is -1.
+    rows, counts = cells.owned(kids)
+    g = cells.owner.shape[0]
+    key = _candidate_rows(np.sort(np.repeat(searches, counts) * g + rows), current)
+    return key // g, key % g
 
 
 def _candidate_rows(rows, current):
@@ -125,6 +239,19 @@ def _candidate_rows(rows, current):
         if at == rows.shape[0] or rows[at] != current:
             rows = np.insert(rows, at, current)
     return rows
+
+
+def _starts(at):
+    # Where each search's run begins in the grouped array `at`.
+    return np.flatnonzero(np.diff(at, prepend=-1))
+
+
+def _first_max(values, at):
+    # The position of each search's first maximum among `values`.
+    starts = _starts(at)
+    best = np.maximum.reduceat(values, starts)
+    pos = np.where(values == best[at], np.arange(values.shape[0]), values.shape[0])
+    return np.minimum.reduceat(pos, starts)
 
 
 def _summed_scores_at(scorer, terms, quat):
@@ -144,11 +271,11 @@ def best_pairwise(scorer, i, j, grid: SO3Grid, n_partners=1):
     """Grid rotation maximizing score(i, j, .), ties to the lowest index.
 
     `n_partners`, the partners each camera has in the problem, sizes the
-    search (see `grid_search`).
+    search (see `grid_searches`).
     """
     if i == j:
         raise ValueError("pair indices must differ")
-    k, best, _ = grid_search(scorer, grid, [(i, j, None, "j")], n_partners)
+    [(k, best)] = grid_searches(scorer, grid, [(i, j, None, "j")], n_partners)
     return grid.rotations[k].copy(), best
 
 
@@ -182,17 +309,24 @@ def mst_init(scorer, n_cameras, grid: SO3Grid):
         raise ValueError("need at least two cameras")
     rotations = [np.eye(3) for _ in range(n_cameras)]
 
+    # Every pair's best rotation in one stacked search, both orders
+    # for a directional scorer.
+    pairs = [(i, j) for i in range(n_cameras) for j in range(i + 1, n_cameras)]
+    terms = [(i, j, None, "j") for i, j in pairs]
+    if scorer.directional:
+        terms += [(j, i, None, "j") for i, j in pairs]
+    found = grid_searches(scorer, grid, terms, n_cameras - 1)
     rel = {}
     edges = []
-    for i in range(n_cameras):
-        for j in range(i + 1, n_cameras):
-            rot_ij, s_ij = best_pairwise(scorer, i, j, grid, n_cameras - 1)
-            if scorer.directional:
-                rot_ji, s_ji = best_pairwise(scorer, j, i, grid, n_cameras - 1)
-                if s_ji > s_ij:
-                    rot_ij, s_ij = rot_ji.T, s_ji
-            rel[(i, j)] = rot_ij
-            edges.append((-s_ij, i, j))
+    for t, (i, j) in enumerate(pairs):
+        k, s_ij = found[t]
+        rot_ij = grid.rotations[k]
+        if scorer.directional:
+            k_ji, s_ji = found[len(pairs) + t]
+            if s_ji > s_ij:
+                rot_ij, s_ij = grid.rotations[k_ji].T, s_ji
+        rel[(i, j)] = rot_ij
+        edges.append((-s_ij, i, j))
     edges.sort()
 
     uf = _UnionFind(n_cameras)

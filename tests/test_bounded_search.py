@@ -1,11 +1,13 @@
-"""The solver's bounded grid search against a dense oracle.
+"""The solver's bounded grid searches against a dense oracle.
 
-A block update (and a pair's best rotation in `mst_init`) maximizes a
-sum of `score_grid` terms over the grid. When the scorer's block bounds
-the sum on the grid's cells, only the points of cells whose bound
-reaches the best exact score are scored. The oracle scores every term over the
-whole grid, takes the first maximum and compares the camera's current
-index strictly, as the dense block update did.
+A block update maximizes a sum of `score_grid` terms over the grid, and
+`mst_init` maximizes each pair's own term in one stacked search. When
+the scorer's block bounds its terms, the searches bound the parents of
+the grid's cells, then the cells of parents that reach the best exact
+score found so far, and score only the points of cells that reach it.
+The oracle scores every term over the whole grid, takes the first
+maximum and compares the camera's current index strictly, as the dense
+block update did.
 """
 
 import pickle
@@ -15,6 +17,7 @@ import pytest
 
 from svpose import _kernels, so3, solver
 from svpose.energy import (
+    ConstantScorer,
     EnergyTable,
     GridBlock,
     PairwiseScorer,
@@ -46,6 +49,15 @@ def dense_search(scorer, grid, terms, n_partners, current=-1):
         obj += scorer.score_grid(i, j, grid, fixed, moving=moving)
     k = int(np.argmax(obj))
     return k, float(obj[k]), (None if current < 0 else float(obj[current]))
+
+
+def dense_searches(scorer, grid, terms, n_partners=1):
+    return [dense_search(scorer, grid, [term], n_partners)[:2] for term in terms]
+
+
+def bits(found):
+    # (index, value) pairs with each value's exact bits, -0.0 included.
+    return [(k, float(v).hex()) for k, v in found]
 
 
 class Recorder:
@@ -83,11 +95,13 @@ class RecordedBlock:
 def checked_solve(monkeypatch, scorer, n, grid):
     """Solve while every search is compared with the dense oracle.
 
-    Returns the hypothesis, the hypothesis the oracle alone gives, and
-    the recorded row counts.
+    Both kinds are checked: the block updates (`grid_search`) and the
+    spanning tree's stacked pair search (`grid_searches`). Returns the
+    hypothesis, the hypothesis the oracle alone gives, and the recorded
+    row counts of the block updates' evaluations.
     """
     decisions = []
-    search = solver.grid_search
+    search, searches = solver.grid_search, solver.grid_searches
     recorder = Recorder(scorer)
 
     def both(scorer_, grid_, terms, n_partners, current=-1):
@@ -97,13 +111,33 @@ def checked_solve(monkeypatch, scorer, n, grid):
         decisions.append(got)
         return got
 
+    def each(scorer_, grid_, terms, n_partners):
+        got = searches(scorer_, grid_, terms, n_partners)
+        want = dense_searches(scorer, grid_, terms, n_partners)
+        assert bits(got) == bits(want), f"stacked search over {len(terms)} terms"
+        decisions.append(got)
+        return got
+
     monkeypatch.setattr(solver, "grid_search", both)
+    monkeypatch.setattr(solver, "grid_searches", each)
     hyp = solver.solve(recorder, n, grid)
     monkeypatch.setattr(solver, "grid_search", dense_search)
+    monkeypatch.setattr(solver, "grid_searches", dense_searches)
     oracle = solver.solve(scorer, n, grid)
     monkeypatch.setattr(solver, "grid_search", search)
-    assert decisions
+    monkeypatch.setattr(solver, "grid_searches", searches)
+    # The spanning tree's one stacked search, then the block updates.
+    assert len(decisions) > 1 and len(decisions[0]) == len(pair_terms(scorer, n))
     return hyp, oracle, recorder.rows
+
+
+def pair_terms(scorer, n):
+    # The spanning tree's terms: every pair, both orders when directional.
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    terms = [(i, j, None, "j") for i, j in pairs]
+    if scorer.directional:
+        terms += [(j, i, None, "j") for i, j in pairs]
+    return terms
 
 
 def assert_same(hyp, oracle):
@@ -190,6 +224,59 @@ def test_table_scorer_searches_the_whole_grid(monkeypatch):
     hyp, oracle, recorded = checked_solve(monkeypatch, scorer, 5, grid)
     assert_same(hyp, oracle)
     assert set(recorded) == {None}
+
+
+def table_scorer(seed, n, grid):
+    source = scene_scorer(seed, n)
+    rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    return TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+
+
+STACKED_SCORERS = {
+    "symmetric-multimode": lambda grid: (scene_scorer(51, 6, symmetric=True), 6),
+    "directional-modeless": lambda grid: (
+        directional_scorer(52, 5, missing={(0, 2), (3, 4)}),
+        5,
+    ),
+    "constant": lambda grid: (ConstantScorer(-2.5), 5),
+    "table": lambda grid: (table_scorer(53, 5, grid), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SCORERS))
+@pytest.mark.parametrize("grid_n", [100, 576, 4608, 36864])
+def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, grid_n):
+    # G=100 has its cells at level 0, so each is its own parent; at
+    # G=576 the parents are the four faces.
+    grid = grid_of(grid_n, "random_uniform" if grid_n == 100 else "super_fibonacci")
+    assert (grid.cells.level == 0) == (grid_n == 100)
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    scorer, n = STACKED_SCORERS[name](grid)
+    terms = pair_terms(scorer, n)
+    rng = rng_for(grid_n)
+    # Block-update-shaped terms too: a fixed partner, either side moving.
+    for i, j, _, _ in terms[:4]:
+        terms.append((i, j, so3.random_quats(rng, 1)[0], "i"))
+        terms.append((j, i, grid.quats[int(rng.integers(grid.n))], "j"))
+    got = solver.grid_searches(scorer, grid, terms, n - 1)
+    want = dense_searches(scorer, grid, terms)
+    assert bits(got) == bits(want)
+    # In chunks of 5 terms, the last one short, as a large rig's would be.
+    monkeypatch.setattr(solver, "_STACK_PAIRS", 5 * grid.cells.parent_radius.shape[0])
+    assert len(terms) % 5
+    assert bits(solver.grid_searches(scorer, grid, terms, n - 1)) == bits(want)
+    cells = grid.cells
+    bounded = scorer.block(grid, terms).term_bounds(
+        np.zeros((1, 1), dtype=np.int64), cells.parent_centers, cells.parent_radius
+    )
+    assert (bounded is not None) == (name in ("symmetric-multimode", "directional-modeless"))
+    if name == "constant":
+        assert {k for k, _ in got} == {0}
+    for (i, j, fixed, _), (k, value) in zip(terms, got):
+        if fixed is None:
+            rotation, best = solver.best_pairwise(scorer, i, j, grid, n - 1)
+            assert np.array_equal(rotation, grid.rotations[k])
+            assert float(best).hex() == float(value).hex()
 
 
 def test_search_current_index_scored_with_candidates(monkeypatch):
@@ -297,20 +384,44 @@ def bound_cases(draw):
 @given(bound_cases())
 def test_cell_bound_covers_every_point_of_the_cell(case):
     scorer, grid, (i, j), fixed, moving = case
-    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds()
+    cells = grid.cells
+    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds(cells.centers, cells.radius)
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     cell_max = np.full(bound.shape[0], -np.inf)
-    np.maximum.at(cell_max, grid.cells.owner, scores)
+    np.maximum.at(cell_max, cells.owner, scores)
     assert np.all(bound >= cell_max)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bound_cases())
+def test_parent_bound_covers_every_point_of_the_parent(case):
+    scorer, grid, (i, j), fixed, moving = case
+    cells = grid.cells
+    block = scorer.block(grid, [(i, j, fixed, moving)])
+    centers, radius = cells.parent_centers, cells.parent_radius
+    summed = block.bounds(centers, radius)
+    alone = block.term_bounds(np.zeros((1, 1), dtype=np.int64), centers, radius)[0]
+    scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
+    counts = np.diff(cells.parent_start)
+    parent = np.repeat(np.arange(counts.shape[0]), counts)[cells.owner]
+    parent_max = np.full(counts.shape[0], -np.inf)
+    np.maximum.at(parent_max, parent, scores)
+    assert np.all(summed >= parent_max)
+    assert np.all(alone >= parent_max)
 
 
 def test_modeless_pair_bound_is_zero():
     grid = grid_of(576)
     modes = {(0, 1): so3.random_quats(rng_for(38), 1)}
     scorer = SymmetricModeScorer(modes=modes, kappa=5.0)
-    bound = scorer.block(grid, [(0, 2, None, "j")]).bounds()
-    assert bound.shape == grid.cells.radius.shape
-    assert not bound.any()
+    cells = grid.cells
+    block = scorer.block(grid, [(0, 2, None, "j"), (0, 1, None, "j")])
+    levels = ((cells.centers, cells.radius), (cells.parent_centers, cells.parent_radius))
+    for centers, radius in levels:
+        bound = block.term_bounds(np.zeros((1, 1), dtype=np.int64), centers, radius)[0]
+        assert bound.shape == radius.shape
+        assert not bound.any()
+    assert not block.term_scores(np.zeros(5, dtype=np.int64), np.arange(5)).any()
 
 
 class QuatsOnly(PairwiseScorer):
@@ -333,7 +444,11 @@ def test_rows_restrict_block_scores_bit_for_bit():
             for moving in ("i", "j"):
                 block = scorer.block(grid, [(0, 1, fixed, moving), (2, 1, fixed, moving)])
                 assert np.array_equal(block.scores(rows), block.scores()[rows])
-    assert QuatsOnly(mode).block(grid, [(0, 1, None, "j")]).bounds() is None
+    cells = grid.cells
+    default = QuatsOnly(mode).block(grid, [(0, 1, None, "j")])
+    assert default.bounds(cells.centers, cells.radius) is None
+    first = np.zeros((1, 1), dtype=np.int64)
+    assert default.term_bounds(first, cells.centers, cells.radius) is None
 
 
 def moved_modes(scorer, i, j, fixed, moving):
@@ -409,13 +524,15 @@ def block_cases(draw):
 @given(block_cases())
 def test_stacked_block_matches_per_term_default_bit_for_bit(case):
     scorer, grid, terms, rows = case
+    cells = grid.cells
     stacked, default = scorer.block(grid, terms), GridBlock(scorer, grid, terms)
     assert stacked.scores().tobytes() == default.scores().tobytes()
-    assert default.bounds() is None
+    assert default.bounds(cells.centers, cells.radius) is None
     # The per-term formulas, summed in term order from 0.0.
     scores = np.zeros(grid.n if rows is None else len(rows))
-    bounds = np.zeros(grid.cells.radius.shape[0])
-    for term in terms:
+    bounds = np.zeros(cells.radius.shape[0])
+    picked = np.arange(grid.n) if rows is None else rows
+    for t, term in enumerate(terms):
         term_scores, term_bounds = one_term(scorer, grid, term, rows)
         scores += term_scores
         bounds += term_bounds
@@ -423,8 +540,14 @@ def test_stacked_block_matches_per_term_default_bit_for_bit(case):
         i, j, fixed, moving = term
         got = scorer.score_grid(i, j, grid, fixed, moving=moving)
         assert got.tobytes() == one_term(scorer, grid, term, None)[0].tobytes()
+        # So are the term's own answers, entry by entry.
+        at = np.full(picked.shape[0], t)
+        assert stacked.term_scores(at, picked).tobytes() == term_scores.tobytes()
+        at = np.full(cells.radius.shape[0], t)
+        alone = stacked.term_bounds(at, cells.centers, cells.radius)
+        assert alone.tobytes() == term_bounds.tobytes()
     assert stacked.scores(rows).tobytes() == scores.tobytes()
-    assert stacked.bounds().tobytes() == bounds.tobytes()
+    assert stacked.bounds(cells.centers, cells.radius).tobytes() == bounds.tobytes()
 
 
 def test_one_term_keeps_the_negative_zero_of_a_mode_on_the_grid():

@@ -134,7 +134,7 @@ def test_zero_row_modes_are_no_modes():
         assert np.array_equal(s.score_grid(i, j, grid, q[0], moving="i"), np.zeros(576))
         block = s.block(grid, [(i, j, q[1], "j")])
         assert np.array_equal(block.scores(np.array([3])), [0.0])
-        bound = block.bounds()
+        bound = block.bounds(grid.cells.centers, grid.cells.radius)
         assert bound.shape == grid.cells.radius.shape and not bound.any()
 
 
@@ -342,9 +342,10 @@ def test_table_scorer_memo_matches_fresh_scorer():
                     for g in (grid, same_quats):
                         got = memo.score_grid(i, j, g, q, moving=moving)
                         assert np.array_equal(got, want)
-    # One snapped batch per (fixed rotation, moving camera, stored order),
-    # less the stored rows served as they are.
-    assert len(memo._snapped) == len(fixed) * 2 * 2 - 1
+    # One snapped batch per (fixed camera, moving side, stored order):
+    # cameras 0 and 2 are fixed in one stored order per side, camera 1
+    # in both, and pairs that share all three share the entry.
+    assert len(memo._snapped) == 6
     for _ in range(2):
         with pytest.raises(ValueError):
             memo.score_grid(0, 1, grid, fixed[1], moving="k")
@@ -396,6 +397,29 @@ def test_table_solve_reuses_snapped_batches(tmp_path, monkeypatch):
     assert np.array_equal(got.rotations, want.rotations)
     assert got.total_energy == want.total_energy
     assert got.energy_trace == want.energy_trace
+
+
+def test_table_memo_stays_bounded_across_solves():
+    # Each solve here starts from other rotations, so a memo keyed on
+    # the rotations themselves would grow with every solve; one entry
+    # per fixed camera, moving side and stored order stays at most 4 n.
+    from svpose.solver import coordinate_ascent
+
+    n = 6
+    grid = so3.build_grid(4608)
+    rig = RigSpec(n_cameras=n, seed=17, jitter=0.05)
+    source = scene_to_scorer(generate_scene(rig), 50.0, 0.02)
+    rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+    rng = rng_for(17)
+    for _ in range(3):
+        init = grid.rotations[rng.choice(grid.n, n, replace=False)]
+        want = coordinate_ascent(ComposedTableScorer(scorer.table, grid), init, grid)
+        got = coordinate_ascent(scorer, init, grid)
+        assert 0 < len(scorer._snapped) <= 4 * n
+        assert np.array_equal(got.rotations, want.rotations)
+        assert got.energy_trace == want.energy_trace
+        assert got.total_energy == want.total_energy
 
 
 def test_nll_uniform_is_log_n():

@@ -409,3 +409,32 @@ def test_cells_are_nearest_table_buckets_two_levels_up(n):
     assert all(i in table.entries[table.ptr[b] : table.ptr[b + 1]] for i, b in enumerate(bucket))
     assert np.array_equal(cell_bucket[cells.owner], bucket >> 3 * up)
     assert np.array_equal(cells.points(np.arange(cells.radius.shape[0])), np.arange(n))
+
+
+@pytest.mark.parametrize("n", [1, 7, 576, 4608, 36864])
+def test_parents_are_the_cells_buckets_one_level_up(n):
+    grid = so3.build_grid(n, generator="random_uniform", seed=9)
+    cells = grid.cells
+    up = min(1, cells.level)
+    counts = np.diff(cells.parent_start)
+    assert counts.min() >= 1 and counts.sum() == cells.radius.shape[0]
+    assert cells.parent_start[0] == 0 and counts.max() <= 8
+    # A parent's center names its bucket one level up, and its cells
+    # are the run of cells whose buckets it holds.
+    parent_bucket = so3._cube_buckets(cells.parent_centers, cells.level - up)[0]
+    cell_bucket = so3._cube_buckets(cells.centers, cells.level)[0]
+    assert np.array_equal(np.repeat(parent_bucket, counts), cell_bucket >> 3 * up)
+    kids, lens = cells.children(np.arange(counts.shape[0])[::-1])
+    assert np.array_equal(lens, counts[::-1])
+    assert np.array_equal(np.sort(kids), np.arange(cells.radius.shape[0]))
+    # The radius is the largest theta from the center to a point the
+    # parent owns.
+    parent = np.repeat(np.arange(counts.shape[0]), counts)[cells.owner]
+    dot = _kernels.fixed_abs_dots(grid.quats, cells.parent_centers[parent])
+    theta = np.arccos(np.minimum(dot, 1.0))
+    radius = np.zeros(counts.shape[0])
+    np.maximum.at(radius, parent, theta)
+    assert np.array_equal(radius, cells.parent_radius)
+    if n >= 4608:
+        # 32 and 256 parents: every bucket one level up owns points.
+        assert counts.shape[0] == 4 * 8 ** (cells.level - 1)
