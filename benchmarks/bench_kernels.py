@@ -16,8 +16,8 @@ and on average over the block updates of a two-sweep solve. Building
 the cell index is timed on its own; a solve builds it once per grid.
 The mode scorer's stacked bounded search, which scores all the block's
 terms in one kernel call per evaluation, is then timed against the
-default `GridBlock`, which offers no bound and sums one whole-grid
-`score_grid` row per term, so its search is dense; again the two must
+default `GridBlock`, which offers no bound and answers each term's
+whole-grid `score_grid` row, so its search is dense; again the two must
 return the same three numbers.
 
 The spanning tree's stacked search (`solver.grid_searches`), which
@@ -34,11 +34,10 @@ Both sides of the pair are timed, and the two must agree to within
 
 Then the grid's nearest table is built at G=576, 4608 and 36864 (the
 build is timed once), and lookups of 4608 queries through it
-(`so3.nearest_indices`) are timed against the dense kernel
+(`so3.nearest_indices`) are timed against the whole-grid scan
 `_kernels.nearest_abs_dots`, on a solver-shaped batch (one camera
 composed with grid rotations) and on random rotations. The table must
-return the indices of a whole-grid scan with the same sums
-(`_kernels.nearest_fixed`). The mean and largest bucket list lengths
+return the scan's indices. The mean and largest bucket list lengths
 are printed beside each size.
 
 Then the mode kernel `_kernels.min_angle_sq_to_targets` is timed on
@@ -88,10 +87,7 @@ class WholeGrid(Proxy):
 
 
 class Unbounded(Proxy):
-    def bounds(self, centers, radius):
-        return None
-
-    def term_bounds(self, at, centers, radius):
+    def bounds(self, at, centers, radius):
         return None
 
 
@@ -117,9 +113,9 @@ class Counted(Proxy):
         self._counter = counter
         self._n = n
 
-    def scores(self, rows=None):
+    def scores(self, at, rows=None):
         self._counter.rows += self._n if rows is None else rows.shape[0]
-        return self._inner.scores(rows)
+        return self._inner.scores(at, rows)
 
 
 class BoundCounter(Proxy):
@@ -143,9 +139,9 @@ class BoundsCounted(Proxy):
         super().__init__(block)
         self._sizes = sizes
 
-    def bounds(self, centers, radius):
+    def bounds(self, at, centers, radius):
         self._sizes.append(centers.shape[0])
-        return self._inner.bounds(centers, radius)
+        return self._inner.bounds(at, centers, radius)
 
 
 def bounded_sizes(updates):
@@ -284,7 +280,7 @@ def bench_lookup():
         ]
         for name, queries in batches:
             queries = np.ascontiguousarray(queries)
-            want, _ = _kernels.nearest_fixed(queries, grid.quats)
+            want, _ = _kernels.nearest_abs_dots(queries, grid.quats)
             got = so3.nearest_indices(grid, queries)
             assert np.array_equal(want, got), f"G={n} {name}: table lookup differs"
             t_dense = _timeit(_kernels.nearest_abs_dots, queries, grid.quats)
@@ -330,8 +326,7 @@ def main():
     queries = so3.random_quats(rng, 20000)
 
     cases = [
-        ("nearest_abs_dots (20000 x 4608)", _kernels.nearest_abs_dots, (queries, grid)),
-        ("nearest_fixed (2000 x 4608)", _kernels.nearest_fixed, (queries[:2000], grid)),
+        ("nearest_abs_dots (2000 x 4608)", _kernels.nearest_abs_dots, (queries[:2000], grid)),
         ("min_max_abs_dot (10000 x 4608)", _kernels.min_max_abs_dot, (queries[:10000], grid)),
     ]
     print(f"{'kernel':<44} {'time':>10}")

@@ -11,10 +11,9 @@ The grid-sized kernels work through their rows in blocks of about
 full rows x grid product is ever held.
 
 One rounding rule: `fixed_abs_dots` sums the four terms in one fixed
-order, so a row's |dot| is the same alone as in any batch. Two kernels
-keep a BLAS product: `min_max_abs_dot` reproduces the frozen covering
-radii, and `nearest_abs_dots`, which svpose no longer calls, stays
-because the benchmark's traced runs (`perfbench/spans.py`) wrap it.
+order, so a row's |dot| is the same alone as in any batch. One kernel
+keeps a BLAS product: `min_max_abs_dot` reproduces the frozen covering
+radii.
 """
 
 import numpy as np
@@ -52,21 +51,6 @@ def min_angle_sq_to_targets(quats, targets):
     return min_angle_sq_stacked(quats, targets)
 
 
-def nearest_abs_dots(queries, grid):
-    """Index of each query's nearest grid quaternion, and its |dot|."""
-    n = queries.shape[0]
-    step = _block_rows(grid.shape[0])
-    idx = np.empty(n, dtype=np.int64)
-    dot = np.empty(n)
-    for s in range(0, n, step):
-        block = queries[s : s + step] @ grid.T
-        np.abs(block, out=block)
-        k = block.argmax(axis=1)
-        idx[s : s + step] = k
-        dot[s : s + step] = block[np.arange(block.shape[0]), k]
-    return idx, dot
-
-
 def fixed_abs_dots(a, b):
     """|((a0 b0 + a1 b1) + a2 b2) + a3 b3| over broadcast (..., 4) arrays."""
     out = a[..., 0] * b[..., 0]
@@ -77,8 +61,8 @@ def fixed_abs_dots(a, b):
     return out
 
 
-def nearest_fixed(queries, grid):
-    """`nearest_abs_dots` with every |dot| from `fixed_abs_dots`."""
+def nearest_abs_dots(queries, grid):
+    """Index of each query's nearest grid quaternion, and its |dot| from `fixed_abs_dots`."""
     n = queries.shape[0]
     step = _block_rows(grid.shape[0])
     idx = np.empty(n, dtype=np.int64)

@@ -13,16 +13,16 @@ than their defaults, which are written in terms of `score_quats`:
   the pair runs over the grid and the other stays fixed. The mode
   scorer moves its few modes instead of the G candidates; the table
   scorer looks up grid indices.
-- `block` answers one search: a sum of `score_grid` terms, one per
-  partner of the moving camera, prepared once and then asked for
-  bounds, `bounds(centers, radius)`, and for the summed scores of any
-  rows; for the spanning tree's stacked search it answers the same of
-  each term alone. It is the only place a bound or a row subset
-  exists. The default `GridBlock` offers no bound, so the solver
-  scores the whole grid. The mode scorer's block stacks its terms: one
-  quaternion product moves every term's modes, one kernel call scores
-  every term, and every grid point within half-angle r of a center is
-  bounded from that center, since the geodesic angle is 1-Lipschitz.
+- `block` prepares one search over a list of `score_grid` terms and
+  answers two questions about each term alone: an upper bound on its
+  score near a center, `bounds(at, centers, radius)`, and its score at
+  any grid rows, `scores(at, rows)`. It is the only place a bound or a
+  row subset exists; the solver sums the terms. The default `GridBlock`
+  offers no bound, so the solver scores the whole grid. The mode
+  scorer's block stacks its terms: one quaternion product moves every
+  term's modes, one kernel call scores every term, and every grid
+  point within half-angle r of a center is bounded from that center,
+  since the geodesic angle is 1-Lipschitz.
 - `score_pairs` scores one relative rotation for each of a list of
   pairs: the solver's energies ask only this.
 Table rows are stored float32; every accumulation happens in float64.
@@ -86,9 +86,8 @@ class PairwiseScorer:
     them faster than the defaults. An override must return what its
     default returns, up to rounding; the mode scorer's `block` and
     `score_pairs` return the same bits as the defaults, so its solves do
-    not depend on which path scored them. A block may also bound its
-    sum, and each of its terms, at every grid point within half-angle
-    `radius` of a center, `bounds(centers, radius)`; see `GridBlock`.
+    not depend on which path scored them. A block may also bound each
+    term's score near a center; see `GridBlock`.
     """
 
     directional = True
@@ -125,28 +124,22 @@ class PairwiseScorer:
 
 
 class GridBlock:
-    """A sum of `score_grid` terms over a grid, prepared once for one search.
+    """`score_grid` terms over a grid, prepared once for one search.
 
-    `terms` lists the (i, j, fixed, moving) arguments of each term. The
-    sum runs in term order from 0.0, one whole-grid `score_grid` row per
-    term. This default offers no bound, so the solver scores the whole
-    grid as one cell.
-
-    A block that offers a bound answers the solver's two-level search:
-    - `bounds(centers, radius)` returns, for each of the (C, 4) unit
-      quaternions `centers`, a float that is at least `scores` at every
-      grid point within half-angle `radius[c]` of center c, as computed
-      in floating point;
-    - `term_bounds(at, centers, radius)` bounds each term alone the same
-      way: entry m bounds term `at[m]`'s own score within `radius[m]` of
-      `centers[m]` (the three broadcast together);
-    - `term_scores(at, rows)` is term `at[m]`'s own score at grid row
-      `rows[m]`.
-    Any rows are scored bit for bit as in the whole grid. The
-    spanning-tree search asks only the `term_` pair, and a block update
-    only `bounds` and `scores`. A block written for the one-level search,
-    whose `bounds()` took no arguments and bounded each cell of
-    `grid.cells`, must be updated to these signatures.
+    `terms` lists the (i, j, fixed, moving) arguments of each term. A
+    block answers two questions about each term alone; `at`, `centers`
+    and `radius`, or `at` and `rows`, broadcast together:
+    - `bounds(at, centers, radius)`: a float that is at least term
+      `at[m]`'s score, as computed in floating point, at every grid
+      point within half-angle `radius[m]` of the unit quaternion
+      `centers[m]`, or None for a block without bounds;
+    - `scores(at, rows=None)`: term `at[m]`'s score at grid row
+      `rows[m]`, bit for bit as in its whole-grid `score_grid` row;
+      None is every row.
+    The solver sums the terms itself, in term order from 0.0; rounding
+    is monotone, so its sum of bounds stays at least its sum of scores.
+    This default offers no bound, so the solver scores the whole grid as
+    one cell.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
@@ -154,20 +147,19 @@ class GridBlock:
         self.grid = grid
         self.terms = terms
 
-    def bounds(self, centers, radius):
-        """Upper bound of `scores` within `radius` of each center, or None."""
+    def bounds(self, at, centers, radius):
         return None
 
-    def term_bounds(self, at, centers, radius):
-        """Upper bound of each term `at[m]` alone within `radius[m]` of `centers[m]`, or None."""
-        return None
-
-    def scores(self, rows=None):
-        """The sum at the ascending grid indices `rows`; None is the whole grid."""
-        obj = np.zeros(self.grid.n)
-        for i, j, fixed, moving in self.terms:
-            obj += self.scorer.score_grid(i, j, self.grid, fixed, moving=moving)
-        return obj if rows is None else obj[rows]
+    def scores(self, at, rows=None):
+        ids, back = np.unique(at, return_inverse=True)
+        table = np.array(
+            [
+                self.scorer.score_grid(i, j, self.grid, fixed, moving=moving)
+                for i, j, fixed, moving in (self.terms[t] for t in ids)
+            ]
+        )
+        rows = np.arange(self.grid.n) if rows is None else rows
+        return table[back.reshape(np.shape(at)), rows]
 
 
 class ConstantScorer(PairwiseScorer):
@@ -227,22 +219,20 @@ class SymmetricModeScorer(PairwiseScorer):
     def score_pairs(self, pairs, quats):
         """All rows in one kernel call, against each pair's own modes."""
         quats = np.asarray(quats, dtype=np.float64)
-        out = np.zeros(quats.shape[0])
-        at, targets = self._stacked_modes(pairs, ["j"] * len(pairs))
-        if at:
-            out[at] = -self.kappa * _kernels.min_angle_sq_stacked(quats[at], targets)
-        return out
+        targets, weight = self._stacked_modes(pairs, ["j"] * len(pairs))
+        return weight * _kernels.min_angle_sq_stacked(quats, targets)
 
     def _stacked_modes(self, pairs, moving):
-        """The modes of each pair that has any, as one (T, k, 4) stack.
+        """Each pair's modes as one (T, k, 4) stack, and each pair's weight.
 
-        Returns the positions in `pairs` of the T pairs with modes, and
-        their modes in that order, conjugated where `moving` is "i".
-        Ragged mode counts are padded by repeating a pair's modes, which
-        leaves every minimum over them as it is.
+        A pair's modes are conjugated where `moving` is "i", and its
+        weight is -kappa. A pair without modes takes the identity as its
+        mode and weight 0.0, so it scores 0.0 everywhere. Ragged mode
+        counts are padded by repeating a pair's modes, which leaves
+        every minimum over them as it is.
         """
-        at, stack, conj = [], [], []
-        for t, ((i, j), side) in enumerate(zip(pairs, moving)):
+        stack, conj, weight = [], [], []
+        for (i, j), side in zip(pairs, moving):
             if i == j:
                 raise ValueError("pair indices must differ")
             _check_moving(side)
@@ -252,18 +242,16 @@ class SymmetricModeScorer(PairwiseScorer):
             modes = self.modes.get((i, j))
             if modes is None:
                 modes = self.modes.get((j, i))
-                if modes is None:
-                    continue
                 flip = not flip
-            at.append(t)
-            stack.append(modes)
+            stack.append(_IDENTITY if modes is None else modes)
             conj.append(flip)
+            weight.append(0.0 if modes is None else -self.kappa)
         k = max((m.shape[0] for m in stack), default=1)
         stack = [m if m.shape[0] == k else np.resize(m, (k, 4)) for m in stack]
         stack = np.array(stack).reshape(-1, k, 4)
         if any(conj):
             stack[conj, :, 1:] = -stack[conj, :, 1:]
-        return at, stack
+        return stack, np.array(weight)
 
     def block(self, grid: SO3Grid, terms):
         """Every term's modes moved at once; see `_ModeBlock`."""
@@ -271,22 +259,22 @@ class SymmetricModeScorer(PairwiseScorer):
 
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         """Moves the k modes instead of composing the G candidates."""
-        # The term's own scores, not their sum from 0.0, which would turn
-        # the -0.0 of a grid point on a mode into 0.0.
-        block = _ModeBlock(self, grid, [(i, j, fixed, moving)])
-        return block.stack_scores()[0] if block.at else np.zeros(grid.n)
+        # The term's own scores: a grid point on a mode keeps its -0.0.
+        return _ModeBlock(self, grid, [(i, j, fixed, moving)]).scores(0)
+
+
+_IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
 
 
 class _ModeBlock:
-    """A sum of mode-scorer terms, scored by one kernel call per evaluation.
+    """Mode-scorer terms, each scored against its modes in one kernel call.
 
     Left and right multiplication by a unit quaternion preserve the
     inner product, so |<q S^-1, m>| = |<S, m^-1 q>| and
     |<S q^-1, m>| = |<S, m q>|: the grid itself is compared against the
     modes composed with the fixed camera's rotation q, one quaternion
-    product for all terms. A term without modes scores 0 everywhere;
-    adding 0.0 to a sum that began at 0.0 changes no bit of it, so such
-    a term is left out of the stack.
+    product for all terms. Each term's squared angles are multiplied by
+    its weight, -kappa, or 0.0 for a term without modes.
 
     Bounds come from the centers: the geodesic angle is 1-Lipschitz and
     a point within half-angle r of a center lies within angle 2 r of
@@ -295,62 +283,24 @@ class _ModeBlock:
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
-        self.kappa = scorer.kappa
         self.grid = grid
         pairs = [(i, j) for i, j, _, _ in terms]
-        self.at, targets = scorer._stacked_modes(pairs, [moving for *_, moving in terms])
-        fixed = [terms[a][2] for a in self.at]
-        moved = [t for t, q in enumerate(fixed) if q is not None]
+        moving = [moving for *_, moving in terms]
+        self.targets, self.weight = scorer._stacked_modes(pairs, moving)
+        moved = [t for t, term in enumerate(terms) if term[2] is not None]
         if moved:
-            q = np.array([fixed[t] for t in moved], dtype=np.float64)
-            targets[moved] = quat_mul(targets[moved], q[:, None, :])
-        self.targets = targets
-        # Each term's modes by term position; a term without modes takes
-        # the identity's, and its `term_` answers are then set to 0.
-        self.has = np.zeros(len(terms), dtype=bool)
-        self.has[self.at] = True
-        self.by_term = np.zeros((len(terms),) + targets.shape[1:])
-        self.by_term[..., 0] = 1.0
-        self.by_term[self.at] = targets
+            q = np.array([terms[t][2] for t in moved], dtype=np.float64)
+            self.targets[moved] = quat_mul(self.targets[moved], q[:, None, :])
 
-    def stack_scores(self, rows=None):
-        """(T, R): each stacked term's scores at the grid rows `rows`."""
+    def bounds(self, at, centers, radius):
+        sq = _kernels.min_angle_sq_stacked(centers, self.targets[at])
+        gap = np.maximum(np.sqrt(sq) - 2.0 * radius - _CELL_SLACK, 0.0)
+        return self.weight[at] * (gap * gap)
+
+    def scores(self, at, rows=None):
         # Gathered through quats.T, so the rows keep the grid's layout.
         quats = self.grid.quats if rows is None else self.grid.quats.T[:, rows].T
-        sq = _kernels.min_angle_sq_stacked(quats[None], self.targets[:, None])
-        return -self.kappa * sq
-
-    def _bound(self, sq, radius):
-        gap = np.maximum(np.sqrt(sq) - 2.0 * radius - _CELL_SLACK, 0.0)
-        return -self.kappa * (gap * gap)
-
-    def bounds(self, centers, radius):
-        """The stacked terms' bounds, summed in the order of `scores`.
-
-        Rounding is monotone, so the sum of bounds stays at least the
-        sum of scores.
-        """
-        sq = _kernels.min_angle_sq_stacked(centers[None], self.targets[:, None])
-        return _summed(self._bound(sq, radius))
-
-    def term_bounds(self, at, centers, radius):
-        sq = _kernels.min_angle_sq_stacked(centers, self.by_term[at])
-        return np.where(self.has[at], self._bound(sq, radius), 0.0)
-
-    def term_scores(self, at, rows):
-        sq = _kernels.min_angle_sq_stacked(self.grid.quats.T[:, rows].T, self.by_term[at])
-        return np.where(self.has[at], -self.kappa * sq, 0.0)
-
-    def scores(self, rows=None):
-        return _summed(self.stack_scores(rows))
-
-
-def _summed(terms):
-    # Row by row from 0.0, in the order of GridBlock's sum.
-    total = np.zeros(terms.shape[1])
-    for row in terms:
-        total += row
-    return total
+        return self.weight[at] * _kernels.min_angle_sq_stacked(quats, self.targets[at])
 
 
 @dataclass
@@ -415,6 +365,8 @@ def load_table(path) -> EnergyTable:
         raise FormatError(f"{path}: unsupported table version {version}")
     if gen_id not in _ID_TO_GENERATOR:
         raise FormatError(f"{path}: unknown generator id {gen_id}")
+    if n == 0:
+        raise CorruptTableError(f"{path}: table declares a zero-point grid")
     spec = GridSpec(generator=_ID_TO_GENERATOR[gen_id], n=n, seed=seed)
     off = 25
     row_bytes = n * 4

@@ -39,7 +39,7 @@ _COVERING_SAMPLES = 10_000
 _COVERING_SEED = 402653189
 
 # Nearest-grid lookups: a batch whose size times the grid size is at
-# most _DENSE_WORK scans the whole grid (`_kernels.nearest_fixed`);
+# most _DENSE_WORK scans the whole grid (`_kernels.nearest_abs_dots`);
 # larger batches go through the grid's nearest table, built once per
 # grid. With the table built, a lookup beats the scan from about 2^14
 # (batch x grid) pairs at G=576, 4608 and 36864 (0.26 ms against
@@ -625,7 +625,7 @@ def _nearest(grid: SO3Grid, quats):
     not depend on the batch it comes in.
     """
     if quats.shape[0] * grid.n <= _DENSE_WORK:
-        return _kernels.nearest_fixed(quats, grid.quats)
+        return _kernels.nearest_abs_dots(quats, grid.quats)
     return grid.nearest_table.lookup(quats)
 
 

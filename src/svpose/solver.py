@@ -20,10 +20,11 @@ with the partner's rotation fixed (`grid_search`). The spanning tree
 needs each pair's own maximum, both orders for a directional scorer,
 and finds them all in one stacked search (`grid_searches`). A search
 asks the scorer once for its block (`PairwiseScorer.block`), then for
-bounds and for the scores of the rows it picks. The mode scorer answers
-each with one stacked comparison against the k modes of all T terms;
-the default block offers no bound and sums one whole-grid `score_grid`
-row per term. The solver never composes the G candidates itself; a
+each term's bounds and its scores at the rows it picks, and sums the
+terms itself, in order from 0.0. The mode scorer answers each question
+with one stacked comparison against the k modes of all T terms; the
+default block offers no bound and answers each term's whole-grid
+`score_grid` row. The solver never composes the G candidates itself; a
 camera still off the grid is scored through the same terms at its own
 rotation, and an energy sums every ordered pair, each in one
 `PairwiseScorer.score_pairs` call.
@@ -115,29 +116,43 @@ def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
     """Grid index maximizing a sum of `score_grid` terms, lowest on ties.
 
     `terms` lists the (i, j, fixed, moving) arguments of each term, summed
-    in order by the scorer's `block`. `n_partners` sizes the search
-    against `_BOUND_WORK`. Returns the index, the sum there, and the sum
-    at the grid index `current` (None when `current` is -1), all from one
+    in order from 0.0 (`_summed`). `n_partners` sizes the search against
+    `_BOUND_WORK`. Returns the index, the sum there, and the sum at the
+    grid index `current` (None when `current` is -1), all from one
     evaluation.
     """
     block = scorer.block(grid, terms)
+    every = np.arange(len(terms))[:, None]
     found = None
     if grid.n * n_partners > _BOUND_WORK:
         found = _bounded(
             grid.cells,
-            lambda at, centers, radius: block.bounds(centers, radius),
-            lambda at, rows: block.scores(rows),
+            lambda at, centers, radius: _summed(block.bounds(every, centers, radius)),
+            lambda at, rows: _summed(block.scores(every, rows)),
             1,
             current,
         )
     if found is None:
-        rows, obj = np.arange(grid.n), block.scores()
+        rows, obj = np.arange(grid.n), _summed(block.scores(every))
     else:
         _, rows, obj = found
     a = int(np.argmax(obj))
     if current < 0:
         return int(rows[a]), float(obj[a]), None
     return int(rows[a]), float(obj[a]), float(obj[np.searchsorted(rows, current)])
+
+
+def _summed(terms):
+    """The rows of a (T, X) array summed in order from 0.0.
+
+    None, a block's answer when it offers no bound, stays None.
+    """
+    if terms is None:
+        return None
+    total = np.zeros(terms.shape[1])
+    for row in terms:
+        total += row
+    return total
 
 
 def grid_searches(scorer, grid: SO3Grid, terms, n_partners):
@@ -148,15 +163,17 @@ def grid_searches(scorer, grid: SO3Grid, terms, n_partners):
     `n_partners` as `grid_search` is; a block that offers no bound
     answers from each term's whole-grid row.
     """
+    block = scorer.block(grid, terms)
     if terms and grid.n * n_partners > _BOUND_WORK:
-        found = _stacked(scorer.block(grid, terms), grid.cells, len(terms))
+        found = _stacked(block, grid.cells, len(terms))
         if found is not None:
             return found
     found = []
-    for term in terms:
-        obj = scorer.block(grid, [term]).scores()
+    for t in range(len(terms)):
+        obj = block.scores(t)
         k = int(np.argmax(obj))
-        found.append((k, float(obj[k])))
+        # A one-term sum starts from 0.0, which turns -0.0 into 0.0.
+        found.append((k, float(obj[k]) + 0.0))
     return found
 
 
@@ -169,14 +186,14 @@ def _stacked(block, cells, n):
         ids = np.arange(s, min(s + step, n))
         part = _bounded(
             cells,
-            lambda at, centers, radius: block.term_bounds(ids[at], centers, radius),
-            lambda at, rows: block.term_scores(ids[at], rows),
+            lambda at, centers, radius: block.bounds(ids[at], centers, radius),
+            lambda at, rows: block.scores(ids[at], rows),
             ids.shape[0],
         )
         if part is None:
             return None
         at, rows, obj = part
-        # A one-term sum starts from 0.0, which turns -0.0 into 0.0.
+        # One-term sums from 0.0, as in `grid_searches`.
         found += [(int(rows[m]), float(obj[m]) + 0.0) for m in _first_max(obj, at)]
     return found
 

@@ -65,15 +65,18 @@ class Recorder:
 
     Like a tracing proxy it is not a subclass of the scorer, so the
     solver must find the block hook through the attribute, not the type.
+    `blocks` holds one list of row counts per block, in the order the
+    blocks were made.
     """
 
     def __init__(self, scorer):
         self._scorer = scorer
         self.directional = scorer.directional
-        self.rows = []
+        self.blocks = []
 
     def block(self, grid, terms):
-        return RecordedBlock(self._scorer.block(grid, terms), self.rows)
+        self.blocks.append([])
+        return RecordedBlock(self._scorer.block(grid, terms), self.blocks[-1])
 
     def __getattr__(self, name):
         return getattr(self._scorer, name)
@@ -84,9 +87,9 @@ class RecordedBlock:
         self._block = block
         self._rows = rows
 
-    def scores(self, rows=None):
+    def scores(self, at, rows=None):
         self._rows.append(None if rows is None else len(rows))
-        return self._block.scores(rows)
+        return self._block.scores(at, rows)
 
     def __getattr__(self, name):
         return getattr(self._block, name)
@@ -128,7 +131,8 @@ def checked_solve(monkeypatch, scorer, n, grid):
     monkeypatch.setattr(solver, "grid_searches", searches)
     # The spanning tree's one stacked search, then the block updates.
     assert len(decisions) > 1 and len(decisions[0]) == len(pair_terms(scorer, n))
-    return hyp, oracle, recorder.rows
+    assert len(recorder.blocks) == len(decisions)
+    return hyp, oracle, [r for rows in recorder.blocks[1:] for r in rows]
 
 
 def pair_terms(scorer, n):
@@ -266,7 +270,7 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
     assert len(terms) % 5
     assert bits(solver.grid_searches(scorer, grid, terms, n - 1)) == bits(want)
     cells = grid.cells
-    bounded = scorer.block(grid, terms).term_bounds(
+    bounded = scorer.block(grid, terms).bounds(
         np.zeros((1, 1), dtype=np.int64), cells.parent_centers, cells.parent_radius
     )
     assert (bounded is not None) == (name in ("symmetric-multimode", "directional-modeless"))
@@ -339,9 +343,9 @@ def test_one_row_scores_match_the_whole_grid_bit_for_bit():
         fixed = so3.random_quats(rng, 1)[0]
         for moving in ("i", "j"):
             block = scorer.block(grid, [(0, 1, fixed, moving)])
-            whole = block.scores()
+            whole = block.scores(0)
             for k in ks:
-                one = block.scores(np.array([k]))
+                one = block.scores(0, np.array([k]))
                 if one[0] != whole[k]:
                     differ.append((n_modes, moving, int(k)))
     assert not differ, f"{len(differ)} of {3 * 2 * len(ks)} rows differ: {differ}"
@@ -385,7 +389,7 @@ def bound_cases(draw):
 def test_cell_bound_covers_every_point_of_the_cell(case):
     scorer, grid, (i, j), fixed, moving = case
     cells = grid.cells
-    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds(cells.centers, cells.radius)
+    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds(0, cells.centers, cells.radius)
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     cell_max = np.full(bound.shape[0], -np.inf)
     np.maximum.at(cell_max, cells.owner, scores)
@@ -399,8 +403,9 @@ def test_parent_bound_covers_every_point_of_the_parent(case):
     cells = grid.cells
     block = scorer.block(grid, [(i, j, fixed, moving)])
     centers, radius = cells.parent_centers, cells.parent_radius
-    summed = block.bounds(centers, radius)
-    alone = block.term_bounds(np.zeros((1, 1), dtype=np.int64), centers, radius)[0]
+    # As a one-term block update sums it, and as the term's own.
+    summed = solver._summed(block.bounds(np.zeros((1, 1), dtype=np.int64), centers, radius))
+    alone = block.bounds(0, centers, radius)
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     counts = np.diff(cells.parent_start)
     parent = np.repeat(np.arange(counts.shape[0]), counts)[cells.owner]
@@ -418,10 +423,10 @@ def test_modeless_pair_bound_is_zero():
     block = scorer.block(grid, [(0, 2, None, "j"), (0, 1, None, "j")])
     levels = ((cells.centers, cells.radius), (cells.parent_centers, cells.parent_radius))
     for centers, radius in levels:
-        bound = block.term_bounds(np.zeros((1, 1), dtype=np.int64), centers, radius)[0]
+        bound = block.bounds(np.zeros((1, 1), dtype=np.int64), centers, radius)[0]
         assert bound.shape == radius.shape
         assert not bound.any()
-    assert not block.term_scores(np.zeros(5, dtype=np.int64), np.arange(5)).any()
+    assert not block.scores(np.zeros(5, dtype=np.int64), np.arange(5)).any()
 
 
 class QuatsOnly(PairwiseScorer):
@@ -439,16 +444,67 @@ def test_rows_restrict_block_scores_bit_for_bit():
     rng = rng_for(39)
     mode = directional_scorer(39, 3)
     rows = np.sort(rng.choice(grid.n, 40, replace=False))
+    every = np.arange(2)[:, None]
     for scorer in (mode, QuatsOnly(mode)):
         for fixed in (None, so3.random_quats(rng, 1)[0]):
             for moving in ("i", "j"):
                 block = scorer.block(grid, [(0, 1, fixed, moving), (2, 1, fixed, moving)])
-                assert np.array_equal(block.scores(rows), block.scores()[rows])
+                whole = block.scores(every)
+                assert whole.shape == (2, grid.n)
+                assert np.array_equal(block.scores(every, rows), whole[:, rows])
+                # Each term's rows alone, as the stacked search asks for them.
+                at = np.repeat([0, 1], rows.shape[0])
+                got = block.scores(at, np.tile(rows, 2))
+                assert np.array_equal(got, whole[:, rows].ravel())
     cells = grid.cells
     default = QuatsOnly(mode).block(grid, [(0, 1, None, "j")])
-    assert default.bounds(cells.centers, cells.radius) is None
     first = np.zeros((1, 1), dtype=np.int64)
-    assert default.term_bounds(first, cells.centers, cells.radius) is None
+    assert default.bounds(first, cells.centers, cells.radius) is None
+
+
+class TwoHookBlock:
+    """A block written to the contract alone: the two per-term questions.
+
+    It keeps each term's whole-grid `score_grid` row and bounds a term
+    near a center by its largest score among the grid points within the
+    half-angle radius of that center, the tightest bound there is.
+    """
+
+    def __init__(self, scorer, grid, terms):
+        self.grid = grid
+        self.rows = np.array(
+            [scorer.score_grid(i, j, grid, fixed, moving=moving) for i, j, fixed, moving in terms]
+        )
+
+    def bounds(self, at, centers, radius):
+        shape = np.broadcast_shapes(np.shape(at), centers.shape[:-1], radius.shape)
+        at = np.broadcast_to(at, shape).ravel()
+        centers = np.broadcast_to(centers, shape + (4,)).reshape(-1, 4)
+        radius = np.broadcast_to(radius, shape).ravel()
+        dots = _kernels.fixed_abs_dots(centers[:, None, :], self.grid.quats[None])
+        near = np.arccos(np.minimum(dots, 1.0)) <= radius[:, None] + 1e-9
+        return np.where(near, self.rows[at], -np.inf).max(axis=1).reshape(shape)
+
+    def scores(self, at, rows=None):
+        return self.rows[at, np.arange(self.grid.n) if rows is None else rows]
+
+
+class TwoHookScorer(QuatsOnly):
+    def block(self, grid, terms):
+        return TwoHookBlock(self, grid, terms)
+
+
+def test_user_block_with_two_per_term_hooks_drives_a_bounded_solve(monkeypatch):
+    # Neither a GridBlock nor the mode block: the solver asks only
+    # `bounds(at, centers, radius)` and `scores(at, rows)`, and sums the
+    # terms itself, in the spanning tree's search and the block updates.
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    grid = grid_of(576)
+    scorer = TwoHookScorer(scene_scorer(43, 5))
+    hyp, oracle, rows = checked_solve(monkeypatch, scorer, 5, grid)
+    assert_same(hyp, oracle)
+    # Pruned: every evaluation scores a small share of the grid.
+    assert None not in rows and max(rows) < grid.n // 4
 
 
 def moved_modes(scorer, i, j, fixed, moving):
@@ -526,8 +582,9 @@ def test_stacked_block_matches_per_term_default_bit_for_bit(case):
     scorer, grid, terms, rows = case
     cells = grid.cells
     stacked, default = scorer.block(grid, terms), GridBlock(scorer, grid, terms)
-    assert stacked.scores().tobytes() == default.scores().tobytes()
-    assert default.bounds(cells.centers, cells.radius) is None
+    every = np.arange(len(terms))[:, None]
+    assert stacked.scores(every, rows).tobytes() == default.scores(every, rows).tobytes()
+    assert default.bounds(every, cells.centers, cells.radius) is None
     # The per-term formulas, summed in term order from 0.0.
     scores = np.zeros(grid.n if rows is None else len(rows))
     bounds = np.zeros(cells.radius.shape[0])
@@ -542,12 +599,15 @@ def test_stacked_block_matches_per_term_default_bit_for_bit(case):
         assert got.tobytes() == one_term(scorer, grid, term, None)[0].tobytes()
         # So are the term's own answers, entry by entry.
         at = np.full(picked.shape[0], t)
-        assert stacked.term_scores(at, picked).tobytes() == term_scores.tobytes()
+        assert stacked.scores(at, picked).tobytes() == term_scores.tobytes()
         at = np.full(cells.radius.shape[0], t)
-        alone = stacked.term_bounds(at, cells.centers, cells.radius)
+        alone = stacked.bounds(at, cells.centers, cells.radius)
         assert alone.tobytes() == term_bounds.tobytes()
-    assert stacked.scores(rows).tobytes() == scores.tobytes()
-    assert stacked.bounds(cells.centers, cells.radius).tobytes() == bounds.tobytes()
+    # The solver's sums of them, as a block update takes them.
+    summed = solver._summed(stacked.scores(every, rows))
+    assert summed.tobytes() == scores.tobytes()
+    summed = solver._summed(stacked.bounds(every, cells.centers, cells.radius))
+    assert summed.tobytes() == bounds.tobytes()
 
 
 def test_one_term_keeps_the_negative_zero_of_a_mode_on_the_grid():
@@ -558,7 +618,9 @@ def test_one_term_keeps_the_negative_zero_of_a_mode_on_the_grid():
     row = scorer.score_grid(0, 1, grid)
     assert row[k] == 0.0 and np.signbit(row[k])
     assert np.signbit(row.astype(np.float32)[k])
-    summed = scorer.block(grid, [(0, 1, None, "j")]).scores()
+    block = scorer.block(grid, [(0, 1, None, "j")])
+    assert block.scores(0).tobytes() == row.tobytes()
+    summed = solver._summed(block.scores(np.zeros((1, 1), dtype=np.int64)))
     assert summed[k] == 0.0 and not np.signbit(summed[k])
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_exit_code_3_format(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "CorruptTableError"
     assert err["exit_code"] == 3
+
+
+def test_zero_point_table_grid_is_exit_code_3(tmp_path, capsys):
+    bad = tmp_path / "empty.rpet"
+    # Version 1, super_fibonacci, a 0-point grid, seed 0, no pairs.
+    bad.write_bytes(b"RPET" + struct.pack("<IBIQI", 1, 1, 0, 0, 0))
+    assert run("solve", "-o", tmp_path / "p", "--tables", bad, "--translation", "constant-z") == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "CorruptTableError"
+    assert str(bad) in err["message"]
 
 
 def test_nan_table_score_is_exit_code_3(tmp_path, capsys):

@@ -133,8 +133,8 @@ def test_zero_row_modes_are_no_modes():
         assert np.array_equal(s.score_quats(j, i, q), np.zeros(5))
         assert np.array_equal(s.score_grid(i, j, grid, q[0], moving="i"), np.zeros(576))
         block = s.block(grid, [(i, j, q[1], "j")])
-        assert np.array_equal(block.scores(np.array([3])), [0.0])
-        bound = block.bounds(grid.cells.centers, grid.cells.radius)
+        assert np.array_equal(block.scores(0, np.array([3])), [0.0])
+        bound = block.bounds(0, grid.cells.centers, grid.cells.radius)
         assert bound.shape == grid.cells.radius.shape and not bound.any()
 
 

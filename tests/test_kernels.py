@@ -102,19 +102,19 @@ def test_quaternion_sign_irrelevant():
     )
 
 
-def test_nearest_fixed_is_the_oracle_bit_for_bit(monkeypatch):
+def test_nearest_abs_dots_is_the_oracle_bit_for_bit(monkeypatch):
     # The oracle's sums are the kernel's, so indices and |dot| match
     # exactly, across a block seam and one row at a time alike.
     monkeypatch.setattr(_kernels, "_BLOCK_ENTRIES", 64 * 72)
     rng = rng_for(6)
     grid = so3.build_grid(72).quats
     quats = np.vstack([so3.random_quats(rng, 90), grid[:5], -grid[5:10], grid[:3]])
-    idx, dot = _kernels.nearest_fixed(quats, grid)
+    idx, dot = _kernels.nearest_abs_dots(quats, grid)
     for r, q in enumerate(quats):
         d = abs_dots(q, grid)
         assert idx[r] == int(np.argmax(d)) and dot[r] == d.max()
-        one = _kernels.nearest_fixed(q[None, :], grid)
+        one = _kernels.nearest_abs_dots(q[None, :], grid)
         assert one[0][0] == idx[r] and one[1][0] == dot[r]
     pairs = _kernels.fixed_abs_dots(quats, grid[idx])
     assert np.array_equal(pairs, dot)
-    assert np.array_equal(_kernels.nearest_fixed(q[None, :], np.vstack([q, q]))[0], [0])
+    assert np.array_equal(_kernels.nearest_abs_dots(q[None, :], np.vstack([q, q]))[0], [0])

@@ -221,7 +221,7 @@ def test_grid_load_rejects_non_finite_or_non_unit_rows(tmp_path, value):
 
 
 def brute_nearest(grid, quats):
-    idx, _ = _kernels.nearest_fixed(np.ascontiguousarray(quats), grid.quats)
+    idx, _ = _kernels.nearest_abs_dots(np.ascontiguousarray(quats), grid.quats)
     return idx
 
 
