@@ -40,6 +40,11 @@ composed with grid rotations) and on random rotations. The table must
 return the scan's indices. The mean and largest bucket list lengths
 are printed beside each size.
 
+Then `SO3Grid.covering_radius` is timed on fresh grids at G=4608 and
+36864, grid build included, with the number of probes it scans against
+the whole grid. At G=4608 it must equal 2 acos of `min_max_abs_dot`
+over every probe, which is also timed.
+
 Then the mode kernel `_kernels.min_angle_sq_to_targets` is timed on
 the shapes the solver gives a single term: the G=4608 and G=36864 grids
 (a term's scores) and their 32 and 256 parent centers (a term's parent
@@ -51,6 +56,7 @@ Last, the other kernels are timed on sizes close to the real workloads
 (nearest-neighbour projection, covering-radius probes).
 """
 
+import math
 import time
 
 import numpy as np
@@ -292,6 +298,38 @@ def bench_lookup():
             )
 
 
+def bench_covering():
+    print(f"{'covering radius':<44} {'time':>10} {'dense':>10} {'scanned':>8}")
+    for n in (4608, 36864):
+        scanned = []
+        kernel = _kernels.min_max_abs_dot
+
+        def counted(samples, quats):
+            scanned.append(samples.shape[0])
+            return kernel(samples, quats)
+
+        def covering():
+            scanned.clear()
+            return so3.build_grid(n).covering_radius
+
+        _kernels.min_max_abs_dot = counted
+        try:
+            radius = covering()
+            t = _timeit(covering)
+        finally:
+            _kernels.min_max_abs_dot = kernel
+        dense = ""
+        if n == 4608:
+            rng = np.random.Generator(np.random.PCG64(so3._COVERING_SEED))
+            probes = so3.random_quats(rng, so3._COVERING_SAMPLES)
+            t0 = time.perf_counter()
+            worst = _kernels.min_max_abs_dot(probes, so3.build_grid(n).quats)
+            dense = f"{(time.perf_counter() - t0) * 1e3:>8.2f}ms"
+            want = 2.0 * math.acos(min(1.0, max(0.0, worst)))
+            assert radius == want, f"G={n}: covering {radius!r}, every probe gives {want!r}"
+        print(f"{f'G={n}':<44} {t * 1e3:>8.2f}ms {dense:>10} {sum(scanned):>8}")
+
+
 def bench_mode_kernel():
     rng = np.random.default_rng(11)
     counts = (1, 2, 4)
@@ -318,6 +356,8 @@ def main():
     bench_score_grid()
     print()
     bench_lookup()
+    print()
+    bench_covering()
     print()
     bench_mode_kernel()
     print()

@@ -28,6 +28,7 @@ import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +312,13 @@ def cmd_solve(config: RunConfig):
             raise ConsistencyError(
                 f"{path}: table grid {table.grid_spec} does not match requested {grid_spec}"
             )
-        return TableScorer(table, grid), table.n_cameras, None
+        n = table.n_cameras
+        if n == 0:
+            raise ConsistencyError(f"{path}: table has no pairs")
+        for i, j in combinations(range(n), 2):
+            if (i, j) not in table.rows and (j, i) not in table.rows:
+                raise ConsistencyError(f"{path}: table has no scores for pair ({i}, {j})")
+        return TableScorer(table, grid), n, None
 
     if config.scenes:
         files = _scene_files(config.scenes)

@@ -199,6 +199,17 @@ class SymmetricModeScorer(PairwiseScorer):
             if q.shape[0]:
                 self.modes[(int(i), int(j))] = quat_normalize(q)
         self.directional = any((j, i) in self.modes for (i, j) in self.modes)
+        # One stack of every stored pair's modes, each padded to the most
+        # modes of any pair by repeating its own, and the identity last.
+        # A pair maps to its row, conjugated when served from its reverse.
+        stored = [*self.modes.values(), _IDENTITY]
+        self._counts = np.array([m.shape[0] for m in stored])
+        self._stack = np.array([np.resize(m, (self._counts.max(), 4)) for m in stored])
+        self._no_modes = (len(stored) - 1, False)
+        self._slots = {}
+        for row, (i, j) in enumerate(self.modes):
+            self._slots[(i, j)] = (row, False)
+            self._slots.setdefault((j, i), (row, True))
 
     def mode_quats(self, i, j):
         if (i, j) in self.modes:
@@ -229,29 +240,22 @@ class SymmetricModeScorer(PairwiseScorer):
         weight is -kappa. A pair without modes takes the identity as its
         mode and weight 0.0, so it scores 0.0 everywhere. Ragged mode
         counts are padded by repeating a pair's modes, which leaves
-        every minimum over them as it is.
+        every minimum over them as it is; k is the most modes of any
+        pair asked for.
         """
-        stack, conj, weight = [], [], []
+        rows, flips = [], []
         for (i, j), side in zip(pairs, moving):
             if i == j:
                 raise ValueError("pair indices must differ")
             _check_moving(side)
-            # A pair served from its reverse takes conjugated modes, and
-            # a moving first camera conjugates them again.
-            flip = side == "i"
-            modes = self.modes.get((i, j))
-            if modes is None:
-                modes = self.modes.get((j, i))
-                flip = not flip
-            stack.append(_IDENTITY if modes is None else modes)
-            conj.append(flip)
-            weight.append(0.0 if modes is None else -self.kappa)
-        k = max((m.shape[0] for m in stack), default=1)
-        stack = [m if m.shape[0] == k else np.resize(m, (k, 4)) for m in stack]
-        stack = np.array(stack).reshape(-1, k, 4)
-        if any(conj):
-            stack[conj, :, 1:] = -stack[conj, :, 1:]
-        return stack, np.array(weight)
+            row, flip = self._slots.get((i, j), self._no_modes)
+            rows.append(row)
+            # A moving first camera conjugates the modes once more.
+            flips.append(flip != (side == "i"))
+        rows = np.array(rows, dtype=np.int64)
+        stack = self._stack[rows, : self._counts[rows].max(initial=1)]
+        stack[flips, :, 1:] = -stack[flips, :, 1:]
+        return stack, np.where(rows == self._no_modes[0], 0.0, -self.kappa)
 
     def block(self, grid: SO3Grid, terms):
         """Every term's modes moved at once; see `_ModeBlock`."""

@@ -34,9 +34,11 @@ GENERATOR_IDS = {"super_fibonacci": 1, "random_uniform": 2}
 _ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 
 # Covering radius is estimated against a fixed probe set so the value is
-# a deterministic function of the grid alone.
+# a deterministic function of the grid alone. The probes that can be the
+# worst are scanned against the whole grid, _COVERING_BATCH per call.
 _COVERING_SAMPLES = 10_000
 _COVERING_SEED = 402653189
+_COVERING_BATCH = 64
 
 # Nearest-grid lookups: a batch whose size times the grid size is at
 # most _DENSE_WORK scans the whole grid (`_kernels.nearest_abs_dots`);
@@ -47,11 +49,11 @@ _COVERING_SEED = 402653189
 # 0.29 s and 3.0 s at those sizes. At 2^16 a single row stays on the scan up
 # to G=65536, so a solve that snaps single rotations never builds one.
 _DENSE_WORK = 1 << 16
-# Slack on the cell separation test, in radians; far above the rounding
-# error of arccos near 1 (about 1.5e-8).
+# Slack on bounds over a cell, in radians; far above the rounding error
+# of arccos near 1 (about 1.5e-8).
 _CELL_SLACK = 1e-6
 # Pairs per chunk of the nearest table's build and lookups and of the
-# cell index's separation test; each temporary stays a few hundred kB.
+# covering's bounds; each temporary stays a few hundred kB.
 _TABLE_PAIRS = 1 << 14
 # Slack on the table's keep test, in face coordinates; far above the
 # rounding of a |dot| (about 1e-15) and of a bucket's edges.
@@ -281,6 +283,17 @@ def _gather(ptr, entries, lists):
     return entries[src], lens
 
 
+def _chunks(lens):
+    """Runs s:e of rows whose `lens` sum to about _TABLE_PAIRS, or one longer row."""
+    ends = np.cumsum(lens)
+    s = 0
+    while s < ends.shape[0]:
+        done = int(ends[s - 1]) if s else 0
+        e = max(s + 1, int(np.searchsorted(ends, done + _TABLE_PAIRS, side="right")))
+        yield s, e
+        s = e
+
+
 def _child_boxes(bins, n):
     """The box lo <= u <= hi of each child, from its bins' dyadic edges in arctan.
 
@@ -437,11 +450,7 @@ class NearestTable:
         idx = np.empty(n, dtype=np.int64)
         dot = np.empty(n)
         buckets = _cube_buckets(queries, self.levels)[0]
-        ends = np.cumsum(self.ptr[buckets + 1] - self.ptr[buckets])
-        s = 0
-        while s < n:
-            done = int(ends[s - 1]) if s else 0
-            e = max(s + 1, int(np.searchsorted(ends, done + _TABLE_PAIRS, side="right")))
+        for s, e in _chunks(self.ptr[buckets + 1] - self.ptr[buckets]):
             cand, lens = _gather(self.ptr, self.entries, buckets[s:e])
             row = np.repeat(np.arange(e - s), lens)
             starts = np.cumsum(lens) - lens
@@ -450,7 +459,6 @@ class NearestTable:
             at = np.where(d == best[row], np.arange(d.shape[0]), d.shape[0])
             idx[s:e] = cand[np.minimum.reduceat(at, starts)]
             dot[s:e] = best
-            s = e
         return idx, dot
 
 
@@ -471,14 +479,6 @@ class CellIndex:
     numbered in bucket order, so parent p's cells are the run
     `parent_start[p]:parent_start[p + 1]`, and each parent keeps its box
     center and the largest theta from it to a point it owns.
-
-    `groups` bounds where the nearest grid points of many queries lie:
-    for queries in bucket c, at most rho from its center, some cell c'
-    owns a point within reach(c) = min over c' of sep(c, c') + r_c' of
-    that center, so each query's nearest grid point lies within
-    rho + reach(c) of it, in a cell c' with sep(c, c') <= 2 rho +
-    reach(c) + r_c'. Only those cells are searched, also for a bucket
-    that owns no point.
     """
 
     def __init__(self, quats):
@@ -513,29 +513,6 @@ class CellIndex:
     def children(self, parents):
         """The cells of each of the given parents, concatenated, and their counts."""
         return _gather(self.parent_start, np.arange(self.radius.shape[0]), np.asarray(parents))
-
-    def groups(self, queries):
-        """(query rows, candidate grid indices) per nonempty bucket of queries.
-
-        Candidates are in ascending grid order, so a first-maximum argmax
-        over them keeps the lowest-index tie-break of the whole grid. The
-        separation test takes chunks of about _TABLE_PAIRS (bucket, cell)
-        pairs.
-        """
-        bucket, face, bins = _cube_buckets(queries, self.level)
-        order = np.argsort(bucket, kind="stable")
-        starts = np.unique(bucket[order], return_index=True)[1]
-        centers = _box_centers(face[order], bins[order], self.level)
-        theta = _half_angle(_kernels.fixed_abs_dots(queries[order], centers))
-        rho = np.maximum.reduceat(theta, starts)
-        rows = np.split(order, starts[1:])
-        step = max(1, _TABLE_PAIRS // self.radius.shape[0])
-        for s in range(0, starts.shape[0], step):
-            sep = _half_angle(np.abs(centers[starts[s : s + step]] @ self.centers.T))
-            reach = np.min(sep + self.radius, axis=1)
-            near = sep <= (2.0 * rho[s : s + step] + reach + _CELL_SLACK)[:, None] + self.radius
-            for k, hit in enumerate(near, start=s):
-                yield rows[k], self.points(np.flatnonzero(hit))
 
 
 @dataclass
@@ -589,19 +566,66 @@ class SO3Grid:
         """Estimated max distance from any rotation to the grid.
 
         Monte-Carlo estimate over a fixed probe set, so the value is
-        deterministic for a given grid and stable across runs. Each
-        group of probes is compared, by matrix products, with the points
-        of the cells that can hold its nearest grid points.
+        deterministic for a given grid and stable across runs: the
+        smallest over the probes of each probe's largest |dot| with the
+        grid (`_kernels.min_max_abs_dot`), as an angle.
+
+        Only the probes that can be the worst are scanned against the
+        whole grid. `_covering_bounds` gives each probe a lower bound on
+        its largest |dot|, from the same fixed-order sums as the scan.
+        Probes are scanned _COVERING_BATCH at a time in ascending order
+        of bound, until the next bound reaches the smallest value
+        found: no probe left can fall below it, so the result is the
+        whole-grid scan's, bit for bit.
         """
         if self._covering is None:
             rng = np.random.Generator(np.random.PCG64(_COVERING_SEED))
             probes = random_quats(rng, _COVERING_SAMPLES)
-            worst = min(
-                _kernels.min_max_abs_dot(probes[rows], self.quats[cand])
-                for rows, cand in self.cells.groups(probes)
-            )
+            bound = _covering_bounds(self.quats, probes)
+            order = np.argsort(bound, kind="stable")
+            worst = np.inf
+            for s in range(0, order.shape[0], _COVERING_BATCH):
+                if bound[order[s]] >= worst:
+                    break
+                batch = probes[order[s : s + _COVERING_BATCH]]
+                worst = min(worst, _kernels.min_max_abs_dot(batch, self.quats))
             self._covering = 2.0 * math.acos(min(1.0, max(0.0, worst)))
         return self._covering
+
+
+def _covering_bounds(quats, probes):
+    """Each probe's largest |dot| with the grid points near it, a lower bound on its best.
+
+    The points near a probe are those in the 2 x 2 x 2 block of
+    cube-map buckets, one level above the nearest table's, nearest to
+    it on its own face (the face's one bucket at level 0). A probe whose
+    block holds no point gets 0.0. Probes are taken in chunks of about
+    _TABLE_PAIRS (probe, point) pairs.
+    """
+    levels = max(0, _table_levels(quats.shape[0]) - 1)
+    n = 1 << levels
+    w = min(2, n)
+    # Buckets numbered face by face, bins in row-major order.
+    _, face, bins = _cube_buckets(quats, levels)
+    key = ((face * n + bins[:, 0]) * n + bins[:, 1]) * n + bins[:, 2]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=4 * n**3))])
+    entries = np.argsort(key, kind="stable")
+    # A probe's bin one level down is the half of its bucket it lies
+    # in, which names the nearer neighbour on each axis.
+    _, face, fine = _cube_buckets(probes, levels + 1)
+    lo = np.clip((fine - 1) >> 1, 0, n - w)
+    step = np.arange(w)
+    offsets = ((step[:, None, None] * n + step[:, None]) * n + step).ravel()
+    keys = (((face * n + lo[:, 0]) * n + lo[:, 1]) * n + lo[:, 2])[:, None] + offsets
+    bound = np.zeros(probes.shape[0])
+    for s, e in _chunks((ptr[keys + 1] - ptr[keys]).sum(axis=1)):
+        cand, lens = _gather(ptr, entries, keys[s:e].ravel())
+        lens = lens.reshape(e - s, -1).sum(axis=1)
+        d = _kernels.fixed_abs_dots(probes[s:e][np.repeat(np.arange(e - s), lens)], quats[cand])
+        hit = np.flatnonzero(lens)
+        if hit.shape[0]:
+            bound[s + hit] = np.maximum.reduceat(d, (np.cumsum(lens) - lens)[hit])
+    return bound
 
 
 def build_grid(n, generator="super_fibonacci", seed=0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from svpose import cli, evaluation, so3, synth
-from svpose.energy import load_table, score_over_grid
+from svpose.energy import EnergyTable, load_table, score_over_grid
 from svpose.synth import load_scene
 
 
@@ -341,7 +341,7 @@ def test_grid_subcommand(tmp_path, capsys):
     assert run("grid", "-o", path, "--n", 72, "--covering") == 0
     doc = json.loads(capsys.readouterr().out.strip())
     assert doc["n"] == 72
-    assert doc["covering_radius_rad"] == pytest.approx(0.9790203554936772, rel=1e-12)
+    assert doc["covering_radius_rad"] == 0.9790203554936772
     grid = so3.load_grid(path)
     assert grid.n == 72
 
@@ -483,6 +483,30 @@ def test_table_solve_without_translations_fails_before_solving(tmp_path, monkeyp
     monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved first"))
     assert run("solve", "-o", tmp_path / "p", "--tables", scenes, "--grid-n", 72) == 4
     assert "needs scene inputs" in last_error(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "pairs, why",
+    [
+        ([], "no pairs"),
+        ([(0, 2)], "no scores for pair (0, 1)"),
+        ([(0, 1), (2, 3)], "no scores for pair (0, 2)"),
+    ],
+)
+def test_table_missing_a_pair_is_exit_code_4_naming_the_file(tmp_path, capsys, pairs, why):
+    path = tmp_path / "t.rpet"
+    spec = so3.GridSpec("super_fibonacci", 72)
+    EnergyTable(grid_spec=spec, rows={p: np.zeros(72) for p in pairs}).save(path)
+    if not pairs:
+        assert path.stat().st_size == 25
+    code = run(
+        "solve", "-o", tmp_path / "p", "--tables", path,
+        "--grid-n", 72, "--translation", "constant-z",
+    )
+    assert code == 4
+    err = last_error(capsys)
+    assert err["error"] == "ConsistencyError"
+    assert err["message"] == f"{path}: table has {why}"
 
 
 def test_nan_noise_angle_is_exit_code_4_before_any_output(tmp_path, capsys):

@@ -13,7 +13,7 @@ def abs_dots(q, others):
     """|<q, g>| for every row g, summed term by term in a fixed order.
 
     The order of `_kernels.fixed_abs_dots`, so the kernels built on it
-    match exactly; the matrix-product kernels agree only to rounding.
+    match exactly.
     """
     return np.abs(
         ((others[:, 0] * q[0] + others[:, 1] * q[1]) + others[:, 2] * q[2])
@@ -67,7 +67,7 @@ def test_nearest_abs_dots_chunking_boundary(monkeypatch):
     best = np.array([abs_dots(q, grid).max() for q in quats])
     last = int(best.argmin())
     quats[[last, -1]] = quats[[-1, last]]
-    assert abs(_kernels.min_max_abs_dot(quats, grid) - best.min()) <= 1e-14
+    assert _kernels.min_max_abs_dot(quats, grid) == best.min()
 
 
 def test_min_max_abs_dot_matches_oracle():
@@ -75,7 +75,10 @@ def test_min_max_abs_dot_matches_oracle():
     samples = so3.random_quats(rng, 400)
     grid = so3.build_grid(72).quats
     want = min(abs_dots(q, grid).max() for q in samples)
-    assert abs(_kernels.min_max_abs_dot(samples, grid) - want) <= 1e-14
+    assert _kernels.min_max_abs_dot(samples, grid) == want
+    # The same sums as `fixed_abs_dots` over the whole batch at once.
+    whole = _kernels.fixed_abs_dots(samples[:, None, :], grid).max(axis=1).min()
+    assert _kernels.min_max_abs_dot(samples, grid) == whole
 
 
 def test_tie_break_first_maximum():

@@ -136,8 +136,7 @@ def test_random_uniform_grid_seeded():
 
 def test_covering_radius_frozen():
     for n, expect in COVERING.items():
-        got = so3.build_grid(n).covering_radius
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert so3.build_grid(n).covering_radius == expect
 
 
 def test_covering_radius_shrinks():
@@ -367,10 +366,14 @@ def test_cell_points_are_the_cells_owners():
         assert np.array_equal(cells.points(np.array(pick, dtype=np.int64)), want)
 
 
+def covering_probes():
+    return so3.random_quats(rng_for(so3._COVERING_SEED), so3._COVERING_SAMPLES)
+
+
 def covering_estimate(quats):
     """The covering radius from the whole grid at once, over the same probes."""
-    probes = so3.random_quats(rng_for(so3._COVERING_SEED), so3._COVERING_SAMPLES)
-    return 2.0 * math.acos(min(1.0, max(0.0, _kernels.min_max_abs_dot(probes, quats))))
+    worst = _kernels.min_max_abs_dot(covering_probes(), quats)
+    return 2.0 * math.acos(min(1.0, max(0.0, worst)))
 
 
 def clustered_grid(n, seed):
@@ -380,20 +383,48 @@ def clustered_grid(n, seed):
 
 
 @pytest.mark.parametrize("generator", sorted(so3.GENERATOR_IDS))
-@pytest.mark.parametrize("n", [1, 7, 72, 576])
+@pytest.mark.parametrize("n", [1, 7, 72, 576, 4608])
 def test_covering_radius_matches_dense_estimate(generator, n):
     grid = so3.build_grid(n, generator=generator)
     assert grid.covering_radius == covering_estimate(grid.quats)
 
 
 def test_covering_radius_with_empty_buckets_matches_dense_estimate():
-    # Most probes land in buckets that own no grid point; each such
-    # group is bounded through the nearest cell that owns one.
+    # Most probes' blocks of buckets hold no grid point; their bound is
+    # 0.0, so each of them is scanned against the whole grid.
     sparse = so3.build_grid(7, generator="random_uniform", seed=3)
-    assert sparse.cells.radius.shape[0] == 2 and sparse.cells.level == 0
     for grid in (sparse, clustered_grid(576, 27), clustered_grid(4608, 28)):
-        assert grid.cells.radius.shape[0] < 4 * 8**grid.cells.level
+        bound = so3._covering_bounds(grid.quats, covering_probes())
+        assert np.mean(bound == 0.0) > 0.5
         assert grid.covering_radius == covering_estimate(grid.quats)
+
+
+@pytest.mark.parametrize("n", [72, 4608])
+def test_covering_bounds_are_the_best_dots_over_a_subset(n):
+    grid = so3.build_grid(n, generator="random_uniform", seed=4)
+    probes = covering_probes()[:500]
+    bound = so3._covering_bounds(grid.quats, probes)
+    dots = _kernels.fixed_abs_dots(probes[:, None, :], grid.quats)
+    best = dots.max(axis=1)
+    assert np.all(bound <= best)
+    # Each bound is one of the probe's own |dot| values, bit for bit.
+    assert np.all(np.any(dots == bound[:, None], axis=1))
+    assert np.mean(bound == best) > 0.5
+
+
+def test_covering_radius_scans_few_probes_and_builds_no_index(monkeypatch):
+    scanned = []
+    kernel = _kernels.min_max_abs_dot
+
+    def counted(samples, quats):
+        scanned.append(samples.shape[0])
+        return kernel(samples, quats)
+
+    monkeypatch.setattr(_kernels, "min_max_abs_dot", counted)
+    grid = so3.build_grid(36864)
+    assert grid.covering_radius == COVERING[36864]
+    assert sum(scanned) <= 4 * so3._COVERING_BATCH
+    assert grid._cells is None and grid._table is None
 
 
 @pytest.mark.parametrize("n", [1, 7, 576, 4608])
