@@ -33,12 +33,20 @@ Both sides of the pair are timed, and the two must agree to within
 1e-9 with the same argmax.
 
 Then the grid's nearest table is built at G=576, 4608 and 36864 (the
-build is timed once), and lookups of 4608 queries through it
-(`so3.nearest_indices`) are timed against the whole-grid scan
-`_kernels.nearest_abs_dots`, on a solver-shaped batch (one camera
-composed with grid rotations) and on random rotations. The table must
-return the scan's indices. The mean and largest bucket list lengths
-are printed beside each size.
+build is timed once, and at 4608 and 36864 each level of it too), and
+lookups of 4608 queries through it (`so3.nearest_indices`) are timed
+against the whole-grid scan `_kernels.nearest_abs_dots`, on a
+solver-shaped batch (one camera composed with grid rotations), on
+random rotations, on queries on the edges between faces and on queries
+on the table's bin edges. The table must return the scan's indices and
+|dot| values bit for bit. The mean and largest bucket list lengths are
+printed beside each size.
+
+Then a table scorer's energy over the 30 ordered pairs of a 6-camera
+table is timed at G=576 and 4608 both ways: `TableScorer.score_pairs`,
+which snaps every rotation in one lookup, against the base class's
+loop of one `score_quats` call per pair. The two must return the same
+bits.
 
 Then `SO3Grid.covering_radius` is timed on fresh grids at G=4608 and
 36864, grid build included, with the number of probes it scans against
@@ -62,7 +70,14 @@ import time
 import numpy as np
 
 from svpose import _kernels, so3, solver
-from svpose.energy import GridBlock, SymmetricModeScorer, pair_quats
+from svpose.energy import (
+    EnergyTable,
+    GridBlock,
+    PairwiseScorer,
+    SymmetricModeScorer,
+    TableScorer,
+    pair_quats,
+)
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 
@@ -267,28 +282,66 @@ def bench_score_grid():
         )
 
 
+def face_boundary_quats(rng, m):
+    """Queries whose two largest |components| are equal: on the edge of two faces."""
+    v = rng.standard_normal((m, 4))
+    k = np.abs(v).argmax(axis=1)
+    i = (k + rng.integers(1, 4, size=m)) % 4
+    v[np.arange(m), i] = v[np.arange(m), k] * rng.choice([-1.0, 1.0], size=m)
+    return so3.quat_normalize(v)
+
+
+def bin_edge_quats(rng, m, levels):
+    """Queries with face coordinates on the table's bin edges, most axes exactly."""
+    n = 1 << levels
+    u = rng.uniform(-1.0, 1.0, size=(m, 3))
+    edge = np.tan(math.pi / 4.0 * (rng.integers(0, n + 1, size=(m, 3)) * (2.0 / n) - 1.0))
+    on = rng.random((m, 3)) < 0.6
+    u[on] = edge[on]
+    v = np.column_stack([np.ones(m), u]) * rng.choice([-1.0, 1.0], size=(m, 1))
+    q = np.empty_like(v)
+    np.put_along_axis(q, so3._FACE_ORDER[rng.integers(0, 4, size=m)], v, axis=1)
+    return so3.quat_normalize(q)
+
+
 def bench_lookup():
     rng = np.random.default_rng(12)
     print(
         f"{'nearest-grid lookup, 4608 queries':<44} {'build':>10} {'dense':>10} "
         f"{'table':>10} {'speedup':>8} {'list mean/max':>14}"
     )
+    refine = so3._refine
     for n in (576, 4608, 36864):
         grid = so3.build_grid(n)
-        t0 = time.perf_counter()
-        table = grid.nearest_table
-        t_build = time.perf_counter() - t0
+        levels = []
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            out = refine(*args)
+            levels.append(time.perf_counter() - t0)
+            return out
+
+        so3._refine = timed
+        try:
+            t0 = time.perf_counter()
+            table = grid.nearest_table
+            t_build = time.perf_counter() - t0
+        finally:
+            so3._refine = refine
         lens = np.diff(table.ptr)
         camera = so3.quat_conj(grid.quats[n // 3])[None, :]
         batches = [
             ("solver batch", so3.quat_mul(np.resize(grid.quats, (4608, 4)), camera)),
             ("random", so3.random_quats(rng, 4608)),
+            ("face boundary", face_boundary_quats(rng, 4608)),
+            ("bin edge", bin_edge_quats(rng, 4608, table.levels)),
         ]
         for name, queries in batches:
             queries = np.ascontiguousarray(queries)
-            want, _ = _kernels.nearest_abs_dots(queries, grid.quats)
-            got = so3.nearest_indices(grid, queries)
-            assert np.array_equal(want, got), f"G={n} {name}: table lookup differs"
+            want = _kernels.nearest_abs_dots(queries, grid.quats)
+            got = table.lookup(queries)
+            assert np.array_equal(want[0], got[0]), f"G={n} {name}: table indices differ"
+            assert np.array_equal(want[1], got[1]), f"G={n} {name}: table |dot| differs"
             t_dense = _timeit(_kernels.nearest_abs_dots, queries, grid.quats)
             t_table = _timeit(so3.nearest_indices, grid, queries)
             print(
@@ -296,6 +349,35 @@ def bench_lookup():
                 f"{t_table * 1e3:>8.2f}ms {t_dense / t_table:>7.2f}x "
                 f"{f'{lens.mean():.1f}/{lens.max()}':>14}"
             )
+        if n > 576:
+            per_level = " ".join(f"{t * 1e3:.1f}" for t in levels)
+            print(f"{f'G={n}, build per level (ms)':<44} {per_level}")
+
+
+def bench_table_energy():
+    n = 6
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    print(f"{f'table energy, {len(pairs)} pairs':<44} {'per-pair':>10} {'batched':>10} {'speedup':>8}")
+    for g in (576, 4608):
+        grid = so3.build_grid(g)
+        source = scene_to_scorer(generate_scene(RigSpec(n_cameras=n, seed=1000)), 50.0, 0.02)
+        rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+        scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+        quats = so3.random_quats(np.random.default_rng(g), len(pairs))
+
+        def per_pair():
+            return PairwiseScorer.score_pairs(scorer, pairs, quats)
+
+        def batched():
+            return scorer.score_pairs(pairs, quats)
+
+        assert np.array_equal(per_pair(), batched()), f"G={g}: batched energy differs"
+        t_per_pair = _timeit(per_pair, repeat=20)
+        t_batched = _timeit(batched, repeat=20)
+        print(
+            f"{f'G={g}, same bits':<44} {t_per_pair * 1e3:>8.2f}ms "
+            f"{t_batched * 1e3:>8.2f}ms {t_per_pair / t_batched:>7.2f}x"
+        )
 
 
 def bench_covering():
@@ -356,6 +438,8 @@ def main():
     bench_score_grid()
     print()
     bench_lookup()
+    print()
+    bench_table_energy()
     print()
     bench_covering()
     print()

@@ -442,6 +442,24 @@ class TableScorer(PairwiseScorer):
             quats = quat_conj(quats)
         return row[nearest_indices(self.grid, quats)].astype(np.float64)
 
+    def score_pairs(self, pairs, quats):
+        """Every rotation snapped in one lookup, then read from its pair's row.
+
+        A lookup's answer does not depend on its batch, so each entry is
+        the pair's own `score_quats` entry, bit for bit.
+        """
+        rows, flips = [], []
+        for i, j in pairs:
+            if i == j:
+                raise ValueError("pair indices must differ")
+            row, transposed = self._row(i, j)
+            rows.append(row)
+            flips.append(transposed)
+        quats = np.array(quats, dtype=np.float64)
+        quats[flips, 1:] = -quats[flips, 1:]
+        snapped = nearest_indices(self.grid, quats)
+        return np.array([row[k] for row, k in zip(rows, snapped)], dtype=np.float64)
+
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         if i == j:
             raise ValueError("pair indices must differ")

@@ -43,11 +43,12 @@ _COVERING_BATCH = 64
 # Nearest-grid lookups: a batch whose size times the grid size is at
 # most _DENSE_WORK scans the whole grid (`_kernels.nearest_abs_dots`);
 # larger batches go through the grid's nearest table, built once per
-# grid. With the table built, a lookup beats the scan from about 2^14
-# (batch x grid) pairs at G=576, 4608 and 36864 (0.26 ms against
-# 0.08 ms for 14 rows at G=4608, 2 CPUs), but the build costs 29 ms,
-# 0.29 s and 3.0 s at those sizes. At 2^16 a single row stays on the scan up
-# to G=65536, so a solve that snaps single rotations never builds one.
+# grid. With the table built, a lookup beats the scan from about 2^15
+# (batch x grid) pairs at G=576, 4608 and 36864 (0.14 ms against
+# 0.21 ms for 14 rows at G=4608, 2 CPUs; below that both cost about
+# 0.1 ms of call overhead), but the build costs 10 ms, 0.09 s and
+# 0.8 s at those sizes. At 2^16 a single row stays on the scan up to
+# G=65536, so a solve that snaps single rotations never builds one.
 _DENSE_WORK = 1 << 16
 # Slack on bounds over a cell, in radians; far above the rounding error
 # of arccos near 1 (about 1.5e-8).
@@ -55,9 +56,16 @@ _CELL_SLACK = 1e-6
 # Pairs per chunk of the nearest table's build and lookups and of the
 # covering's bounds; each temporary stays a few hundred kB.
 _TABLE_PAIRS = 1 << 14
-# Slack on the table's keep test, in face coordinates; far above the
-# rounding of a |dot| (about 1e-15) and of a bucket's edges.
-_TABLE_SLACK = 1e-12
+# Slack on the table's keep test, in face coordinates. The test runs in
+# float32 (u = 2^-24) on terms whose magnitudes sum to at most
+# |p|_1 + |p*|_1 <= 4 (every |mid_i| + half_i <= 1), and no term passes
+# through more than 10 roundings (two casts, a product, three sums in
+# <(1, mid), p>, the difference and three more sums), so the computed
+# test is within 10 u * 4 < 2.4e-6 of the exact one. The slack is over
+# 10 times that; the rounding of a float64 |dot| (about 1e-15) and of a
+# bucket's edges is far below it. More slack only makes lists longer:
+# lists may change with it, lookups may not.
+_TABLE_SLACK = 3e-5
 # Component order on each cube-map face: the face's component first.
 _FACE_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]])
 # Child j of a bucket takes the upper half of its axis a when bit 2 - a
@@ -294,6 +302,22 @@ def _chunks(lens):
         s = e
 
 
+def _first_best(quats, queries, cand, lens):
+    """Each query's first nearest among its candidates, and its fixed-order |dot|.
+
+    Query m's candidates are the next `lens[m]` (at least 1) grid
+    indices of `cand`. Queries and candidates are gathered
+    component-major, (4, pairs), so every gather reads whole rows of the
+    grid's (4, G) layout (see `SO3Grid`).
+    """
+    starts = np.cumsum(lens) - lens
+    q = np.repeat(queries.T, lens, axis=1)
+    d = _kernels.fixed_abs_dots(q.T, np.take(quats.T, cand, axis=1).T)
+    best = np.maximum.reduceat(d, starts)
+    at = np.where(d == np.repeat(best, lens), np.arange(d.shape[0]), d.shape[0])
+    return cand[np.minimum.reduceat(at, starts)], best
+
+
 def _child_boxes(bins, n):
     """The box lo <= u <= hi of each child, from its bins' dyadic edges in arctan.
 
@@ -310,63 +334,64 @@ def _refine(faced, ptr, entries, face, bins, n):
     """The children's CSR lists from their parents' (see `NearestTable`).
 
     `faced` holds the grid in each face's coordinates, component-major
-    (4, 4 G); parent b lies on face `face[b]`, as do its 8 children,
-    whose bins on the n x n x n face are `bins[8 b:8 b + 8]`. Parents
-    are taken in blocks of about _TABLE_PAIRS / 8 list entries, or one
-    parent with a longer list, whose entries are then taken in chunks
-    of that size.
+    (4, 4 G), in float32; parent b lies on face `face[b]`, as do its 8
+    children, whose bins on the n x n x n face are `bins[8 b:8 b + 8]`.
+    Parents are taken P at a time as a (P, L) matrix of list entries,
+    L the block's longest list and P L at most _TABLE_PAIRS / 8 (or
+    one longer list); a shorter list is padded by repeating its last
+    entry, and the padding is masked off.
     """
     g = faced.shape[1] // 4
-    step = _TABLE_PAIRS // 8
+    lens = np.diff(ptr)
+    per = max(1, _TABLE_PAIRS // 8 // int(lens.max()))
+    # Each child's box per axis as (parents, 8, 1), and the (parents,
+    # 8, 4) vectors (1, center) and (1, mid).
+    center, mid, half = (
+        x.transpose(0, 2, 1)[..., None].astype(np.float32)
+        for x in _child_boxes(bins.reshape(-1, 8, 3), n)
+    )
+    at_center, at_mid = _with_one(center), _with_one(mid)
     counts, lists = [], []
-    b0 = 0
-    while b0 < face.shape[0]:
-        b1 = max(b0 + 1, int(np.searchsorted(ptr, ptr[b0] + step, side="right")) - 1)
-        center, mid, half = _child_boxes(bins[8 * b0 : 8 * b1].reshape(-1, 8, 3), n)
-        chunks = []
-        for s in range(ptr[b0], ptr[b1], step):
-            pos = np.arange(s, min(s + step, ptr[b1]))
-            par, cand = np.searchsorted(ptr, pos, side="right") - 1 - b0, entries[pos]
-            chunks.append((par, cand, faced[:, face[b0 + par] * g + cand]))
-        # p*: per child, the parent-list point nearest its center.
-        best = np.full((8, b1 - b0), -1.0)
-        star = np.zeros((8, b1 - b0), dtype=np.int64)
-        for par, cand, p in chunks:
-            c = center[:, :, par]
-            d = p[0] + c[0] * p[1] + c[1] * p[2] + c[2] * p[3]
-            np.abs(d, out=d)
-            fresh = np.diff(par, prepend=-1) != 0
-            new = np.flatnonzero(fresh)
-            top = np.maximum.reduceat(d, new, axis=1)
-            at = np.where(d == top[:, np.cumsum(fresh) - 1], np.arange(d.shape[1]), d.shape[1])
-            first = cand[np.minimum.reduceat(at, new, axis=1)]
-            b = par[new]
-            better = top > best[:, b]
-            best[:, b] = np.where(better, top, best[:, b])
-            star[:, b] = np.where(better, first, star[:, b])
-        # p* with the sign that faces the center, in face coordinates.
-        f = faced[:, face[b0:b1] * g + star]
-        f *= np.where(f[0] + np.sum(center * f[1:], axis=0) < 0.0, -1.0, 1.0)
-        # Keep p when the box's largest <v, w>, for w = p - p* or -p - p*,
-        # is <(1, mid), w> + sum_i half_i |w_i| >= 0.
-        rows = np.concatenate([f[1:], half, mid, [f[0] + np.sum(mid * f[1:], axis=0)]])
-        child, point = [], []
-        for par, cand, p in chunks:
-            lin = p[0] + rows[6][:, par] * p[1] + rows[7][:, par] * p[2] + rows[8][:, par] * p[3]
-            plus = lin - rows[9][:, par]
-            minus = plus - 2.0 * lin
-            for i in range(3):
-                f_i, h_i = rows[i][:, par], rows[3 + i][:, par]
-                plus += h_i * np.abs(p[1 + i] - f_i)
-                minus += h_i * np.abs(p[1 + i] + f_i)
-            j, e = np.nonzero((plus >= -_TABLE_SLACK) | (minus >= -_TABLE_SLACK))
-            child.append(8 * par[e] + j)
-            point.append(cand[e])
-        child = np.concatenate(child)
-        lists.append(np.concatenate(point)[np.argsort(child, kind="stable")])
-        counts.append(np.bincount(child, minlength=8 * (b1 - b0)))
-        b0 = b1
+    for b0 in range(0, face.shape[0], per):
+        b1 = min(b0 + per, face.shape[0])
+        width = int(lens[b0:b1].max())
+        cols = np.arange(width)
+        cand = entries[np.minimum(ptr[b0:b1, None] + cols, ptr[b0 + 1 : b1 + 1, None] - 1)]
+        p = np.take(faced, face[b0:b1, None] * g + cand, axis=1)
+        # p*: per child, a parent-list point nearest its center, with
+        # the sign that faces the center.
+        d = np.matmul(at_center[b0:b1], p.transpose(1, 0, 2))
+        k = np.abs(d).argmax(axis=2)[..., None]
+        star = np.take_along_axis(cand, k[..., 0], axis=1)
+        f = np.take(faced, face[b0:b1, None] * g + star, axis=1)[..., None]
+        f *= np.copysign(np.float32(1.0), np.take_along_axis(d, k, axis=2))
+        # Keep p when the box's largest <v, w>, for w = p - p* or
+        # -p - p*, is <(1, mid), w> + sum_i half_i |w_i| >= 0.
+        lin = np.matmul(at_mid[b0:b1], p.transpose(1, 0, 2))
+        lin_star = f[0] + np.sum(mid[:, b0:b1] * f[1:], axis=0)
+        plus = lin - lin_star
+        minus = np.negative(lin, out=lin)
+        minus -= lin_star
+        p = p[:, :, None, :]
+        for i in range(3):
+            h, w = half[i, b0:b1], p[1 + i] - f[1 + i]
+            plus += np.multiply(h, np.abs(w, out=w), out=w)
+            np.add(p[1 + i], f[1 + i], out=w)
+            minus += np.multiply(h, np.abs(w, out=w), out=w)
+        keep = plus >= -_TABLE_SLACK
+        keep |= minus >= -_TABLE_SLACK
+        keep &= (cols < lens[b0:b1, None])[:, None, :]
+        # Read in C order: each child's points ascending, children in
+        # bucket order. Entry (b, j, l) of `keep` is list entry (b, l).
+        kept = np.flatnonzero(keep)
+        lists.append(cand.ravel()[kept // (8 * width) * width + kept % width])
+        counts.append(np.count_nonzero(keep, axis=2).ravel())
     return np.concatenate([[0], np.cumsum(np.concatenate(counts))]), np.concatenate(lists)
+
+
+def _with_one(u):
+    """The (..., 4) vectors (1, u) of (3, ..., 1) face coordinates u."""
+    return np.concatenate([np.ones_like(u[0]), *u], axis=-1)
 
 
 def _table_levels(g):
@@ -415,20 +440,28 @@ class NearestTable:
 
     Lists are built a level at a time, each child from its parent's
     list, starting from every point on each face; no pass scans the
-    whole grid per bucket. A child takes p*, the parent-list point
-    nearest its center, and keeps a point p when |<v, p>| >= <v, p*> for
-    some v in its box, which the nearest point of every v does. For
-    each sign of p the test is linear in v, so over the box it is
-    exactly w_0 + sum_i max(lo_i w_i, hi_i w_i) >= 0 for w = +-p - p*
-    (less _TABLE_SLACK for rounding). Where p* is not in front of the
-    whole box, some v has <v, p*> < 0 and every point passes.
+    whole grid per bucket. A child takes p*, a parent-list point nearest
+    its center, and keeps a point p when |<v, p>| >= <v, p*> for some v
+    in its box, which the nearest point of every v does. For each sign
+    of p the test is linear in v, so over the box it is exactly
+    <(1, mid), w> + sum_i half_i |w_i| >= 0 for w = +-p - p* (less
+    _TABLE_SLACK for rounding). Where p* is not in front of the whole
+    box, some v has <v, p*> < 0 and every point passes.
+
+    The build works on a block of parents at once, their lists padded
+    to a (P, L) matrix, against each child's box and p* broadcast as
+    (P, 8, 1). Any grid point is a valid p*, so it is picked in float32,
+    and the keep test runs in float32 too, with a slack above its
+    rounding (see _TABLE_SLACK), so no point the exact test keeps is
+    dropped. Lists may therefore change with the arithmetic of the
+    build, but no lookup does.
     """
 
     def __init__(self, quats):
-        self.quats = quats
+        self.quats = np.ascontiguousarray(quats.T).T
         self.levels = _table_levels(quats.shape[0])
         g = quats.shape[0]
-        faced = np.ascontiguousarray(quats[:, _FACE_ORDER].transpose(2, 1, 0).reshape(4, 4 * g))
+        faced = quats[:, _FACE_ORDER].transpose(2, 1, 0).reshape(4, 4 * g).astype(np.float32)
         face = np.arange(4)
         bins = np.zeros((4, 3), dtype=np.int64)
         ptr = np.arange(5) * g
@@ -452,13 +485,7 @@ class NearestTable:
         buckets = _cube_buckets(queries, self.levels)[0]
         for s, e in _chunks(self.ptr[buckets + 1] - self.ptr[buckets]):
             cand, lens = _gather(self.ptr, self.entries, buckets[s:e])
-            row = np.repeat(np.arange(e - s), lens)
-            starts = np.cumsum(lens) - lens
-            d = _kernels.fixed_abs_dots(queries[s:e][row], self.quats[cand])
-            best = np.maximum.reduceat(d, starts)
-            at = np.where(d == best[row], np.arange(d.shape[0]), d.shape[0])
-            idx[s:e] = cand[np.minimum.reduceat(at, starts)]
-            dot[s:e] = best
+            idx[s:e], dot[s:e] = _first_best(self.quats, queries[s:e], cand, lens)
         return idx, dot
 
 
@@ -599,8 +626,9 @@ def _covering_bounds(quats, probes):
     The points near a probe are those in the 2 x 2 x 2 block of
     cube-map buckets, one level above the nearest table's, nearest to
     it on its own face (the face's one bucket at level 0). A probe whose
-    block holds no point gets 0.0. Probes are taken in chunks of about
-    _TABLE_PAIRS (probe, point) pairs.
+    block holds no point takes grid point 0 alone, so every bound is
+    one of its probe's own |dot| values. Probes are taken in chunks of
+    about _TABLE_PAIRS (probe, point) pairs.
     """
     levels = max(0, _table_levels(quats.shape[0]) - 1)
     n = 1 << levels
@@ -617,14 +645,14 @@ def _covering_bounds(quats, probes):
     step = np.arange(w)
     offsets = ((step[:, None, None] * n + step[:, None]) * n + step).ravel()
     keys = (((face * n + lo[:, 0]) * n + lo[:, 1]) * n + lo[:, 2])[:, None] + offsets
-    bound = np.zeros(probes.shape[0])
-    for s, e in _chunks((ptr[keys + 1] - ptr[keys]).sum(axis=1)):
-        cand, lens = _gather(ptr, entries, keys[s:e].ravel())
-        lens = lens.reshape(e - s, -1).sum(axis=1)
-        d = _kernels.fixed_abs_dots(probes[s:e][np.repeat(np.arange(e - s), lens)], quats[cand])
-        hit = np.flatnonzero(lens)
-        if hit.shape[0]:
-            bound[s + hit] = np.maximum.reduceat(d, (np.cumsum(lens) - lens)[hit])
+    counts = (ptr[keys + 1] - ptr[keys]).sum(axis=1)
+    lens = np.maximum(counts, 1)
+    bound = np.empty(probes.shape[0])
+    for s, e in _chunks(lens):
+        cand = _gather(ptr, entries, keys[s:e].ravel())[0]
+        # A probe whose block is empty takes grid point 0 alone.
+        cand = np.insert(cand, np.cumsum(counts[s:e])[counts[s:e] == 0], 0)
+        bound[s:e] = _first_best(quats, probes[s:e], cand, lens[s:e])[1]
     return bound
 
 

@@ -310,6 +310,32 @@ def test_table_scorer_serves_rows_and_transposes():
         s.score(0, 2, r)
 
 
+@pytest.mark.parametrize("both_orders", [False, True])
+def test_table_score_pairs_matches_per_pair_scores(both_orders):
+    # 20 cameras at G=576: every ordered pair in one batch is large
+    # enough to go through the nearest table, one row at a time is not.
+    n = 20
+    rng = rng_for(19)
+    grid = so3.build_grid(576)
+    stored = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if both_orders:
+        stored += [(j, i) for i, j in stored[::3]]
+    scorer = TableScorer(table_for(rng, grid, stored), grid)
+    assert scorer.directional == both_orders
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    quats = so3.random_quats(rng, len(pairs))
+    quats[::4] = grid.quats[rng.integers(grid.n, size=quats[::4].shape[0])]
+    assert len(pairs) * grid.n > so3._DENSE_WORK
+    # The base class scores one pair at a time through score_quats.
+    want = PairwiseScorer.score_pairs(scorer, pairs, quats)
+    assert np.array_equal(scorer.score_pairs(pairs, quats), want)
+    assert grid._table is not None
+    with pytest.raises(ValueError):
+        scorer.score_pairs([(0, 1), (2, 2)], quats[:2])
+    with pytest.raises(ConsistencyError):
+        scorer.score_pairs([(0, 1), (0, n)], quats[:2])
+
+
 def test_table_scorer_grid_mismatch():
     grid = so3.build_grid(72)
     other = so3.build_grid(16)

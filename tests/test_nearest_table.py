@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from svpose import so3
+from svpose import _kernels, so3
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -130,3 +130,49 @@ def test_near_ties_resolve_alike_in_both_regimes():
         assert np.array_equal(rotated, want)
     assert grid._table is not None
     assert not np.array_equal(oracle(grid_quats, apart)[0], np.tile(slots.min(axis=1), 2))
+
+
+def bucket_boxes(codes, levels):
+    """The face and bins of each bucket, from its nested bucket number."""
+    bins = np.zeros((codes.shape[0], 3), dtype=np.int64)
+    for bit in range(levels):
+        child = (codes >> 3 * bit) & 7
+        bins |= ((child[:, None] >> np.array([2, 1, 0])) & 1) << bit
+    return codes >> 3 * levels, bins
+
+
+@pytest.mark.parametrize(
+    "n, generator",
+    [(4608, "super_fibonacci"), (4608, "random_uniform"), (36864, "super_fibonacci")],
+)
+def test_table_at_benchmark_sizes(n, generator):
+    # The float32 keep test at the sizes the benchmarks build: lookups
+    # equal the dense kernel bit for bit, and every list is a sound,
+    # ascending, non-empty bucket list.
+    grid = so3.build_grid(n, generator=generator, seed=1)
+    table = so3.NearestTable(grid.quats)
+    rng = np.random.Generator(np.random.PCG64(n))
+    m = 1024 if n > 4608 else 2048
+    camera = so3.quat_conj(so3.random_quats(rng, 1))
+    batches = [
+        so3.quat_mul(grid.quats[rng.choice(n, m, replace=False)], camera),
+        queries_of("random", grid.quats, table.levels, rng, m),
+        queries_of("face boundary", grid.quats, table.levels, rng, m),
+        queries_of("bin edge", grid.quats, table.levels, rng, m),
+    ]
+    for queries in batches:
+        idx, dot = table.lookup(queries)
+        want_idx, want_dot = _kernels.nearest_abs_dots(queries, grid.quats)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dot, want_dot)
+    lens = np.diff(table.ptr)
+    assert lens.shape[0] == 4 * 8**table.levels and lens.min() >= 1
+    step = np.diff(table.entries.astype(np.int64))
+    step[table.ptr[1:-1] - 1] = 1
+    assert step.min() >= 1
+    codes = rng.choice(lens.shape[0], 512, replace=False)
+    centers = so3._box_centers(*bucket_boxes(codes, table.levels), table.levels)
+    assert np.array_equal(so3._cube_buckets(centers, table.levels)[0], codes)
+    nearest, _ = _kernels.nearest_abs_dots(centers, grid.quats)
+    for code, k in zip(codes, nearest):
+        assert k in table.entries[table.ptr[code] : table.ptr[code + 1]]

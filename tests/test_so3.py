@@ -389,14 +389,30 @@ def test_covering_radius_matches_dense_estimate(generator, n):
     assert grid.covering_radius == covering_estimate(grid.quats)
 
 
-def test_covering_radius_with_empty_buckets_matches_dense_estimate():
-    # Most probes' blocks of buckets hold no grid point; their bound is
-    # 0.0, so each of them is scanned against the whole grid.
+def test_covering_radius_with_empty_buckets_matches_dense_estimate(monkeypatch):
+    # Most probes' blocks of buckets hold no grid point; such a probe is
+    # bounded by its |dot| with grid point 0, so it is not scanned
+    # unless that bound is among the smallest.
+    scanned = []
+    kernel = _kernels.min_max_abs_dot
+
+    def counted(samples, quats):
+        scanned.append(samples.shape[0])
+        return kernel(samples, quats)
+
+    monkeypatch.setattr(_kernels, "min_max_abs_dot", counted)
+    probes = covering_probes()
     sparse = so3.build_grid(7, generator="random_uniform", seed=3)
     for grid in (sparse, clustered_grid(576, 27), clustered_grid(4608, 28)):
-        bound = so3._covering_bounds(grid.quats, covering_probes())
-        assert np.mean(bound == 0.0) > 0.5
-        assert grid.covering_radius == covering_estimate(grid.quats)
+        bound = so3._covering_bounds(grid.quats, probes)
+        dots = _kernels.fixed_abs_dots(probes[:, None, :], grid.quats)
+        assert not np.any(bound == 0.0)
+        assert np.all(np.any(dots == bound[:, None], axis=1))
+        want = covering_estimate(grid.quats)
+        scanned.clear()
+        assert grid.covering_radius == want
+    # Scanned at the clustered 4608-point grid: 9856 with 0.0 bounds.
+    assert sum(scanned) < 3000
 
 
 @pytest.mark.parametrize("n", [72, 4608])
