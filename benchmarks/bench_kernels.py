@@ -4,12 +4,14 @@ Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-First, one block update of a 20-camera scene at G=36864 (the mode
-scorer, partners at their spanning-tree rotations) is timed both ways:
-the two-level bounded search over the parents and cells of the grid's
-cell index, against the same search with the block's bounds hidden,
-which scores the whole grid as one cell. The two must return the same
-argmax, value and current-index value. The bounded search's candidate
+Block updates and the spanning tree share one search,
+`solver.grid_search`, over groups of terms. First, one block update of
+a 20-camera scene at G=36864 (the mode scorer, partners at their
+spanning-tree rotations), the search of one group of 19 terms, is
+timed both ways: the two-level bounded search over the parents and
+cells of the grid's cell index, against the same search with the
+block's bounds hidden, which scores the whole grid as one cell. The
+two must return the same argmax, value and current-index value. The bounded search's candidate
 fraction, the grid rows it scores over G, is printed beside its
 timing, and so are the parents and cells it bounds, for that update
 and on average over the block updates of a two-sweep solve. Building
@@ -20,10 +22,11 @@ default `GridBlock`, which offers no bound and answers each term's
 whole-grid `score_grid` row, so its search is dense; again the two must
 return the same three numbers.
 
-The spanning tree's stacked search (`solver.grid_searches`), which
-finds all 190 pairs' best rotations of the same rig in one two-level
-search, is timed against one dense whole-grid search per pair. The two
-must return the same index and the same value bits for every pair.
+The spanning tree's search, one call with a one-term group per pair,
+which finds all 190 pairs' best rotations of the same rig in one
+two-level search, is timed against one dense whole-grid search per
+pair. The two must return the same index and the same value bits for
+every pair.
 
 Then one partner's term of a block update at G=36864 is timed both
 ways: composing every grid candidate with the partner's rotation and
@@ -185,21 +188,22 @@ def bench_block_update():
     terms = [(camera, j, quats[j], "i") for j in range(n) if j != camera]
 
     def bounded():
-        return solver.grid_search(scorer, grid, terms, n - 1, current)
+        return solver.grid_search(scorer, grid, [terms], current)
 
     def whole():
-        return solver.grid_search(WholeGrid(scorer), grid, terms, n - 1, current)
+        return solver.grid_search(WholeGrid(scorer), grid, [terms], current)
 
     def per_term():
-        return solver.grid_search(PerTerm(scorer), grid, terms, n - 1, current)
+        return solver.grid_search(PerTerm(scorer), grid, [terms], current)
 
     got, want, looped = bounded(), whole(), per_term()
     assert got == want, f"bounded search {got} differs from whole grid {want}"
     assert got == looped, f"stacked bounded search {got} differs from dense per-term {looped}"
+    [(best_k, best, _)] = got
     counter = RowCounter(scorer)
-    solver.grid_search(counter, grid, terms, n - 1, current)
+    solver.grid_search(counter, grid, [terms], current)
     bounded_here = BoundCounter(scorer)
-    solver.grid_search(bounded_here, grid, terms, n - 1, current)
+    solver.grid_search(bounded_here, grid, [terms], current)
     [(parents, cells)] = bounded_sizes(bounded_here.updates)
     in_solve = BoundCounter(scorer)
     solver.coordinate_ascent(in_solve, rotations, grid, max_sweeps=2)
@@ -210,7 +214,7 @@ def bench_block_update():
     t_stacked = _timeit(bounded, repeat=20)
     print(f"{'block update, 20 cameras, G=36864':<44} {'whole':>10} {'bounded':>10} {'speedup':>8}")
     print(
-        f"{f'argmax {got[0]}, value {got[1]:.6f}':<44} {t_whole * 1e3:>8.2f}ms "
+        f"{f'argmax {best_k}, value {best:.6f}':<44} {t_whole * 1e3:>8.2f}ms "
         f"{t_bounded * 1e3:>8.2f}ms {t_whole / t_bounded:>7.2f}x"
     )
     print(f"{f'bounded search scored {counter.rows} of {grid.n} rows':<44} {counter.rows / grid.n:>9.1%}")
@@ -233,21 +237,21 @@ def bench_pair_search():
     grid = so3.build_grid(36864)
     scene = generate_scene(RigSpec(n_cameras=n, seed=1000, jitter=0.05))
     scorer = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02)
-    terms = [(i, j, None, "j") for i in range(n) for j in range(i + 1, n)]
+    groups = [[(i, j, None, "j")] for i in range(n) for j in range(i + 1, n)]
 
     def stacked():
-        return solver.grid_searches(scorer, grid, terms, n - 1)
+        return solver.grid_search(scorer, grid, groups)
 
     def per_pair():
-        return [solver.grid_search(WholeGrid(scorer), grid, [t], n - 1)[:2] for t in terms]
+        return [solver.grid_search(WholeGrid(scorer), grid, [g])[0] for g in groups]
 
     got, want = stacked(), per_pair()
-    assert [(k, v.hex()) for k, v in got] == [(k, v.hex()) for k, v in want], (
+    assert [(k, v.hex()) for k, v, _ in got] == [(k, v.hex()) for k, v, _ in want], (
         "stacked pair search differs from per-pair dense searches"
     )
     t_per_pair = _timeit(per_pair, repeat=2)
     t_stacked = _timeit(stacked)
-    name = f"spanning tree, {len(terms)} pairs, G=36864"
+    name = f"spanning tree, {len(groups)} pairs, G=36864"
     print(f"{name:<44} {'per-pair':>10} {'stacked':>10} {'speedup':>8}")
     print(
         f"{'same index and value bits per pair':<44} {t_per_pair * 1e3:>8.2f}ms "

@@ -303,8 +303,11 @@ def cmd_solve(config: RunConfig):
     # Each loader returns (scorer, n_cameras, ground-truth poses or None).
     def load_scene_problem(path):
         scene = load_scene(path)
+        n = scene.rig.n_cameras
+        if n < 2:
+            raise ConsistencyError(f"{path}: a solve needs at least two cameras, scene has {n}")
         scorer = scene_to_scorer(scene, config.kappa, config.noise_angle)
-        return scorer, scene.rig.n_cameras, scene.poses
+        return scorer, n, scene.poses
 
     def load_table_problem(path):
         table = load_table(path)

@@ -529,10 +529,6 @@ class CellIndex:
         dot = _kernels.fixed_abs_dots(ordered, self.parent_centers[parent[cell]])
         self.parent_radius = np.maximum.reduceat(_half_angle(dot), self.start[runs])
 
-    def points(self, cells):
-        """Ascending grid indices of the points the given cells own."""
-        return np.sort(self.owned(cells)[0])
-
     def owned(self, cells):
         """The grid indices each of the given cells owns, concatenated, and their counts."""
         return _gather(self.start, self.order, np.asarray(cells))

@@ -14,27 +14,29 @@ spanning tree; refinement is block coordinate ascent that searches the
 full grid for one camera at a time and accepts strict improvements, so
 the running energy never decreases.
 
-A block update maximizes a sum of `PairwiseScorer.score_grid` terms
-over the grid, one per partner (two for a directional scorer), each
-with the partner's rotation fixed (`grid_search`). The spanning tree
-needs each pair's own maximum, both orders for a directional scorer,
-and finds them all in one stacked search (`grid_searches`). A search
-asks the scorer once for its block (`PairwiseScorer.block`), then for
-each term's bounds and its scores at the rows it picks, and sums the
-terms itself, in order from 0.0. The mode scorer answers each question
-with one stacked comparison against the k modes of all T terms; the
-default block offers no bound and answers each term's whole-grid
-`score_grid` row. The solver never composes the G candidates itself; a
-camera still off the grid is scored through the same terms at its own
-rotation, and an energy sums every ordered pair, each in one
-`PairwiseScorer.score_pairs` call.
+Both use one search, `grid_search`, over groups of
+`PairwiseScorer.score_grid` terms: it maximizes each group's sum of
+terms over the grid. A block update is one group, a term per partner
+(two for a directional scorer), each with the partner's rotation
+fixed; the spanning tree is one group per pair and order, searched
+together. The search asks the scorer once for its block
+(`PairwiseScorer.block`), then for each term's bounds and its scores
+at the rows it picks. The mode scorer answers each question with one
+stacked comparison against the k modes of all T terms; the default
+block offers no bound and answers each term's whole-grid `score_grid`
+row. Every sum of the objective, a group's bounds and scores, an
+energy and a camera's value off the grid, goes through `_summed`, in
+term order from 0.0. The solver never composes the G candidates
+itself; an energy, or a camera still off the grid, is scored at its
+own relative rotations in one `PairwiseScorer.score_pairs` call.
 
 When the block offers bounds and the search is large enough
 (`_BOUND_WORK`), the search is exact branch and bound over two levels
 of the nested cube map, in the manner of Hartley and Kahl's rotation
 search. The C cells of the grid's cell index are the children of its P
 parents, the buckets one level up (C is 32, 256 and 2048 and P is 4,
-32 and 256 at G = 576, 4608 and 36864):
+32 and 256 at G = 576, 4608 and 36864). For every group at once, each
+against its own floor:
 - the bounds of the P parents, one T x P x k comparison for the mode
   scorer;
 - a floor, a lower bound on the maximum: the exact score at the
@@ -49,10 +51,9 @@ about 33 of the 2048 cells per block update, and 256 parents and 42
 cells per spanning-tree pair. The last evaluation holds the camera's
 current grid index too, so the argmax, its lowest-index tie-break and
 the strict-improvement test come from one evaluation and match a dense
-search. The stacked search takes the same steps for every term at
-once, each term against its own floor, in chunks of `_STACK_PAIRS`
-(term, parent) pairs. Otherwise the whole grid is scored as one cell:
-one T x G x k comparison.
+search. Groups are taken in chunks of `_STACK_PAIRS` (group, parent)
+pairs. Otherwise each group's whole grid is scored as one cell: one
+T x G x k comparison for a block update.
 """
 
 from dataclasses import dataclass, field
@@ -61,10 +62,10 @@ import numpy as np
 
 from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 
-# A grid of G points searched for a camera with p partners is scored
-# whole, as one cell, when G * p is at most _BOUND_WORK; larger searches
-# are pruned by two-level bounds over the cell index. Bounded over
-# whole-grid solve time with two-level bounds and the stacked
+# A search over a grid of G points whose terms name p + 1 cameras is
+# scored whole, as one cell, when G * p is at most _BOUND_WORK; larger
+# searches are pruned by two-level bounds over the cell index. Bounded
+# over whole-grid solve time with two-level bounds and the stacked
 # spanning-tree search, mode scorer, four scenes, cell index built per
 # solve, 2 CPUs (ranges over two runs, single values from one):
 # - G=4608: 2.14-3.53, 1.39-1.58, 0.55-0.71, 0.31-0.36, 0.38, 0.28 with
@@ -79,9 +80,9 @@ from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
 # smaller G * p (G=4608 from 10 cameras, G=18432 from 8), which one
 # limit on G * p leaves dense.
 _BOUND_WORK = 36864 * 4
-# (term, parent) pairs per chunk of the stacked search, which keeps each
-# temporary a few hundred kB however many cameras there are: 64 terms
-# at G=36864, where 190 pairs would otherwise take 2.5 MB.
+# (group, parent) pairs per chunk of a bounded search, which keeps each
+# temporary a few hundred kB however many cameras there are: 64 pairs
+# at G=36864, where the spanning tree's 190 would otherwise take 2.5 MB.
 _STACK_PAIRS = 1 << 14
 
 
@@ -100,116 +101,98 @@ class RotationHypothesis:
 def total_energy(scorer, rotations):
     """Ordered-pair energy, accumulated in a fixed lexicographic order."""
     quats = np.array([matrix_to_quat(np.asarray(r, dtype=np.float64)) for r in rotations])
-    n = len(quats)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = [(i, j) for i in range(len(quats)) for j in range(len(quats)) if i != j]
     if not pairs:
         return 0.0
     first, second = np.array(pairs).T
-    rel = quat_mul(quats[second], quat_conj(quats[first]))
-    total = 0.0
-    for score in scorer.score_pairs(pairs, rel):
-        total += float(score)
-    return total
+    return _pair_sum(scorer, pairs, quats[second], quats[first])
 
 
-def grid_search(scorer, grid: SO3Grid, terms, n_partners, current=-1):
-    """Grid index maximizing a sum of `score_grid` terms, lowest on ties.
-
-    `terms` lists the (i, j, fixed, moving) arguments of each term, summed
-    in order from 0.0 (`_summed`). `n_partners` sizes the search against
-    `_BOUND_WORK`. Returns the index, the sum there, and the sum at the
-    grid index `current` (None when `current` is -1), all from one
-    evaluation.
-    """
-    block = scorer.block(grid, terms)
-    every = np.arange(len(terms))[:, None]
-    found = None
-    if grid.n * n_partners > _BOUND_WORK:
-        found = _bounded(
-            grid.cells,
-            lambda at, centers, radius: _summed(block.bounds(every, centers, radius)),
-            lambda at, rows: _summed(block.scores(every, rows)),
-            1,
-            current,
-        )
-    if found is None:
-        rows, obj = np.arange(grid.n), _summed(block.scores(every))
-    else:
-        _, rows, obj = found
-    a = int(np.argmax(obj))
-    if current < 0:
-        return int(rows[a]), float(obj[a]), None
-    return int(rows[a]), float(obj[a]), float(obj[np.searchsorted(rows, current)])
+def _pair_sum(scorer, pairs, left, right):
+    # The summed scores of pairs[m] at relative rotation left[m] right[m]^-1:
+    # one product and one `score_pairs` call for all of them.
+    rel = quat_mul(left, quat_conj(right))
+    return float(_summed(np.asarray(scorer.score_pairs(pairs, rel))))
 
 
 def _summed(terms):
-    """The rows of a (T, X) array summed in order from 0.0.
+    """The rows of an array, along its first axis, summed in order from 0.0.
 
     None, a block's answer when it offers no bound, stays None.
     """
     if terms is None:
         return None
-    total = np.zeros(terms.shape[1])
+    total = np.zeros(terms.shape[1:])
     for row in terms:
         total += row
     return total
 
 
-def grid_searches(scorer, grid: SO3Grid, terms, n_partners):
-    """`grid_search` of each single term in `terms`, as one stacked search.
+def grid_search(scorer, grid: SO3Grid, groups, current=-1):
+    """Each group's grid index maximizing its sum of terms, lowest on ties.
 
-    Returns each term's (index, value): its own first maximum over the
-    grid and the value a one-term `grid_search` gives there. Sized by
-    `n_partners` as `grid_search` is; a block that offers no bound
-    answers from each term's whole-grid row.
+    `groups` lists equally long lists of the (i, j, fixed, moving)
+    arguments of `score_grid` terms; a group's terms are summed in
+    order from 0.0 (`_summed`). Returns each group's (index, value,
+    value at `current`): its first maximum, the sum there and the sum
+    at grid index `current`, all from one evaluation. `current` is -1,
+    giving None, or needs a single group. The search is sized against
+    `_BOUND_WORK` by the cameras its terms name, less one.
     """
+    size = len(groups[0]) if groups else 0
+    if any(len(group) != size for group in groups):
+        raise ValueError("groups must hold equally many terms")
+    if current >= 0 and len(groups) != 1:
+        raise ValueError("a current index needs exactly one group")
+    terms = [term for group in groups for term in group]
     block = scorer.block(grid, terms)
-    if terms and grid.n * n_partners > _BOUND_WORK:
-        found = _stacked(block, grid.cells, len(terms))
-        if found is not None:
+    # Column g holds group g's term indices into the block.
+    ids = np.arange(len(terms)).reshape(len(groups), size).T
+    partners = len({c for i, j, _, _ in terms for c in (i, j)}) - 1
+    found = []
+    if grid.n * partners > _BOUND_WORK:
+        step = max(1, _STACK_PAIRS // grid.cells.parent_radius.shape[0])
+        for s in range(0, len(groups), step):
+            part = _bounded(grid.cells, block, ids[:, s : s + step], current)
+            if part is None:
+                found = []
+                break
+            at, rows, obj = part
+            cur = None if current < 0 else float(obj[np.searchsorted(rows, current)])
+            found += [(int(rows[m]), float(obj[m]), cur) for m in _first_max(obj, at)]
+        else:
             return found
-    found = []
-    for t in range(len(terms)):
-        obj = block.scores(t)
+    for g in range(len(groups)):
+        obj = _summed(block.scores(ids[:, g, None]))
         k = int(np.argmax(obj))
-        # A one-term sum starts from 0.0, which turns -0.0 into 0.0.
-        found.append((k, float(obj[k]) + 0.0))
+        found.append((k, float(obj[k]), None if current < 0 else float(obj[current])))
     return found
 
 
-def _stacked(block, cells, n):
-    # Each of the block's n terms' (index, value) from `_bounded`, taken
-    # in chunks of _STACK_PAIRS (term, parent) pairs; None without bounds.
-    step = max(1, _STACK_PAIRS // cells.parent_radius.shape[0])
-    found = []
-    for s in range(0, n, step):
-        ids = np.arange(s, min(s + step, n))
-        part = _bounded(
-            cells,
-            lambda at, centers, radius: block.bounds(ids[at], centers, radius),
-            lambda at, rows: block.scores(ids[at], rows),
-            ids.shape[0],
-        )
-        if part is None:
-            return None
-        at, rows, obj = part
-        # One-term sums from 0.0, as in `grid_searches`.
-        found += [(int(rows[m]), float(obj[m]) + 0.0) for m in _first_max(obj, at)]
-    return found
+def _bounded(cells, block, ids, current=-1):
+    """Exact two-level branch and bound for each column of `ids`, or None.
 
-
-def _bounded(cells, bound, score, n, current=-1):
-    """Exact two-level branch and bound for n searches at once, or None.
-
-    `bound(at, centers, radius)` bounds search at[m]'s objective at
-    every grid point within half-angle radius[m] of centers[m], the
-    three broadcast together, or is None for a block without bounds;
-    `score(at, rows)` is search at[m]'s objective at grid row rows[m],
-    each search's rows ascending. Returns the (at, rows, obj) of the
-    last evaluation, grouped by search: the points of every cell that
-    can hold a search's maximum, and `current` (for one search, unless
-    -1).
+    Column m of `ids` lists search m's terms in `block`, whose bounds
+    and scores it sums; None when the block offers no bound. Returns the
+    (at, rows, obj) of the last evaluation, grouped by search, each
+    search's rows ascending: the points of every cell that can hold a
+    search's maximum, and `current` (for one search, unless -1).
     """
+
+    n = ids.shape[1]
+
+    def terms(at):
+        # Search at[m]'s terms; a lone search's broadcast, not gathered.
+        return ids if n == 1 else ids[:, at]
+
+    def bound(at, centers, radius):
+        # At least search at[m]'s objective at every grid point within
+        # half-angle radius[m] of centers[m], the three broadcast together.
+        return _summed(block.bounds(terms(at), centers, radius))
+
+    def score(at, rows):
+        return _summed(block.scores(terms(at), rows))
+
     searches = np.arange(n)
     top = bound(searches[:, None], cells.parent_centers, cells.parent_radius)
     if top is None:
@@ -245,17 +228,12 @@ def _owned(cells, searches, kids, current):
     # within each search, and `current` for search 0 unless it is -1.
     rows, counts = cells.owned(kids)
     g = cells.owner.shape[0]
-    key = _candidate_rows(np.sort(np.repeat(searches, counts) * g + rows), current)
-    return key // g, key % g
-
-
-def _candidate_rows(rows, current):
-    """The ascending grid indices `rows`, plus `current` when it is not -1."""
+    key = np.sort(np.repeat(searches, counts) * g + rows)
     if current >= 0:
-        at = int(np.searchsorted(rows, current))
-        if at == rows.shape[0] or rows[at] != current:
-            rows = np.insert(rows, at, current)
-    return rows
+        at = int(np.searchsorted(key, current))
+        if at == key.shape[0] or key[at] != current:
+            key = np.insert(key, at, current)
+    return key // g, key % g
 
 
 def _starts(at):
@@ -271,28 +249,11 @@ def _first_max(values, at):
     return np.minimum.reduceat(pos, starts)
 
 
-def _summed_scores_at(scorer, terms, quat):
-    # The block's terms with the moving camera at the off-grid rotation
-    # `quat`, composed as `pair_quats` composes them (every block term
-    # fixes its partner), in one product and one `score_pairs` call.
-    left = [fixed if moving == "i" else quat for _, _, fixed, moving in terms]
-    right = [quat if moving == "i" else fixed for _, _, fixed, moving in terms]
-    rel = quat_mul(np.array(left), quat_conj(np.array(right)))
-    total = 0.0
-    for score in scorer.score_pairs([(i, j) for i, j, _, _ in terms], rel):
-        total += score
-    return float(total)
-
-
-def best_pairwise(scorer, i, j, grid: SO3Grid, n_partners=1):
-    """Grid rotation maximizing score(i, j, .), ties to the lowest index.
-
-    `n_partners`, the partners each camera has in the problem, sizes the
-    search (see `grid_searches`).
-    """
+def best_pairwise(scorer, i, j, grid: SO3Grid):
+    """Grid rotation maximizing score(i, j, .), ties to the lowest index."""
     if i == j:
         raise ValueError("pair indices must differ")
-    [(k, best)] = grid_searches(scorer, grid, [(i, j, None, "j")], n_partners)
+    [(k, best, _)] = grid_search(scorer, grid, [[(i, j, None, "j")]])
     return grid.rotations[k].copy(), best
 
 
@@ -326,20 +287,20 @@ def mst_init(scorer, n_cameras, grid: SO3Grid):
         raise ValueError("need at least two cameras")
     rotations = [np.eye(3) for _ in range(n_cameras)]
 
-    # Every pair's best rotation in one stacked search, both orders
-    # for a directional scorer.
+    # Every pair's best rotation in one search, a group per pair and
+    # order (both orders for a directional scorer).
     pairs = [(i, j) for i in range(n_cameras) for j in range(i + 1, n_cameras)]
-    terms = [(i, j, None, "j") for i, j in pairs]
+    groups = [[(i, j, None, "j")] for i, j in pairs]
     if scorer.directional:
-        terms += [(j, i, None, "j") for i, j in pairs]
-    found = grid_searches(scorer, grid, terms, n_cameras - 1)
+        groups += [[(j, i, None, "j")] for i, j in pairs]
+    found = grid_search(scorer, grid, groups)
     rel = {}
     edges = []
     for t, (i, j) in enumerate(pairs):
-        k, s_ij = found[t]
+        k, s_ij, _ = found[t]
         rot_ij = grid.rotations[k]
         if scorer.directional:
-            k_ji, s_ji = found[len(pairs) + t]
+            k_ji, s_ji, _ = found[len(pairs) + t]
             if s_ji > s_ij:
                 rot_ij, s_ij = grid.rotations[k_ji].T, s_ji
         rel[(i, j)] = rot_ij
@@ -436,11 +397,18 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
         changed = False
         for i in range(1, n):
             terms = block_terms(i)
-            k, best, cur = grid_search(scorer, grid, terms, n - 1, on_grid[i])
+            [(k, best, cur)] = grid_search(scorer, grid, [terms], on_grid[i])
             if cur is not None:
                 accept = best > cur
             else:
-                cur = _summed_scores_at(scorer, terms, quats[i])
+                # The same terms at the camera's own rotation, composed
+                # as `pair_quats` composes them.
+                ends = [
+                    (fixed, quats[i]) if moving == "i" else (quats[i], fixed)
+                    for _, _, fixed, moving in terms
+                ]
+                left, right = np.array(ends).transpose(1, 0, 2)
+                cur = _pair_sum(scorer, [term[:2] for term in terms], left, right)
                 accept = True
             if accept:
                 rotations[i] = grid.rotations[k].copy()

@@ -1,13 +1,14 @@
-"""The solver's bounded grid searches against a dense oracle.
+"""The solver's one bounded grid search against a dense oracle.
 
-A block update maximizes a sum of `score_grid` terms over the grid, and
-`mst_init` maximizes each pair's own term in one stacked search. When
-the scorer's block bounds its terms, the searches bound the parents of
-the grid's cells, then the cells of parents that reach the best exact
-score found so far, and score only the points of cells that reach it.
-The oracle scores every term over the whole grid, takes the first
-maximum and compares the camera's current index strictly, as the dense
-block update did.
+`solver.grid_search` maximizes each of its groups' sums of `score_grid`
+terms over the grid: a block update is one group of every partner's
+terms, and `mst_init` searches one group per pair and order at once.
+When the scorer's block bounds its terms, the search bounds the parents
+of the grid's cells, then the cells of parents that reach each group's
+best exact score found so far, and scores only the points of cells
+that reach it. The oracle sums each group's terms over the whole grid
+from 0.0, takes the first maximum and reads the camera's current
+index, as the dense block update did.
 """
 
 import pickle
@@ -43,21 +44,21 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def dense_search(scorer, grid, terms, n_partners, current=-1):
-    obj = np.zeros(grid.n)
-    for i, j, fixed, moving in terms:
-        obj += scorer.score_grid(i, j, grid, fixed, moving=moving)
-    k = int(np.argmax(obj))
-    return k, float(obj[k]), (None if current < 0 else float(obj[current]))
-
-
-def dense_searches(scorer, grid, terms, n_partners=1):
-    return [dense_search(scorer, grid, [term], n_partners)[:2] for term in terms]
+def dense_search(scorer, grid, groups, current=-1):
+    found = []
+    for group in groups:
+        obj = np.zeros(grid.n)
+        for i, j, fixed, moving in group:
+            obj += scorer.score_grid(i, j, grid, fixed, moving=moving)
+        k = int(np.argmax(obj))
+        found.append((k, float(obj[k]), None if current < 0 else float(obj[current])))
+    return found
 
 
 def bits(found):
-    # (index, value) pairs with each value's exact bits, -0.0 included.
-    return [(k, float(v).hex()) for k, v in found]
+    # Each group's (index, value, value at current) with each value's
+    # exact bits, -0.0 included.
+    return [(k, float(v).hex(), None if c is None else float(c).hex()) for k, v, c in found]
 
 
 class Recorder:
@@ -98,38 +99,29 @@ class RecordedBlock:
 def checked_solve(monkeypatch, scorer, n, grid):
     """Solve while every search is compared with the dense oracle.
 
-    Both kinds are checked: the block updates (`grid_search`) and the
-    spanning tree's stacked pair search (`grid_searches`). Returns the
-    hypothesis, the hypothesis the oracle alone gives, and the recorded
-    row counts of the block updates' evaluations.
+    Every call of the one search is checked, index, value and current
+    value by their bits: the spanning tree's search over every pair and
+    the block updates. Returns the hypothesis, the hypothesis the oracle
+    alone gives, and the recorded row counts of the block updates'
+    evaluations.
     """
     decisions = []
-    search, searches = solver.grid_search, solver.grid_searches
+    search = solver.grid_search
     recorder = Recorder(scorer)
 
-    def both(scorer_, grid_, terms, n_partners, current=-1):
-        got = search(scorer_, grid_, terms, n_partners, current)
-        want = dense_search(scorer, grid_, terms, n_partners, current)
-        assert got == want, f"search over {len(terms)} terms, current {current}"
-        decisions.append(got)
-        return got
-
-    def each(scorer_, grid_, terms, n_partners):
-        got = searches(scorer_, grid_, terms, n_partners)
-        want = dense_searches(scorer, grid_, terms, n_partners)
-        assert bits(got) == bits(want), f"stacked search over {len(terms)} terms"
+    def both(scorer_, grid_, groups, current=-1):
+        got = search(scorer_, grid_, groups, current)
+        want = dense_search(scorer, grid_, groups, current)
+        assert bits(got) == bits(want), f"search over {len(groups)} groups, current {current}"
         decisions.append(got)
         return got
 
     monkeypatch.setattr(solver, "grid_search", both)
-    monkeypatch.setattr(solver, "grid_searches", each)
     hyp = solver.solve(recorder, n, grid)
     monkeypatch.setattr(solver, "grid_search", dense_search)
-    monkeypatch.setattr(solver, "grid_searches", dense_searches)
     oracle = solver.solve(scorer, n, grid)
     monkeypatch.setattr(solver, "grid_search", search)
-    monkeypatch.setattr(solver, "grid_searches", searches)
-    # The spanning tree's one stacked search, then the block updates.
+    # The spanning tree's one search over every pair, then the block updates.
     assert len(decisions) > 1 and len(decisions[0]) == len(pair_terms(scorer, n))
     assert len(recorder.blocks) == len(decisions)
     return hyp, oracle, [r for rows in recorder.blocks[1:] for r in rows]
@@ -262,25 +254,58 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
     for i, j, _, _ in terms[:4]:
         terms.append((i, j, so3.random_quats(rng, 1)[0], "i"))
         terms.append((j, i, grid.quats[int(rng.integers(grid.n))], "j"))
-    got = solver.grid_searches(scorer, grid, terms, n - 1)
-    want = dense_searches(scorer, grid, terms)
+    groups = [[term] for term in terms]
+    got = solver.grid_search(scorer, grid, groups)
+    want = dense_search(scorer, grid, groups)
     assert bits(got) == bits(want)
     # In chunks of 5 terms, the last one short, as a large rig's would be.
     monkeypatch.setattr(solver, "_STACK_PAIRS", 5 * grid.cells.parent_radius.shape[0])
     assert len(terms) % 5
-    assert bits(solver.grid_searches(scorer, grid, terms, n - 1)) == bits(want)
+    assert bits(solver.grid_search(scorer, grid, groups)) == bits(want)
     cells = grid.cells
     bounded = scorer.block(grid, terms).bounds(
         np.zeros((1, 1), dtype=np.int64), cells.parent_centers, cells.parent_radius
     )
     assert (bounded is not None) == (name in ("symmetric-multimode", "directional-modeless"))
     if name == "constant":
-        assert {k for k, _ in got} == {0}
-    for (i, j, fixed, _), (k, value) in zip(terms, got):
+        assert {k for k, _, _ in got} == {0}
+    for (i, j, fixed, _), (k, value, _) in zip(terms, got):
         if fixed is None:
-            rotation, best = solver.best_pairwise(scorer, i, j, grid, n - 1)
+            rotation, best = solver.best_pairwise(scorer, i, j, grid)
             assert np.array_equal(rotation, grid.rotations[k])
             assert float(best).hex() == float(value).hex()
+
+
+@pytest.mark.parametrize("grid_n", [100, 576, 4608])
+def test_one_search_over_multi_term_groups_matches_dense_group_sums(monkeypatch, grid_n):
+    # A group per pair holding both of its orders with the pair's second
+    # camera moving, k = 2 terms, some against a fixed first camera;
+    # pairs (0, 2) and (3, 4) have no modes and score 0 everywhere.
+    grid = grid_of(grid_n, "random_uniform" if grid_n == 100 else "super_fibonacci")
+    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    n = 5
+    scorer = directional_scorer(54, n, missing={(0, 2), (3, 4)})
+    rng = rng_for(grid_n + 54)
+    fixed = [None, *so3.random_quats(rng, n - 1)]
+    groups = [
+        [(i, j, fixed[i], "j"), (j, i, fixed[i], "i")]
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    want = dense_search(scorer, grid, groups)
+    assert bits(solver.grid_search(scorer, grid, groups)) == bits(want)
+    # In chunks of 3 groups, the last one short.
+    monkeypatch.setattr(solver, "_STACK_PAIRS", 3 * grid.cells.parent_radius.shape[0])
+    assert len(groups) % 3
+    recorder = Recorder(scorer)
+    assert bits(solver.grid_search(recorder, grid, groups)) == bits(want)
+    # Bounded: every chunk's last evaluation scores chosen rows only.
+    [rows] = recorder.blocks
+    assert len(rows) == 2 * -(-len(groups) // 3) and None not in rows
+    with pytest.raises(ValueError):
+        solver.grid_search(scorer, grid, groups, current=0)
+    with pytest.raises(ValueError):
+        solver.grid_search(scorer, grid, [groups[0], groups[1][:1]])
 
 
 def test_search_current_index_scored_with_candidates(monkeypatch):
@@ -293,8 +318,8 @@ def test_search_current_index_scored_with_candidates(monkeypatch):
     quats = so3.random_quats(rng, 6)
     terms = [(3, j, quats[j], "i") for j in range(6) if j != 3]
     for current in (-1, 0, int(rng.integers(grid.n)), grid.n - 1):
-        got = solver.grid_search(scorer, grid, terms, 5, current)
-        assert got == dense_search(scorer, grid, terms, 5, current)
+        got = solver.grid_search(scorer, grid, [terms], current)
+        assert bits(got) == bits(dense_search(scorer, grid, [terms], current))
 
 
 def test_search_scores_a_lone_row_like_the_dense_search(monkeypatch):
@@ -323,10 +348,10 @@ def test_search_scores_a_lone_row_like_the_dense_search(monkeypatch):
         wobble = so3.axis_angle_rotation(rng.standard_normal(3), 0.05 * rng.uniform())
         mode = so3.quat_mul(so3.matrix_to_quat(wobble), lone)
         scorer = SymmetricModeScorer(modes={(0, 1): np.stack([mode, far])}, kappa=50.0)
-        terms = [(0, 1, None, "j")]
-        got = solver.grid_search(scorer, grid, terms, 1)
-        assert got[0] == grid.n - 1
-        assert got == dense_search(scorer, grid, terms, 1)
+        groups = [[(0, 1, None, "j")]]
+        got = solver.grid_search(scorer, grid, groups)
+        assert got[0][0] == grid.n - 1
+        assert bits(got) == bits(dense_search(scorer, grid, groups))
 
 
 def test_one_row_scores_match_the_whole_grid_bit_for_bit():
@@ -452,7 +477,7 @@ def test_rows_restrict_block_scores_bit_for_bit():
                 whole = block.scores(every)
                 assert whole.shape == (2, grid.n)
                 assert np.array_equal(block.scores(every, rows), whole[:, rows])
-                # Each term's rows alone, as the stacked search asks for them.
+                # Each term's rows alone, as a search over one-term groups asks for them.
                 at = np.repeat([0, 1], rows.shape[0])
                 got = block.scores(at, np.tile(rows, 2))
                 assert np.array_equal(got, whole[:, rows].ravel())

@@ -509,6 +509,17 @@ def test_table_missing_a_pair_is_exit_code_4_naming_the_file(tmp_path, capsys, p
     assert err["message"] == f"{path}: table has {why}"
 
 
+def test_one_camera_scene_is_exit_code_4_naming_the_file(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    assert run("synth", "-o", scenes, "--n", 1, "--scenes", 1) == 0
+    assert run("solve", "-o", tmp_path / "p", "--scenes", scenes, "--grid-n", 576) == 4
+    err = last_error(capsys)
+    assert err["error"] == "ConsistencyError"
+    path = scenes / "scene_000.json"
+    assert err["message"] == f"{path}: a solve needs at least two cameras, scene has 1"
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
 def test_nan_noise_angle_is_exit_code_4_before_any_output(tmp_path, capsys):
     scenes, preds = tmp_path / "scenes", tmp_path / "p"
     run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)

@@ -500,7 +500,7 @@ def test_scene_and_table_paths_agree_on_the_grid(grid_n, generator):
             assert np.array_equal(table.score_quats(i, j, grid.quats), want)
             picks = []
             for scorer in (mode, table):
-                rotation, _ = best_pairwise(scorer, i, j, grid, n - 1)
+                rotation, _ = best_pairwise(scorer, i, j, grid)
                 k, _ = so3.nearest_in_grid(grid, rotation)
                 assert np.array_equal(rotation, grid.rotations[k])
                 picks.append(k)

@@ -334,4 +334,11 @@ def test_batched_energies_match_the_per_pair_loop_bit_for_bit():
             looped = np.zeros(1)
             for i, j, fixed, moving in terms:
                 looped += scorer.score_quats(i, j, pair_quats(quats[3][None, :], fixed, moving))
-            assert solver._summed_scores_at(scorer, terms, quats[3]) == looped[0]
+            # As a block update scores camera 3 off the grid.
+            ends = [
+                (fixed, quats[3]) if moving == "i" else (quats[3], fixed)
+                for _, _, fixed, moving in terms
+            ]
+            left, right = np.array(ends).transpose(1, 0, 2)
+            pairs = [term[:2] for term in terms]
+            assert solver._pair_sum(scorer, pairs, left, right) == looped[0]
