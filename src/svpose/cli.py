@@ -102,6 +102,8 @@ class RunConfig:
             raise ValueError(f"unknown translation source: {self.translation!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.n_scenes < 1:
+            raise ValueError("n_scenes must be at least 1")
         if self.max_sweeps < 0:
             raise ValueError("max_sweeps must be non-negative")
         for name in ("radius_min", "radius_max", "jitter", "kappa", "noise_angle", "lookat"):

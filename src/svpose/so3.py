@@ -548,7 +548,6 @@ class SO3Grid:
 
     quats: np.ndarray
     spec: GridSpec
-    _rotations: np.ndarray | None = field(default=None, repr=False)
     _covering: float | None = field(default=None, repr=False)
     _cells: CellIndex | None = field(default=None, repr=False)
     _table: NearestTable | None = field(default=None, repr=False)
@@ -560,12 +559,6 @@ class SO3Grid:
     @property
     def n(self):
         return self.quats.shape[0]
-
-    @property
-    def rotations(self):
-        if self._rotations is None:
-            self._rotations = quat_to_matrix(self.quats)
-        return self._rotations
 
     def _cached(self, name, build):
         # Threaded solves share one grid; the lock keeps them from

@@ -10,9 +10,14 @@ objective only sees relative rotations, so every solution is defined up
 to a world rotation and the pin selects one representative.
 
 Initialization composes the best pairwise rotations along a maximum
-spanning tree; refinement is block coordinate ascent that searches the
-full grid for one camera at a time and accepts strict improvements, so
-the running energy never decreases.
+spanning tree, grown from camera 0 by Prim's algorithm over the edges
+sorted once by decreasing weight, ties to the lower (i, j). The strict
+order makes the first edge leaving the tree Prim's choice, so the tree
+is the one Kruskal's algorithm builds, and each camera, composed as it
+joins, is the product of the edge rotations along its path.
+Refinement is block coordinate ascent that searches the full grid for
+one camera at a time and accepts strict improvements, so the running
+energy never decreases.
 
 Both use one search, `grid_search`, over groups of
 `PairwiseScorer.score_grid` terms: it maximizes each group's sum of
@@ -60,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul
+from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul, quat_to_matrix
 
 # A search over a grid of G points whose terms name p + 1 cameras is
 # scored whole, as one cell, when G * p is at most _BOUND_WORK; larger
@@ -254,38 +259,23 @@ def best_pairwise(scorer, i, j, grid: SO3Grid):
     if i == j:
         raise ValueError("pair indices must differ")
     [(k, best, _)] = grid_search(scorer, grid, [[(i, j, None, "j")]])
-    return grid.rotations[k].copy(), best
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    return quat_to_matrix(grid.quats[k]), best
 
 
 def mst_init(scorer, n_cameras, grid: SO3Grid):
-    """Spanning-tree initialization.
+    """Spanning-tree initialization (Prim's algorithm, from camera 0).
 
     Edge weight between two cameras is the best pairwise score (the
-    better of the two directions for a directional scorer). Edges enter
-    the tree in order of decreasing weight with lexicographic (i, j)
-    tie-breaks, then rotations are composed outward from camera 0.
+    better of the two directions for a directional scorer). Edges are
+    sorted by decreasing weight with lexicographic (i, j) tie-breaks;
+    n - 1 times, the first edge with exactly one placed camera places
+    the other, composed across the edge's best rotation. Under this
+    strict order the first crossing edge is Prim's choice, Prim's and
+    Kruskal's algorithms build the same tree, and each camera's matrix
+    is the same product along the same path from camera 0.
     """
     if n_cameras < 2:
         raise ValueError("need at least two cameras")
-    rotations = [np.eye(3) for _ in range(n_cameras)]
 
     # Every pair's best rotation in one search, a group per pair and
     # order (both orders for a directional scorer).
@@ -294,51 +284,30 @@ def mst_init(scorer, n_cameras, grid: SO3Grid):
     if scorer.directional:
         groups += [[(j, i, None, "j")] for i, j in pairs]
     found = grid_search(scorer, grid, groups)
-    rel = {}
+    best = quat_to_matrix(grid.quats[[k for k, _, _ in found]])
     edges = []
     for t, (i, j) in enumerate(pairs):
-        k, s_ij, _ = found[t]
-        rot_ij = grid.rotations[k]
+        rot_ij, s_ij = best[t], found[t][1]
         if scorer.directional:
-            k_ji, s_ji, _ = found[len(pairs) + t]
+            s_ji = found[len(pairs) + t][1]
             if s_ji > s_ij:
-                rot_ij, s_ij = grid.rotations[k_ji].T, s_ji
-        rel[(i, j)] = rot_ij
-        edges.append((-s_ij, i, j))
-    edges.sort()
+                rot_ij, s_ij = best[len(pairs) + t].T, s_ji
+        edges.append((-s_ij, i, j, rot_ij))
+    edges.sort(key=lambda edge: edge[:3])
 
-    uf = _UnionFind(n_cameras)
-    adjacency = {i: [] for i in range(n_cameras)}
-    taken = 0
-    for _, i, j in edges:
-        if uf.union(i, j):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-            taken += 1
-            if taken == n_cameras - 1:
-                break
-
-    # Compose R_child = rel(parent -> child) @ R_parent outward from 0.
-    seen = [False] * n_cameras
-    seen[0] = True
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for c in adjacency[p]:
-            if seen[c]:
-                continue
-            m = rel[(p, c)] if p < c else rel[(c, p)].T
-            rotations[c] = m @ rotations[p]
-            seen[c] = True
-            stack.append(c)
+    # R_j = rel(i -> j) @ R_i, for whichever camera of the edge is new.
+    rotations = [np.eye(3)] * n_cameras
+    placed = [True] + [False] * (n_cameras - 1)
+    for _ in range(n_cameras - 1):
+        _, i, j, rot_ij = next(e for e in edges if placed[e[1]] != placed[e[2]])
+        if placed[i]:
+            rotations[j] = rot_ij @ rotations[i]
+        else:
+            rotations[i] = rot_ij.T @ rotations[j]
+        placed[i] = placed[j] = True
     rotations = np.array(rotations)
     start = total_energy(scorer, rotations)
-    return RotationHypothesis(
-        rotations=rotations,
-        total_energy=start,
-        sweeps_used=0,
-        energy_trace=[start],
-    )
+    return RotationHypothesis(rotations, start, sweeps_used=0, energy_trace=[start])
 
 
 def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
@@ -390,7 +359,7 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
     on_grid = [-1] * n
     for i in range(n):
         k, _ = nearest_in_grid(grid, rotations[i])
-        if np.array_equal(rotations[i], grid.rotations[k]):
+        if np.array_equal(rotations[i], quat_to_matrix(grid.quats[k])):
             on_grid[i] = k
     for _ in range(max_sweeps):
         sweeps_used += 1
@@ -411,7 +380,7 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
                 cur = _pair_sum(scorer, [term[:2] for term in terms], left, right)
                 accept = True
             if accept:
-                rotations[i] = grid.rotations[k].copy()
+                rotations[i] = quat_to_matrix(grid.quats[k])
                 quats[i] = grid.quats[k].copy()
                 on_grid[i] = k
                 total += (best - cur) * pair_factor

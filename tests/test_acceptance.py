@@ -44,7 +44,7 @@ def planted_instance(seed, grid, n_cameras, kappa=50.0, jitter=0.05):
     pair at the true relative rotation, optionally perturbed."""
     rng = rng_for(seed)
     idx = rng.integers(0, grid.n, size=n_cameras - 1)
-    rots = [np.eye(3)] + [grid.rotations[int(k)] for k in idx]
+    rots = [np.eye(3)] + [so3.quat_to_matrix(grid.quats[int(k)]) for k in idx]
     modes = {}
     for i in range(n_cameras):
         for j in range(i + 1, n_cameras):

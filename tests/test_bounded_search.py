@@ -272,7 +272,7 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
     for (i, j, fixed, _), (k, value, _) in zip(terms, got):
         if fixed is None:
             rotation, best = solver.best_pairwise(scorer, i, j, grid)
-            assert np.array_equal(rotation, grid.rotations[k])
+            assert np.array_equal(rotation, so3.quat_to_matrix(grid.quats[k]))
             assert float(best).hex() == float(value).hex()
 
 

@@ -561,14 +561,30 @@ def test_config_int_too_large_for_a_float_is_exit_code_3(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-def test_negative_max_sweeps_is_exit_code_4_before_any_output(tmp_path, capsys):
-    scenes, preds = tmp_path / "scenes", tmp_path / "p"
-    run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)
-    assert run(*solve_args(scenes, preds, max_sweeps=-1)) == 4
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("solve", ["--max-sweeps", -1], "max_sweeps"),
+        ("synth", ["--scenes", 0], "n_scenes"),
+        ("synth", ["--scenes", -1], "n_scenes"),
+    ],
+    ids=["solve-max-sweeps-minus-1", "synth-scenes-0", "synth-scenes-minus-1"],
+)
+def test_negative_max_sweeps_is_exit_code_4_before_any_output(
+    tmp_path, capsys, command, flags, field
+):
+    out = tmp_path / "out"
+    if command == "solve":
+        scenes = tmp_path / "scenes"
+        run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)
+        args = solve_args(scenes, out)
+    else:
+        args = ["synth", "-o", out, "--n", 3, "--seed", 12]
+    assert run(*args, *flags) == 4
     err = last_error(capsys)
     assert err["error"] == "ValueError"
-    assert "max_sweeps" in err["message"]
-    assert not preds.exists()
+    assert field in err["message"]
+    assert not out.exists()
 
 
 def test_scene_solve_scores_the_modes_synth_tabled(tmp_path, monkeypatch):

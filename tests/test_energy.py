@@ -302,7 +302,7 @@ def test_table_scorer_serves_rows_and_transposes():
     row = score_over_grid(s, 0, 1, grid)
     assert np.allclose(row, table.rows[(0, 1)].astype(np.float64))
     # Reverse direction: score(1, 0, R) = row at nearest grid point of R^T.
-    r = grid.rotations[33]
+    r = so3.quat_to_matrix(grid.quats[33])
     got = s.score(1, 0, r.T)
     assert got == pytest.approx(float(table.rows[(0, 1)][33]), abs=1e-6)
     assert not s.directional
@@ -439,7 +439,7 @@ def test_table_memo_stays_bounded_across_solves():
     scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
     rng = rng_for(17)
     for _ in range(3):
-        init = grid.rotations[rng.choice(grid.n, n, replace=False)]
+        init = so3.quat_to_matrix(grid.quats[rng.choice(grid.n, n, replace=False)])
         want = coordinate_ascent(ComposedTableScorer(scorer.table, grid), init, grid)
         got = coordinate_ascent(scorer, init, grid)
         assert 0 < len(scorer._snapped) <= 4 * n
@@ -502,7 +502,7 @@ def test_scene_and_table_paths_agree_on_the_grid(grid_n, generator):
             for scorer in (mode, table):
                 rotation, _ = best_pairwise(scorer, i, j, grid)
                 k, _ = so3.nearest_in_grid(grid, rotation)
-                assert np.array_equal(rotation, grid.rotations[k])
+                assert np.array_equal(rotation, so3.quat_to_matrix(grid.quats[k]))
                 picks.append(k)
             k_mode, k_table = picks
             assert k_table == k_mode or stored[k_table] == stored[k_mode]

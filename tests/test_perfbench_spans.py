@@ -54,6 +54,8 @@ def test_install_then_restore_puts_every_attribute_back(spans):
     for name in (
         "svpose.solver.quat_mul",
         "svpose.solver.nearest_in_grid",
+        "svpose.solver.mst_init",
+        "svpose.solver.coordinate_ascent",
         "svpose.energy.nearest_indices",
         "svpose.cli.load_scene",
         "svpose.cli.score_over_grid",

@@ -145,7 +145,7 @@ def test_covering_radius_shrinks():
 
 def test_nearest_in_grid_exact_and_frozen():
     grid = so3.build_grid(72)
-    idx, dist = so3.nearest_in_grid(grid, grid.rotations[17])
+    idx, dist = so3.nearest_in_grid(grid, so3.quat_to_matrix(grid.quats[17]))
     assert idx == 17
     assert dist < 1e-7
     idx, dist = so3.nearest_in_grid(

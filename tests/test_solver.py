@@ -31,7 +31,7 @@ def planted_instance(seed, grid, n_cameras=3, kappa=50.0, jitter=0.05):
     true relative rotations with a small perturbation."""
     rng = rng_for(seed)
     idx = rng.integers(0, grid.n, size=n_cameras - 1)
-    rots = [np.eye(3)] + [grid.rotations[int(k)] for k in idx]
+    rots = [np.eye(3)] + [so3.quat_to_matrix(grid.quats[int(k)]) for k in idx]
     modes = {}
     for i in range(n_cameras):
         for j in range(i + 1, n_cameras):
@@ -78,14 +78,14 @@ def test_best_pairwise_matches_row_argmax():
     row = score_over_grid(scorer, 0, 1, grid)
     rot, score = best_pairwise(scorer, 0, 1, grid)
     assert score == pytest.approx(row.max(), abs=1e-12)
-    assert np.array_equal(rot, grid.rotations[row.argmax()])
+    assert np.array_equal(rot, so3.quat_to_matrix(grid.quats[row.argmax()]))
 
 
 def test_best_pairwise_tie_breaks_low():
     grid = so3.build_grid(72)
     rot, score = best_pairwise(ConstantScorer(1.0), 0, 1, grid)
     assert score == 1.0
-    assert np.array_equal(rot, grid.rotations[0])
+    assert np.array_equal(rot, so3.quat_to_matrix(grid.quats[0]))
 
 
 def test_mst_init_star_recovers_planted_exactly():
@@ -117,8 +117,8 @@ def test_mst_init_follows_strong_edges():
     rows[(0, 2)][30] = 1.0
     table = EnergyTable(grid_spec=grid.spec, rows=rows)
     hyp = mst_init(TableScorer(table, grid), 3, grid)
-    assert np.allclose(hyp.rotations[1], grid.rotations[10], atol=1e-12)
-    expect_2 = grid.rotations[20] @ grid.rotations[10]
+    assert np.allclose(hyp.rotations[1], so3.quat_to_matrix(grid.quats[10]), atol=1e-12)
+    expect_2 = so3.quat_to_matrix(grid.quats[20]) @ so3.quat_to_matrix(grid.quats[10])
     assert np.allclose(hyp.rotations[2], expect_2, atol=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_ascent_fixed_point_stops_quiet():
 def test_ascent_trace_monotone_from_on_grid_init():
     grid = so3.build_grid(72)
     scorer, _ = planted_instance(6, grid, n_cameras=4)
-    init = [np.eye(3)] + [grid.rotations[0]] * 3
+    init = [np.eye(3)] + [so3.quat_to_matrix(grid.quats[0])] * 3
     out = coordinate_ascent(scorer, init, grid)
     trace = np.array(out.energy_trace)
     assert np.all(np.diff(trace) >= -1e-9)
@@ -162,7 +162,7 @@ def test_ascent_trace_monotone_from_on_grid_init():
 def test_ascent_accepts_plain_rotation_list():
     grid = so3.build_grid(72)
     scorer, _ = planted_instance(7, grid)
-    init = [np.eye(3), grid.rotations[3], grid.rotations[4]]
+    init = [np.eye(3), so3.quat_to_matrix(grid.quats[3]), so3.quat_to_matrix(grid.quats[4])]
     out = coordinate_ascent(scorer, init, grid, max_sweeps=2)
     assert out.rotations.shape == (3, 3, 3)
 
@@ -321,7 +321,7 @@ def test_batched_energies_match_the_per_pair_loop_bit_for_bit():
     rows = {(i, j): score_over_grid(mode, i, j, grid) for i in range(n) for j in range(i + 1, n)}
     table = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
     at_random = so3.quat_to_matrix(so3.random_quats(rng, n))
-    on_grid = grid.rotations[rng.choice(grid.n, n, replace=False)]
+    on_grid = so3.quat_to_matrix(grid.quats[rng.choice(grid.n, n, replace=False)])
     # Relative rotations on a mode can score -0.0.
     on_mode = so3.quat_to_matrix(np.stack([[1.0, 0, 0, 0], *(modes[(0, j)][0] for j in (1, 2))]))
     on_mode = np.concatenate([on_mode, at_random[3:]])
