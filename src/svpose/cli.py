@@ -13,7 +13,10 @@ JSON (each field checked against its type), explicit flags override
 individual fields, and synth, solve and eval write the resolved config
 next to their outputs, so such a run can be reproduced from its config
 alone. The seed field, which SVP_SEED in the environment overrides,
-seeds synth's rigs and nothing else; every subcommand records it. Exit
+seeds synth's rigs and nothing else; every subcommand records it.
+solve --jobs N solves its input files in up to N forked worker
+processes, one per file at most, with the same output bytes as
+--jobs 1, which solves them one by one in this process. Exit
 codes: 0 ok, 2 IO, 3 format, 4 consistency; errors go to stderr as one
 JSON line each. Output files are written atomically.
 """
@@ -26,7 +29,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from pathlib import Path
@@ -295,58 +297,89 @@ def _write_pred(config, out, scene_id, hyp, translations, grid_spec):
     write_text_atomic(out / f"{scene_id}.json", json_text(doc))
 
 
+def _load_scene_problem(path, config, grid):
+    scene = load_scene(path)
+    n = scene.rig.n_cameras
+    if n < 2:
+        raise ConsistencyError(f"{path}: a solve needs at least two cameras, scene has {n}")
+    scorer = scene_to_scorer(scene, config.kappa, config.noise_angle)
+    return scorer, n, scene.poses
+
+
+def _load_table_problem(path, config, grid):
+    table = load_table(path)
+    if table.grid_spec != grid.spec:
+        raise ConsistencyError(
+            f"{path}: table grid {table.grid_spec} does not match requested {grid.spec}"
+        )
+    n = table.n_cameras
+    if n == 0:
+        raise ConsistencyError(f"{path}: table has no pairs")
+    for i, j in combinations(range(n), 2):
+        if (i, j) not in table.rows and (j, i) not in table.rows:
+            raise ConsistencyError(f"{path}: table has no scores for pair ({i}, {j})")
+    return TableScorer(table, grid), n, None
+
+
+def _solve_file(config, grid, path):
+    """Solve one scene or table file, write its prediction, return its scene id."""
+    # Each loader returns (scorer, n_cameras, ground-truth poses or None).
+    load = _load_scene_problem if config.scenes else _load_table_problem
+    scorer, n_cameras, gt_poses = load(path, config, grid)
+    scene_id = Path(path).stem
+    # Before the solve, so a missing translation source fails fast.
+    translations = _translations(config, scene_id, n_cameras, gt_poses)
+    # Positional: perfbench's traced solve takes a 4th argument by position.
+    hyp = solve(scorer, n_cameras, grid, config.max_sweeps)
+    _write_pred(config, Path(config.out), scene_id, hyp, translations, grid.spec)
+    return scene_id
+
+
+_job = ()  # a forked worker's (config, grid), set by _start_worker
+
+
+def _start_worker(config, grid):
+    global _job
+    _job = config, grid
+
+
+def _solve_in_worker(path):
+    return _solve_file(*_job, path)
+
+
 def cmd_solve(config: RunConfig):
     if bool(config.scenes) == bool(config.tables):
         raise ConsistencyError("pass exactly one of scene inputs or table inputs")
     out = _out_dir(config)
-    grid_spec = config.grid_spec()
-    grid = grid_from_spec(grid_spec)
-
-    # Each loader returns (scorer, n_cameras, ground-truth poses or None).
-    def load_scene_problem(path):
-        scene = load_scene(path)
-        n = scene.rig.n_cameras
-        if n < 2:
-            raise ConsistencyError(f"{path}: a solve needs at least two cameras, scene has {n}")
-        scorer = scene_to_scorer(scene, config.kappa, config.noise_angle)
-        return scorer, n, scene.poses
-
-    def load_table_problem(path):
-        table = load_table(path)
-        if table.grid_spec != grid_spec:
-            raise ConsistencyError(
-                f"{path}: table grid {table.grid_spec} does not match requested {grid_spec}"
-            )
-        n = table.n_cameras
-        if n == 0:
-            raise ConsistencyError(f"{path}: table has no pairs")
-        for i, j in combinations(range(n), 2):
-            if (i, j) not in table.rows and (j, i) not in table.rows:
-                raise ConsistencyError(f"{path}: table has no scores for pair ({i}, {j})")
-        return TableScorer(table, grid), n, None
-
+    grid = grid_from_spec(config.grid_spec())
     if config.scenes:
         files = _scene_files(config.scenes)
-        load = load_scene_problem
     else:
         files = _scene_files(config.tables, suffix="*.rpet")
-        load = load_table_problem
 
-    def solve_file(path):
-        scorer, n_cameras, gt_poses = load(path)
-        scene_id = Path(path).stem
-        # Before the solve, so a missing translation source fails fast.
-        translations = _translations(config, scene_id, n_cameras, gt_poses)
-        # Positional: perfbench's traced solve takes a 4th argument by position.
-        hyp = solve(scorer, n_cameras, grid, config.max_sweeps)
-        _write_pred(config, out, scene_id, hyp, translations, grid_spec)
-        return scene_id
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            ids = list(pool.map(solve_file, files))
+    workers = min(config.jobs, len(files))
+    if workers == 1:
+        ids = [_solve_file(config, grid, f) for f in files]
     else:
-        ids = [solve_file(f) for f in files]
+        # Imported here, so that no other run pays for the import. A
+        # solve's many small numpy calls hold the GIL, so scenes are
+        # solved in processes. Forked workers inherit the config and the
+        # grid, where spawned ones would import numpy and svpose again;
+        # only paths go out, and scene ids come back in order.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(config, grid),
+        )
+        try:
+            ids = list(pool.map(_solve_in_worker, files))
+        finally:
+            # After a failed file, solve no more of them.
+            pool.shutdown(cancel_futures=True)
     _write_manifest(out, "predictions", [{"id": i, "file": f"{i}.json"} for i in ids])
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0

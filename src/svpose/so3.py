@@ -16,6 +16,7 @@ Conventions
   solver fixes by pinning the first camera.
 """
 
+import functools
 import math
 import struct
 import threading
@@ -407,10 +408,21 @@ def _cube_buckets(queries, levels):
     a = np.arctan(q[:, 1:] / q[:, :1]) * (4.0 / math.pi)
     b = np.floor((a + 1.0) * (n / 2.0)).astype(np.int64)
     np.clip(b, 0, n - 1, out=b)
-    code = face
-    for bit in range(levels - 1, -1, -1):
-        code = 8 * code + ((b >> bit) & 1) @ np.array([4, 2, 1])
+    # Nested order: bit k of each bin goes to bits 3k + 2, 3k + 1 and 3k.
+    spread = _spread(levels)
+    code = face << 3 * levels | spread[b[:, 0]] << 2 | spread[b[:, 1]] << 1 | spread[b[:, 2]]
     return code, face, b
+
+
+@functools.cache
+def _spread(levels):
+    """Each bin below 2**levels with bit k of it moved to bit 3k."""
+    v = np.arange(1 << levels)
+    spread = np.zeros_like(v)
+    for k in range(levels):
+        spread |= (v >> k & 1) << 3 * k
+    spread.flags.writeable = False
+    return spread
 
 
 def _box_centers(face, bins, levels):
@@ -561,8 +573,9 @@ class SO3Grid:
         return self.quats.shape[0]
 
     def _cached(self, name, build):
-        # Threaded solves share one grid; the lock keeps them from
-        # building an index twice.
+        # For library callers that share one grid across threads: the
+        # lock keeps them from building an index twice. (The CLI's
+        # parallel solves are processes, each with its own copy.)
         if getattr(self, name) is None:
             with self._lock:
                 if getattr(self, name) is None:

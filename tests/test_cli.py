@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +107,85 @@ def test_solve_jobs_do_not_change_bytes(tmp_path):
     b = read_dir_bytes(tmp_path / "p2")
     del a["run_config.json"], b["run_config.json"]  # differ in the jobs field
     assert a == b
+    assert_no_children()
+
+
+def assert_no_children():
+    # Every worker a parallel solve forked has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def table_args(tables, out):
+    return ["solve", "-o", out, "--tables", tables, "--grid-n", 72, "--translation", "constant-z"]
+
+
+def test_table_solve_jobs_do_not_change_bytes(tmp_path):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 2, "--emit-tables", "--grid-n", 72)
+    outs = {}
+    # Two files: --jobs 4 starts one worker per file.
+    for jobs in ("1", "2", "4"):
+        assert run(*table_args(scenes, tmp_path / jobs), "--jobs", jobs) == 0
+        assert_no_children()
+        outs[jobs] = read_dir_bytes(tmp_path / jobs)
+        del outs[jobs]["run_config.json"]  # differ in the jobs field
+    assert len(outs["1"]) == 3
+    assert outs["1"] == outs["2"] == outs["4"]
+
+
+def _drop_pair(path):
+    spec = so3.GridSpec("super_fibonacci", 72)
+    EnergyTable(grid_spec=spec, rows={(0, 2): np.zeros(72)}).save(path)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-9])
+
+
+@pytest.mark.parametrize("spoil, code", [(_drop_pair, 4), (_truncate, 3)])
+def test_worker_errors_match_serial_errors(tmp_path, capsys, spoil, code):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 3, "--seed", 2, "--emit-tables", "--grid-n", 72)
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for k in range(3):
+        shutil.copy(scenes / f"scene_00{k}.rpet", tables)
+    spoil(tables / "scene_001.rpet")
+    errors = {}
+    for jobs in ("1", "2"):
+        assert run(*table_args(tables, tmp_path / jobs), "--jobs", jobs) == code
+        assert_no_children()
+        errors[jobs] = capsys.readouterr().err
+        assert not (tmp_path / jobs / "manifest.json").exists()
+    assert errors["1"] == errors["2"]
+    assert json.loads(errors["2"])["exit_code"] == code
+
+
+def test_dead_worker_fails_the_run_without_hanging(tmp_path, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 2)
+    # Forked workers inherit the patched name.
+    monkeypatch.setattr(cli, "solve", lambda *args: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        run(*solve_args(scenes, tmp_path / "p"), "--jobs", "2")
+    assert_no_children()
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # Only a parallel solve imports the process pool.
+    code = (
+        "import sys, svpose.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_config_reproduces_solve(tmp_path):

@@ -141,6 +141,29 @@ def bucket_boxes(codes, levels):
     return codes >> 3 * levels, bins
 
 
+def looped_bucket_codes(queries, levels):
+    """Bucket codes one level at a time: 8 code + the child's bits."""
+    _, face, bins = so3._cube_buckets(queries, levels)
+    code = face
+    for bit in range(levels - 1, -1, -1):
+        code = 8 * code + ((bins >> bit) & 1) @ np.array([4, 2, 1])
+    return code
+
+
+@pytest.mark.parametrize("n", [576, 4608, 36864])
+def test_bucket_codes_match_level_by_level_codes(n):
+    rng = np.random.default_rng(27)
+    grid = so3.build_grid(n)
+    levels = so3._table_levels(n)
+    composed = so3.quat_mul(grid.quats, so3.random_quats(rng, 1))
+    batches = [grid.quats, composed, so3.random_quats(rng, 20_000)]
+    batches += [queries_of(kind, grid.quats, levels, rng, 480) for kind in KINDS]
+    for depth in sorted({0, 1, levels, levels + 1}):
+        for queries in batches:
+            want = looped_bucket_codes(queries, depth)
+            assert np.array_equal(so3._cube_buckets(queries, depth)[0], want)
+
+
 @pytest.mark.parametrize(
     "n, generator",
     [(4608, "super_fibonacci"), (4608, "random_uniform"), (36864, "super_fibonacci")],

@@ -313,9 +313,9 @@ def test_pruned_nearest_with_empty_cell():
 
 
 def test_cell_index_shared_across_threads(monkeypatch):
-    # Threaded solves share one grid; the first thread to need its cell
-    # index or its nearest table builds it once, and every lookup must
-    # still be exact.
+    # Library callers may share one grid across threads; the first
+    # thread to need its cell index or its nearest table builds it once,
+    # and every lookup must still be exact.
     import sys
     import threading
 
