@@ -10,7 +10,7 @@ a 20-camera scene at G=36864 (the mode scorer, partners at their
 spanning-tree rotations), the search of one group of 19 terms, is
 timed both ways: the two-level bounded search over the parents and
 cells of the grid's cell index, against the same search with the
-block's bounds hidden, which scores the whole grid as one cell. The
+block's levels hidden, which scores the whole grid as one cell. The
 two must return the same argmax, value and current-index value. The bounded search's candidate
 fraction, the grid rows it scores over G, is printed beside its
 timing, and so are the parents and cells it bounds, for that update
@@ -44,6 +44,22 @@ random rotations, on queries on the edges between faces and on queries
 on the table's bin edges. The table must return the scan's indices and
 |dot| values bit for bit. The mean and largest bucket list lengths are
 printed beside each size.
+
+Then the nearest table is built at G=4608 and 36864 both at the level
+of the rule for smaller grids, about 3.5 buckets per point, and at its
+own level, one coarser, with each level's bucket count and mean list
+length.
+
+Then one block update of a 6-camera table at G=4608 (a partner per
+term at its spanning-tree rotation) is timed both ways: the bounded
+search, which bounds every grid point by its bucket list's row maximum
+and snaps only the points that can win, against the same search with
+the block's levels hidden, which snaps the whole grid for every term.
+Both are timed with a fresh scorer, as when every partner has moved,
+and with memos warm, as when none has. The two must return the same
+argmax, value and current-index value, bit for bit. The grid rows the
+bounded search scores, every term at each, are printed beside the
+timings.
 
 Then a table scorer's energy over the 30 ordered pairs of a 6-camera
 table is timed at G=576 and 4608 both ways: `TableScorer.score_pairs`,
@@ -104,15 +120,14 @@ class Proxy:
 
 
 class WholeGrid(Proxy):
-    """The scorer with its block bounds hidden: every search scores the whole grid."""
+    """The scorer with its block levels hidden: every search scores the whole grid."""
 
     def block(self, grid, terms):
         return Unbounded(self._inner.block(grid, terms))
 
 
 class Unbounded(Proxy):
-    def bounds(self, at, centers, radius):
-        return None
+    levels = ()
 
 
 class PerTerm(Proxy):
@@ -143,7 +158,7 @@ class Counted(Proxy):
 
 
 class BoundCounter(Proxy):
-    """The scorer, recording how many centers each block update bounds.
+    """The scorer, recording how many nodes each block update bounds.
 
     A block update's first `bounds` call is over the parents; the rest
     are over cells.
@@ -163,14 +178,19 @@ class BoundsCounted(Proxy):
         super().__init__(block)
         self._sizes = sizes
 
-    def bounds(self, at, centers, radius):
-        self._sizes.append(centers.shape[0])
-        return self._inner.bounds(at, centers, radius)
+    def bounds(self, at, level, nodes):
+        self._sizes.append(np.shape(nodes)[0])
+        return self._inner.bounds(at, level, nodes)
 
 
 def bounded_sizes(updates):
     """(parents, cells) bounded per block update that bounded anything."""
     return [(sizes[0], sum(sizes[1:])) for sizes in updates if sizes]
+
+
+def bits(found):
+    # Each search's (index, value, value at current), values by their exact bits.
+    return [(k, float(v).hex(), None if c is None else float(c).hex()) for k, v, c in found]
 
 
 def bench_block_update():
@@ -284,6 +304,78 @@ def bench_score_grid():
             f"{name:<44} {t_composed * 1e3:>8.2f}ms {t_hook * 1e3:>8.2f}ms "
             f"{t_composed / t_hook:>7.2f}x"
         )
+
+
+def table_for(grid, n, seed):
+    scene = generate_scene(RigSpec(n_cameras=n, seed=seed, jitter=0.05))
+    source = scene_to_scorer(scene, 50.0, 0.02)
+    rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    return EnergyTable(grid_spec=grid.spec, rows=rows)
+
+
+def bench_table_block():
+    n = 6
+    grid = so3.build_grid(4608)
+    table = table_for(grid, n, 1000)
+    grid.nearest_table
+    rotations = solver.mst_init(TableScorer(table, grid), n, grid).rotations
+    quats = [so3.matrix_to_quat(r) for r in rotations]
+    camera = 3
+    current, _ = so3.nearest_in_grid(grid, rotations[camera])
+    terms = [(camera, j, quats[j], "i") for j in range(n) if j != camera]
+    warm = TableScorer(table, grid)
+
+    def bounded(scorer=None):
+        return solver.grid_search(scorer or TableScorer(table, grid), grid, [terms], current)
+
+    def dense(scorer=None):
+        scorer = scorer or TableScorer(table, grid)
+        return solver.grid_search(WholeGrid(scorer), grid, [terms], current)
+
+    got, want = bounded(), dense()
+    assert bits(got) == bits(want), f"bounded table search {got} differs from dense {want}"
+    assert bits(bounded(warm)) == bits(want) and bits(dense(warm)) == bits(want)
+    counter = RowCounter(TableScorer(table, grid))
+    solver.grid_search(counter, grid, [terms], current)
+    t_dense = _timeit(dense)
+    t_bounded = _timeit(bounded)
+    t_dense_warm = _timeit(dense, warm)
+    t_bounded_warm = _timeit(bounded, warm)
+    name = "table block update, 6 cameras, G=4608"
+    print(f"{name:<44} {'dense':>10} {'bounded':>10} {'speedup':>8}")
+    [(best_k, best, _)] = got
+    name = f"fresh scorer: argmax {best_k}, value {best:.4f}"
+    print(
+        f"{name:<44} {t_dense * 1e3:>8.2f}ms {t_bounded * 1e3:>8.2f}ms "
+        f"{t_dense / t_bounded:>7.2f}x"
+    )
+    print(
+        f"{'partners unmoved (memos warm)':<44} {t_dense_warm * 1e3:>8.2f}ms "
+        f"{t_bounded_warm * 1e3:>8.2f}ms {t_dense_warm / t_bounded_warm:>7.2f}x"
+    )
+    name = f"bounded search scored {counter.rows} of {grid.n} rows"
+    print(f"{name:<44} {counter.rows / grid.n:>9.1%}")
+
+
+def bench_table_levels():
+    name = "nearest table build by level"
+    print(f"{name:<44} {'level':>6} {'buckets':>8} {'list':>6} {'build':>10}")
+    rule = so3._table_levels
+    for n in (4608, 36864):
+        grid = so3.build_grid(n)
+        for levels in (so3._cube_level(n, 3.5), rule(n)):
+            so3._table_levels = lambda g, levels=levels: levels
+            try:
+                table = so3.NearestTable(grid.quats)
+                t = _timeit(so3.NearestTable, grid.quats, repeat=5 if n < 10000 else 2)
+            finally:
+                so3._table_levels = rule
+            lens = np.diff(table.ptr)
+            now = "(now)" if levels == rule(n) else ""
+            print(
+                f"{f'G={n} {now}':<44} {levels:>6} {lens.shape[0]:>8} {lens.mean():>6.1f} "
+                f"{t * 1e3:>8.1f}ms"
+            )
 
 
 def face_boundary_quats(rng, m):
@@ -442,6 +534,10 @@ def main():
     bench_score_grid()
     print()
     bench_lookup()
+    print()
+    bench_table_levels()
+    print()
+    bench_table_block()
     print()
     bench_table_energy()
     print()

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._fileio import json_text, read_json, read_text, write_text_atomic
 from .energy import EnergyTable, TableScorer, load_table, score_over_grid
-from .errors import ConsistencyError, FormatError
+from .errors import ConsistencyError, FormatError, WorkerDiedError
 # perfbench/spans.py patches rotation_errors_deg and center_errors here.
 from .evaluation import center_errors, evaluate, rotation_errors_deg  # noqa: F401
 from .frame import CameraPose
@@ -368,6 +368,7 @@ def cmd_solve(config: RunConfig):
         # only paths go out, and scene ids come back in order.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         pool = ProcessPoolExecutor(
             max_workers=workers,
@@ -377,6 +378,8 @@ def cmd_solve(config: RunConfig):
         )
         try:
             ids = list(pool.map(_solve_in_worker, files))
+        except BrokenProcessPool as e:
+            raise WorkerDiedError(f"a solve worker process died: {e}") from None
         finally:
             # After a failed file, solve no more of them.
             pool.shutdown(cancel_futures=True)
@@ -580,6 +583,8 @@ def main(argv=None):
         if not config.out:
             raise ConsistencyError("an output path is required (-o)")
         return COMMANDS[config.subcommand](config)
+    except WorkerDiedError as e:
+        return _fail(e, 1)
     except OSError as e:
         return _fail(e, 2)
     except FormatError as e:

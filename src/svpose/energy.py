@@ -15,14 +15,17 @@ than their defaults, which are written in terms of `score_quats`:
   scorer looks up grid indices.
 - `block` prepares one search over a list of `score_grid` terms and
   answers two questions about each term alone: an upper bound on its
-  score near a center, `bounds(at, centers, radius)`, and its score at
-  any grid rows, `scores(at, rows)`. It is the only place a bound or a
-  row subset exists; the solver sums the terms. The default `GridBlock`
-  offers no bound, so the solver scores the whole grid. The mode
-  scorer's block stacks its terms: one quaternion product moves every
-  term's modes, one kernel call scores every term, and every grid
-  point within half-angle r of a center is bounded from that center,
-  since the geodesic angle is 1-Lipschitz.
+  score over the grid points a node of one of its `levels` owns,
+  `bounds(at, level, nodes)`, and its score at any grid rows,
+  `scores(at, rows)`. It is the only place a bound or a row subset
+  exists; the solver sums the terms. The default `GridBlock` offers no
+  bound, so the solver scores the whole grid. The mode scorer's block
+  stacks its terms: one quaternion product moves every term's modes,
+  one kernel call scores every term, and the points of a cell within
+  half-angle r of its center are bounded from that center, since the
+  geodesic angle is 1-Lipschitz. The table scorer's block bounds each
+  grid point by the row's largest entry over the nearest-table bucket
+  list its composed rotation falls in, where its snap must land.
 - `score_pairs` scores one relative rotation for each of a list of
   pairs: the solver's energies ask only this.
 Table rows are stored float32; every accumulation happens in float64.
@@ -39,6 +42,7 @@ from ._fileio import write_bytes_atomic
 from .errors import ConsistencyError, CorruptTableError, FormatError
 from .so3 import (
     _CELL_SLACK,
+    _COARSE_TABLE_POINTS,
     _ID_TO_GENERATOR,
     GENERATOR_IDS,
     GridSpec,
@@ -54,6 +58,26 @@ from .so3 import (
 
 TABLE_MAGIC = b"RPET"
 TABLE_VERSION = 1
+
+# A mode-scorer search over a grid of G points whose terms name p + 1
+# cameras is scored whole, as one cell, when G * p is at most
+# _BOUND_WORK; larger searches are pruned by two-level bounds over the
+# cell index. Bounded over whole-grid solve time with two-level bounds
+# and the stacked spanning-tree search, mode scorer, four scenes, cell
+# index built per solve, 2 CPUs (ranges over two runs, single values
+# from one):
+# - G=4608: 2.14-3.53, 1.39-1.58, 0.55-0.71, 0.31-0.36, 0.38, 0.28 with
+#   4, 6, 10, 20, 30, 40 cameras;
+# - G=9216: 0.91-0.96, 0.24-0.35 with 8, 17;
+# - G=18432: 1.37-1.38, 0.49-0.54, 0.23-0.32 with 5, 8, 10;
+# - G=36864: 2.84-3.37, 1.68-1.77, 1.27-1.32, 0.82-0.89, 0.56, 0.43-0.47,
+#   0.22, 0.14 with 3, 4, 5, 6, 7, 8, 10, 20.
+# The limit is G=36864 with 5 cameras, still the largest search that
+# lost. There the cell index build (about 17 ms) outweighs the few
+# searches it speeds up; smaller grids build it faster and win at
+# smaller G * p (G=4608 from 10 cameras, G=18432 from 8), which one
+# limit on G * p leaves dense.
+_BOUND_WORK = 36864 * 4
 
 
 def pair_quats(quats, fixed=None, moving="j"):
@@ -87,7 +111,7 @@ class PairwiseScorer:
     default returns, up to rounding; the mode scorer's `block` and
     `score_pairs` return the same bits as the defaults, so its solves do
     not depend on which path scored them. A block may also bound each
-    term's score near a center; see `GridBlock`.
+    term's score over parts of the grid; see `GridBlock`.
     """
 
     directional = True
@@ -126,13 +150,18 @@ class PairwiseScorer:
 class GridBlock:
     """`score_grid` terms over a grid, prepared once for one search.
 
-    `terms` lists the (i, j, fixed, moving) arguments of each term. A
-    block answers two questions about each term alone; `at`, `centers`
-    and `radius`, or `at` and `rows`, broadcast together:
-    - `bounds(at, centers, radius)`: a float that is at least term
-      `at[m]`'s score, as computed in floating point, at every grid
-      point within half-angle `radius[m]` of the unit quaternion
-      `centers[m]`, or None for a block without bounds;
+    `terms` lists the (i, j, fixed, moving) arguments of each term.
+    `levels` names, coarse to fine, the levels of the grid the block
+    bounds over, or is empty for a block without bounds. A level is
+    "parents" or "cells" of the grid's cell index (`SO3Grid.cells`), or
+    "points", where each grid point is a node of its own; a parent's
+    members are its cells, a cell's are the grid points it owns. The
+    levels are a run of parents, cells, points that ends at cells or
+    points. A block answers two questions about each term alone; `at`
+    and `nodes`, or `at` and `rows`, broadcast together:
+    - `bounds(at, level, nodes)`, for each of its levels: a float that
+      is at least term `at[m]`'s score, as computed in floating point,
+      at every grid point that node `nodes[m]` of `level` owns;
     - `scores(at, rows=None)`: term `at[m]`'s score at grid row
       `rows[m]`, bit for bit as in its whole-grid `score_grid` row;
       None is every row.
@@ -142,13 +171,12 @@ class GridBlock:
     one cell.
     """
 
+    levels = ()
+
     def __init__(self, scorer, grid: SO3Grid, terms):
         self.scorer = scorer
         self.grid = grid
         self.terms = terms
-
-    def bounds(self, at, centers, radius):
-        return None
 
     def scores(self, at, rows=None):
         ids, back = np.unique(at, return_inverse=True)
@@ -280,14 +308,19 @@ class _ModeBlock:
     product for all terms. Each term's squared angles are multiplied by
     its weight, -kappa, or 0.0 for a term without modes.
 
-    Bounds come from the centers: the geodesic angle is 1-Lipschitz and
-    a point within half-angle r of a center lies within angle 2 r of
-    it, so the point is at least angle(center, mode) - 2 r from every
-    mode. The slack covers the rounding of arccos near 1.
+    Its levels are the cell index's parents and cells, when the search
+    is large enough (_BOUND_WORK). Bounds come from a node's center and
+    radius r, the largest half-angle from it to a point the node owns:
+    the geodesic angle is 1-Lipschitz and a point within half-angle r of
+    a center lies within angle 2 r of it, so the point is at least
+    angle(center, mode) - 2 r from every mode. The slack covers the
+    rounding of arccos near 1.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
         self.grid = grid
+        partners = len({c for i, j, _, _ in terms for c in (i, j)}) - 1
+        self.levels = ("parents", "cells") if grid.n * partners > _BOUND_WORK else ()
         pairs = [(i, j) for i, j, _, _ in terms]
         moving = [moving for *_, moving in terms]
         self.targets, self.weight = scorer._stacked_modes(pairs, moving)
@@ -296,7 +329,12 @@ class _ModeBlock:
             q = np.array([terms[t][2] for t in moved], dtype=np.float64)
             self.targets[moved] = quat_mul(self.targets[moved], q[:, None, :])
 
-    def bounds(self, at, centers, radius):
+    def bounds(self, at, level, nodes):
+        cells = self.grid.cells
+        if level == "parents":
+            centers, radius = cells.parent_centers[nodes], cells.parent_radius[nodes]
+        else:
+            centers, radius = cells.centers[nodes], cells.radius[nodes]
         sq = _kernels.min_angle_sq_stacked(centers, self.targets[at])
         gap = np.maximum(np.sqrt(sq) - 2.0 * radius - _CELL_SLACK, 0.0)
         return self.weight[at] * (gap * gap)
@@ -404,14 +442,24 @@ class TableScorer(PairwiseScorer):
     other order (symmetric semantics); the scorer is directional exactly
     when some pair is stored in both orders.
 
-    Over its own grid, `score_grid` memoizes the snapped grid indices:
+    A term over its own grid composes every grid point with the fixed
+    camera's rotation, and it keeps what it derives from them in a memo:
     one entry per fixed camera, moving side and stored order, holding
     the fixed camera's quaternion and replaced when that camera's
     rotation changes. The solver scores the same partner rotation again
-    for every block update in which that partner has not moved, and the
-    memo holds at most four entries per camera. The pair's stored row
-    over its own grid is returned as it is, since every grid rotation
-    snaps to itself.
+    for every block update in which that partner has not moved, so each
+    memo holds at most four entries per camera. `score_grid` keeps the
+    snapped grid indices (`_snapped`); bounds keep each composed
+    rotation's nearest-table bucket (`_buckets`), int16 up to level 4.
+    The pair's stored row over its own grid is returned as it is, since
+    every grid rotation snaps to itself.
+
+    Over a grid of at least _COARSE_TABLE_POINTS points the scorer's
+    block bounds each grid point: a snap scans only its bucket's list,
+    so the row's largest entry over that list, kept per stored pair
+    (`_maxima`), is at least the snapped score, exactly. The search then
+    composes and snaps only the few points whose summed bound reaches
+    its floor (`_TableBlock`).
     """
 
     def __init__(self, table: EnergyTable, grid: SO3Grid | None = None):
@@ -425,6 +473,8 @@ class TableScorer(PairwiseScorer):
         self.grid = grid
         self.directional = any((j, i) in table.rows for (i, j) in table.rows)
         self._snapped = {}
+        self._buckets = {}
+        self._maxima = {}
 
     def _row(self, i, j):
         if (i, j) in self.table.rows:
@@ -432,6 +482,9 @@ class TableScorer(PairwiseScorer):
         if (j, i) in self.table.rows:
             return self.table.rows[(j, i)], True
         raise ConsistencyError(f"table has no scores for pair ({i}, {j})")
+
+    def _own(self, grid):
+        return grid is self.grid or np.array_equal(grid.quats, self.grid.quats)
 
     def score_quats(self, i, j, quats):
         if i == j:
@@ -463,20 +516,131 @@ class TableScorer(PairwiseScorer):
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
         if i == j:
             raise ValueError("pair indices must differ")
-        if not (grid is self.grid or np.array_equal(grid.quats, self.grid.quats)):
+        if not self._own(grid):
             return super().score_grid(i, j, grid, fixed, moving)
         row, transposed = self._row(i, j)
         if fixed is None and moving == "j" and not transposed:
             return row.astype(np.float64)
+        snapped = self._memo(
+            self._snapped, i, j, fixed, moving, transposed, lambda q: nearest_indices(self.grid, q)
+        )
+        return row[snapped].astype(np.float64)
+
+    def _memo(self, memo, i, j, fixed, moving, transposed, derive):
+        # derive(quats) of the term's composed grid rotations, kept per
+        # fixed camera, moving side and stored order.
         q = None if fixed is None else np.asarray(fixed, dtype=np.float64).tobytes()
         key = (j if moving == "i" else i, moving, transposed)
-        memo = self._snapped.get(key)
-        if memo is None or memo[0] != q:
-            quats = pair_quats(grid.quats, fixed, moving)
-            if transposed:
-                quats = quat_conj(quats)
-            memo = self._snapped[key] = (q, nearest_indices(self.grid, quats))
-        return row[memo[1]].astype(np.float64)
+        entry = memo.get(key)
+        if entry is None or entry[0] != q:
+            quats = _composed(self.grid.quats, fixed, moving, transposed)
+            entry = memo[key] = (q, derive(quats))
+        return entry[1]
+
+    def _point_bounds(self, i, j, fixed, moving):
+        # At least the term's score at each grid point: the stored row
+        # itself where no camera moves off the grid, else the row's
+        # largest entry over the bucket list each composed point snaps in.
+        row, transposed = self._row(i, j)
+        if fixed is None and moving == "j" and not transposed:
+            return row
+        table = self.grid.nearest_table
+        stored = (j, i) if transposed else (i, j)
+        if stored not in self._maxima:
+            self._maxima[stored] = table.list_maxima(row)
+        buckets = self._memo(self._buckets, i, j, fixed, moving, transposed, table.buckets)
+        return self._maxima[stored][buckets]
+
+    def block(self, grid: SO3Grid, terms):
+        """Point bounds from bucket lists over its own grid; see `_TableBlock`."""
+        if not self._own(grid):
+            return GridBlock(self, grid, terms)
+        return _TableBlock(self, self.grid, terms)
+
+
+def _composed(quats, fixed, moving, transposed):
+    # A term's relative rotations at grid rotations `quats`, as the
+    # table is read: conjugated when the pair is served transposed.
+    quats = pair_quats(quats, fixed, moving)
+    return quat_conj(quats) if transposed else quats
+
+
+class _TableBlock(GridBlock):
+    """Table-scorer terms over the scorer's own grid.
+
+    Its one level is the grid points, from _COARSE_TABLE_POINTS points
+    on (see `TableScorer`); below that the search scores the whole grid.
+    So does a block whose terms all read their stored rows as they are,
+    as the spanning tree's do: it snaps nothing. Rows asked for by a
+    bounded search are composed again and snapped in one
+    `nearest_indices` call. A lookup's answer does not depend on its
+    batch, and each composed rotation is the product `pair_quats` forms
+    for that grid rotation, so each score is the term's `score_grid`
+    entry, bit for bit.
+    """
+
+    def __init__(self, scorer, grid: SO3Grid, terms):
+        super().__init__(scorer, grid, terms)
+        stored = scorer.table.rows
+        snaps = any(q is not None or m != "j" or (i, j) not in stored for i, j, q, m in terms)
+        self.levels = ("points",) if snaps and grid.n >= _COARSE_TABLE_POINTS else ()
+        self._reads = None
+
+    def bounds(self, at, level, nodes):
+        ids, back = np.unique(at, return_inverse=True)
+        table = np.array([self.scorer._point_bounds(*self.terms[t]) for t in ids])
+        return table[back.reshape(np.shape(at)), nodes]
+
+    def _read(self):
+        # Per term: the index of its stored row in a list of them, its
+        # flags (camera i moves, a camera is fixed, served transposed)
+        # and the fixed camera's quaternion, zero for none.
+        if self._reads is None:
+            stored, row_of, flags = {}, [], []
+            fixed = np.zeros((len(self.terms), 4))
+            for t, (i, j, q, moving) in enumerate(self.terms):
+                if i == j:
+                    raise ValueError("pair indices must differ")
+                _check_moving(moving)
+                row, transposed = self.scorer._row(i, j)
+                row_of.append(stored.setdefault(id(row), (len(stored), row))[0])
+                flags.append((moving == "i", q is not None, transposed))
+                if q is not None:
+                    fixed[t] = q
+            rows = [row for _, row in stored.values()]
+            self._reads = rows, np.array(row_of), *np.array(flags, dtype=bool).T, fixed
+        return self._reads
+
+    def scores(self, at, rows=None):
+        if rows is None:
+            return super().scores(at)
+        stored, row_of, side_i, has_fixed, transposed, fixed = self._read()
+        at, rows = np.broadcast_arrays(at, rows)
+        shape = at.shape
+        at, rows = at.ravel(), rows.ravel()
+        # The grid rotation S at each row, composed as `pair_quats` does:
+        # fixed S^-1 when camera i moves, S fixed^-1 when camera j does.
+        quats = self.grid.quats.T[:, rows].T
+        side_i, has_fixed, transposed = side_i[at], has_fixed[at], transposed[at]
+        q = np.where(side_i[:, None], quat_conj(quats), quats)
+        left, right = has_fixed & side_i, has_fixed & ~side_i
+        if left.any():
+            q[left] = quat_mul(fixed[at[left]], q[left])
+        if right.any():
+            q[right] = quat_mul(quats[right], quat_conj(fixed[at[right]]))
+        q[transposed, 1:] = -q[transposed, 1:]
+        # Rows read as stored (no camera moves off the grid) are not snapped.
+        snap = has_fixed | side_i | transposed
+        k = rows.copy()
+        if snap.any():
+            k[snap] = nearest_indices(self.grid, q[snap])
+        out = np.empty(at.shape[0])
+        read = row_of[at]
+        # Not np.unique, whose plain form imports numpy.ma on first use.
+        for r in np.flatnonzero(np.bincount(read)):
+            picked = read == r
+            out[picked] = stored[r][k[picked]]
+        return out.reshape(shape)
 
 
 def score_over_grid(scorer, i, j, grid: SO3Grid):

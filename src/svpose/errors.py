@@ -1,8 +1,13 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: OSError -> 2, FormatError -> 3,
-ConsistencyError -> 4. Plain ValueError covers bad arguments.
+The CLI maps these onto exit codes: WorkerDiedError -> 1, OSError -> 2,
+FormatError -> 3, ConsistencyError -> 4. Plain ValueError covers bad
+arguments.
 """
+
+
+class WorkerDiedError(RuntimeError):
+    """A worker process of a parallel solve died before its file was solved."""
 
 
 class FormatError(ValueError):

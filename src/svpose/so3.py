@@ -47,10 +47,22 @@ _COVERING_BATCH = 64
 # grid. With the table built, a lookup beats the scan from about 2^15
 # (batch x grid) pairs at G=576, 4608 and 36864 (0.14 ms against
 # 0.21 ms for 14 rows at G=4608, 2 CPUs; below that both cost about
-# 0.1 ms of call overhead), but the build costs 10 ms, 0.09 s and
-# 0.8 s at those sizes. At 2^16 a single row stays on the scan up to
-# G=65536, so a solve that snaps single rotations never builds one.
+# 0.1 ms of call overhead, measured with a level-4 table at G=4608),
+# but the build costs about 6 ms, 27 ms and 0.3 s at those sizes. At
+# 2^16 a single row stays on the scan up to G=65536, so a solve that
+# snaps single rotations never builds one.
 _DENSE_WORK = 1 << 16
+# Grids of at least _COARSE_TABLE_POINTS points build their nearest
+# table one level coarser (see `NearestTable`), and table scorers search
+# them with exact bounds from its bucket lists (`energy.TableScorer`).
+# That search snaps only the few candidates that can win, so the build,
+# once per process, outweighs the lookups. One level coarser, the build
+# went 49 -> 27 ms at G=4608 (level 4 -> 3) and 531 -> 302 ms at
+# G=36864 (5 -> 4), while a 4608-query lookup went from about 2.5 to
+# 5 ms (2 CPUs, `benchmarks/bench_kernels.py`). At G=576 table solves
+# stay dense with their level-3 table: bounds made the round trip's 16
+# six-camera table solves 1.6-1.8x slower in-process (medians of 6).
+_COARSE_TABLE_POINTS = 4608
 # Slack on bounds over a cell, in radians; far above the rounding error
 # of arccos near 1 (about 1.5e-8).
 _CELL_SLACK = 1e-6
@@ -67,6 +79,7 @@ _TABLE_PAIRS = 1 << 14
 # bucket's edges is far below it. More slack only makes lists longer:
 # lists may change with it, lookups may not.
 _TABLE_SLACK = 3e-5
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # Component order on each cube-map face: the face's component first.
 _FACE_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]])
 # Child j of a bucket takes the upper half of its axis a when bit 2 - a
@@ -83,10 +96,8 @@ def quat_normalize(q):
 
 
 def quat_conj(q):
-    q = np.asarray(q, dtype=np.float64)
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
+    # One pass, in the input's own layout; multiplying by -1.0 negates exactly.
+    return np.asarray(q, dtype=np.float64) * _CONJ
 
 
 def quat_mul(a, b):
@@ -395,18 +406,33 @@ def _with_one(u):
     return np.concatenate([np.ones_like(u[0]), *u], axis=-1)
 
 
+def _cube_level(g, per_point):
+    """The cube-map level with about `per_point` buckets per point of a G-point grid."""
+    return max(0, round(math.log(g * per_point / 4.0, 8)))
+
+
 def _table_levels(g):
-    """Levels of a G-point grid's nearest table: about 3.5 buckets per point."""
-    return max(0, round(math.log(0.875 * g, 8)))
+    """Levels of a G-point grid's nearest table; see `NearestTable`."""
+    return _cube_level(g, 3.5 if g < _COARSE_TABLE_POINTS else 3.5 / 8.0)
 
 
 def _cube_buckets(queries, levels):
     """The bucket, `levels` levels down, of each (m, 4) query, with its face and bins."""
     n = 1 << levels
     face = np.abs(queries).argmax(axis=1)
-    q = np.take_along_axis(queries, _FACE_ORDER[face], axis=1)
-    a = np.arctan(q[:, 1:] / q[:, :1]) * (4.0 / math.pi)
-    b = np.floor((a + 1.0) * (n / 2.0)).astype(np.int64)
+    # Face coordinate c divides the other components, in ascending order
+    # (`_FACE_ORDER`), by the face's: component c below the face, c + 1
+    # from it on. Each step works in place, so the bits are those of
+    # floor((arctan(u) * (4 / pi) + 1) * (n / 2)).
+    u = np.array(queries[:, :3])
+    for c in range(3):
+        np.copyto(u[:, c], queries[:, c + 1], where=face <= c)
+    u /= queries[np.arange(queries.shape[0]), face][:, None]
+    np.arctan(u, out=u)
+    u *= 4.0 / math.pi
+    u += 1.0
+    u *= n / 2.0
+    b = np.floor(u, out=u).astype(np.int64)
     np.clip(b, 0, n - 1, out=b)
     # Nested order: bit k of each bin goes to bits 3k + 2, 3k + 1 and 3k.
     spread = _spread(levels)
@@ -442,8 +468,12 @@ class NearestTable:
     (`_FACE_ORDER`), each |u_i| <= 1. Each arctan(u_i) / (pi/4) is binned
     n = 2**levels ways, so the faces hold 4 n^3 buckets, numbered in
     nested order: bucket 8 b + j is child j of bucket b one level up.
-    levels = round(log8(0.875 G)), so n is 8, 16 and 32 at G = 576, 4608
-    and 36864, about 3.5 buckets per grid point.
+    Below _COARSE_TABLE_POINTS points a table has about 3.5 buckets per
+    grid point, levels = round(log8(0.875 G)), so n is 8 at G = 576.
+    From there on it is one level coarser, about 0.44 buckets per point,
+    so n is 8 and 16 at G = 4608 and 36864: a coarser table halves the
+    build and makes each list longer, and grids that large are searched
+    with bounds, which snap few rotations (see _COARSE_TABLE_POINTS).
 
     Each bucket lists, ascending, every grid point that can be nearest
     to some quaternion in it, and a lookup scans only its bucket's list
@@ -500,15 +530,32 @@ class NearestTable:
             idx[s:e], dot[s:e] = _first_best(self.quats, queries[s:e], cand, lens)
         return idx, dot
 
+    def buckets(self, queries):
+        """The bucket of each (m, 4) query, whose list holds the query's nearest point.
+
+        Codes are int16 while they fit (at most level 4), else int32.
+        """
+        code = _cube_buckets(queries, self.levels)[0]
+        return code.astype(np.int16 if self.ptr.shape[0] <= 1 << 15 else np.int32)
+
+    def list_maxima(self, values):
+        """Per bucket, the largest of `values`, one per grid point, over the bucket's list.
+
+        A lookup's answer lies in its bucket's list, so this bounds
+        `values` at the nearest point of every query in the bucket.
+        """
+        # Gathered through intp indices, which numpy indexes fastest.
+        return np.maximum.reduceat(values[self.entries.astype(np.intp)], self.ptr[:-1])
+
 
 class CellIndex:
     """Coarse partition of a grid into cells, for bounds over many points.
 
-    Cells are the cube-map buckets two levels above the grid's nearest
-    table (`_cube_buckets`): 32, 256 and 2048 at G = 576, 4608 and 36864.
-    A grid point belongs to its bucket; buckets that own no point are
-    dropped, and each cell keeps its box center and its radius r, the
-    largest theta from that center to a point it owns.
+    Cells are the cube-map buckets (`_cube_buckets`) at the level with
+    about 18 grid points per bucket: 32, 256 and 2048 at G = 576, 4608
+    and 36864. A grid point belongs to its bucket; buckets that own no
+    point are dropped, and each cell keeps its box center and its
+    radius r, the largest theta from that center to a point it owns.
     `order[start[c]:start[c + 1]]` lists, ascending, the grid indices
     cell c owns.
 
@@ -521,7 +568,7 @@ class CellIndex:
     """
 
     def __init__(self, quats):
-        self.level = max(0, _table_levels(quats.shape[0]) - 2)
+        self.level = _cube_level(quats.shape[0], 3.5 / 64.0)
         bucket, face, bins = _cube_buckets(quats, self.level)
         _, first, owner = np.unique(bucket, return_index=True, return_inverse=True)
         self.centers = np.ascontiguousarray(_box_centers(face[first], bins[first], self.level).T).T
@@ -626,13 +673,13 @@ def _covering_bounds(quats, probes):
     """Each probe's largest |dot| with the grid points near it, a lower bound on its best.
 
     The points near a probe are those in the 2 x 2 x 2 block of
-    cube-map buckets, one level above the nearest table's, nearest to
-    it on its own face (the face's one bucket at level 0). A probe whose
-    block holds no point takes grid point 0 alone, so every bound is
-    one of its probe's own |dot| values. Probes are taken in chunks of
+    cube-map buckets, at the level with about 0.44 buckets per grid
+    point, nearest to it on its own face (the face's one bucket at
+    level 0). A probe whose block holds no point takes grid point 0
+    alone, so every bound is one of its probe's own |dot| values. Probes are taken in chunks of
     about _TABLE_PAIRS (probe, point) pairs.
     """
-    levels = max(0, _table_levels(quats.shape[0]) - 1)
+    levels = _cube_level(quats.shape[0], 3.5 / 8.0)
     n = 1 << levels
     w = min(2, n)
     # Buckets numbered face by face, bins in row-major order.

@@ -35,30 +35,33 @@ term order from 0.0. The solver never composes the G candidates
 itself; an energy, or a camera still off the grid, is scored at its
 own relative rotations in one `PairwiseScorer.score_pairs` call.
 
-When the block offers bounds and the search is large enough
-(`_BOUND_WORK`), the search is exact branch and bound over two levels
-of the nested cube map, in the manner of Hartley and Kahl's rotation
-search. The C cells of the grid's cell index are the children of its P
-parents, the buckets one level up (C is 32, 256 and 2048 and P is 4,
-32 and 256 at G = 576, 4608 and 36864). For every group at once, each
-against its own floor:
-- the bounds of the P parents, one T x P x k comparison for the mode
-  scorer;
+When the block has levels to bound over (`GridBlock`), the search is
+exact branch and bound down them, in the manner of Hartley and Kahl's
+rotation search. For every group at once, each against its own floor:
+- the bounds of every node of the first level;
 - a floor, a lower bound on the maximum: the exact score at the
   camera's current grid index, or else the best exact score among the
-  points of the best-bounded child of the best-bounded parent;
-- the bounds of the children of every parent whose bound reaches the
-  floor;
-- exact scores of the points of every child whose bound reaches it.
-A search thus bounds P parents plus the children of the parents that
-survive. At G=36864, in 20-camera scenes, that is 256 parents and
-about 33 of the 2048 cells per block update, and 256 parents and 42
-cells per spanning-tree pair. The last evaluation holds the camera's
-current grid index too, so the argmax, its lowest-index tie-break and
-the strict-improvement test come from one evaluation and match a dense
-search. Groups are taken in chunks of `_STACK_PAIRS` (group, parent)
-pairs. Otherwise each group's whole grid is scored as one cell: one
+  points of the node reached from the best-bounded first-level node by
+  taking the best-bounded member at each level below;
+- level by level, the bounds of the members of every node whose bound
+  reaches the floor;
+- exact scores of the points of every last-level node whose bound
+  reaches it.
+The last evaluation holds the camera's current grid index too, so the
+argmax, its lowest-index tie-break and the strict-improvement test
+come from one evaluation and match a dense search. Groups are taken
+in chunks of `_STACK_PAIRS` (group, first-level node) pairs.
+Otherwise each group's whole grid is scored as one cell: one
 T x G x k comparison for a block update.
+
+The mode scorer's levels, in large enough searches, are the P parents
+and C cells of the grid's cell index (C is 32, 256 and 2048 and P is
+4, 32 and 256 at G = 576, 4608 and 36864): at G=36864, in 20-camera
+scenes, a block update bounds 256 parents and about 33 of the 2048
+cells, and a spanning-tree pair 256 parents and 42 cells. The table
+scorer's one level, on grids of 4608 points or more, is the grid
+points: each bound is a gather, and only the few points whose summed
+bound reaches the floor are snapped to the grid.
 """
 
 from dataclasses import dataclass, field
@@ -67,27 +70,10 @@ import numpy as np
 
 from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul, quat_to_matrix
 
-# A search over a grid of G points whose terms name p + 1 cameras is
-# scored whole, as one cell, when G * p is at most _BOUND_WORK; larger
-# searches are pruned by two-level bounds over the cell index. Bounded
-# over whole-grid solve time with two-level bounds and the stacked
-# spanning-tree search, mode scorer, four scenes, cell index built per
-# solve, 2 CPUs (ranges over two runs, single values from one):
-# - G=4608: 2.14-3.53, 1.39-1.58, 0.55-0.71, 0.31-0.36, 0.38, 0.28 with
-#   4, 6, 10, 20, 30, 40 cameras;
-# - G=9216: 0.91-0.96, 0.24-0.35 with 8, 17;
-# - G=18432: 1.37-1.38, 0.49-0.54, 0.23-0.32 with 5, 8, 10;
-# - G=36864: 2.84-3.37, 1.68-1.77, 1.27-1.32, 0.82-0.89, 0.56, 0.43-0.47,
-#   0.22, 0.14 with 3, 4, 5, 6, 7, 8, 10, 20.
-# The limit is G=36864 with 5 cameras, still the largest search that
-# lost. There the cell index build (about 17 ms) outweighs the few
-# searches it speeds up; smaller grids build it faster and win at
-# smaller G * p (G=4608 from 10 cameras, G=18432 from 8), which one
-# limit on G * p leaves dense.
-_BOUND_WORK = 36864 * 4
-# (group, parent) pairs per chunk of a bounded search, which keeps each
-# temporary a few hundred kB however many cameras there are: 64 pairs
-# at G=36864, where the spanning tree's 190 would otherwise take 2.5 MB.
+# (group, node) pairs of a block's first level per chunk of a bounded
+# search, which keeps each temporary a few hundred kB however many
+# cameras there are: 64 groups over the 256 parents at G=36864, where
+# the spanning tree's 190 would otherwise take 2.5 MB.
 _STACK_PAIRS = 1 << 14
 
 
@@ -121,12 +107,7 @@ def _pair_sum(scorer, pairs, left, right):
 
 
 def _summed(terms):
-    """The rows of an array, along its first axis, summed in order from 0.0.
-
-    None, a block's answer when it offers no bound, stays None.
-    """
-    if terms is None:
-        return None
+    """The rows of an array, along its first axis, summed in order from 0.0."""
     total = np.zeros(terms.shape[1:])
     for row in terms:
         total += row
@@ -141,8 +122,8 @@ def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     order from 0.0 (`_summed`). Returns each group's (index, value,
     value at `current`): its first maximum, the sum there and the sum
     at grid index `current`, all from one evaluation. `current` is -1,
-    giving None, or needs a single group. The search is sized against
-    `_BOUND_WORK` by the cameras its terms name, less one.
+    giving None, or needs a single group. The search is bounded over
+    the block's levels, if it has any.
     """
     size = len(groups[0]) if groups else 0
     if any(len(group) != size for group in groups):
@@ -153,20 +134,14 @@ def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     block = scorer.block(grid, terms)
     # Column g holds group g's term indices into the block.
     ids = np.arange(len(terms)).reshape(len(groups), size).T
-    partners = len({c for i, j, _, _ in terms for c in (i, j)}) - 1
     found = []
-    if grid.n * partners > _BOUND_WORK:
-        step = max(1, _STACK_PAIRS // grid.cells.parent_radius.shape[0])
+    if block.levels:
+        step = max(1, _STACK_PAIRS // _size(grid, block.levels[0]))
         for s in range(0, len(groups), step):
-            part = _bounded(grid.cells, block, ids[:, s : s + step], current)
-            if part is None:
-                found = []
-                break
-            at, rows, obj = part
+            at, rows, obj = _bounded(grid, block, ids[:, s : s + step], current)
             cur = None if current < 0 else float(obj[np.searchsorted(rows, current)])
             found += [(int(rows[m]), float(obj[m]), cur) for m in _first_max(obj, at)]
-        else:
-            return found
+        return found
     for g in range(len(groups)):
         obj = _summed(block.scores(ids[:, g, None]))
         k = int(np.argmax(obj))
@@ -174,71 +149,87 @@ def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     return found
 
 
-def _bounded(cells, block, ids, current=-1):
-    """Exact two-level branch and bound for each column of `ids`, or None.
+def _bounded(grid, block, ids, current=-1):
+    """Exact branch and bound down the block's levels for each column of `ids`.
 
     Column m of `ids` lists search m's terms in `block`, whose bounds
-    and scores it sums; None when the block offers no bound. Returns the
-    (at, rows, obj) of the last evaluation, grouped by search, each
-    search's rows ascending: the points of every cell that can hold a
-    search's maximum, and `current` (for one search, unless -1).
+    and scores it sums. Returns the (at, rows, obj) of the last
+    evaluation, grouped by search, each search's rows ascending: the
+    points of every node of the last level that can hold a search's
+    maximum, and `current` (for one search, unless -1).
     """
 
     n = ids.shape[1]
+    first, *rest = levels = block.levels
 
     def terms(at):
         # Search at[m]'s terms; a lone search's broadcast, not gathered.
         return ids if n == 1 else ids[:, at]
 
-    def bound(at, centers, radius):
-        # At least search at[m]'s objective at every grid point within
-        # half-angle radius[m] of centers[m], the three broadcast together.
-        return _summed(block.bounds(terms(at), centers, radius))
+    def bound(at, level, nodes):
+        # At least search at[m]'s objective at every grid point that
+        # node nodes[m] of `level` owns, the two broadcast together.
+        return _summed(block.bounds(terms(at), level, nodes))
 
     def score(at, rows):
         return _summed(block.scores(terms(at), rows))
 
     searches = np.arange(n)
-    top = bound(searches[:, None], cells.parent_centers, cells.parent_radius)
-    if top is None:
-        return None
-    top = np.reshape(top, (n, -1))
+    top = np.reshape(bound(searches[:, None], first, np.arange(_size(grid, first))), (n, -1))
     # The floor is a lower bound on each search's maximum: the score at
-    # `current`, or else the best score among the points of the best
-    # child of the search's best parent.
+    # `current`, or else the best score among the points of the node
+    # reached from the search's best first-level node by taking the
+    # best-bounded member at each level.
     if current >= 0:
         floor = score(searches, np.array([current]))
     else:
-        at, kids = _children(cells, searches, top.argmax(axis=1))
-        seed = kids[_first_max(bound(at, cells.centers[kids], cells.radius[kids]), at)]
-        at, rows = _owned(cells, searches, seed, -1)
+        nodes = top.argmax(axis=1)
+        for up, level in zip(levels, rest):
+            at, kids = _members(grid, up, searches, nodes)
+            nodes = kids[_first_max(bound(at, level, kids), at)]
+        at, rows = _owned(grid, levels[-1], searches, nodes, -1)
         floor = np.maximum.reduceat(score(at, rows), _starts(at))
-    # A parent or cell whose bound equals the floor is still searched:
-    # one of its points may tie the maximum at a lower index.
-    search, parent = np.nonzero(top >= floor[:, None])
-    at, kids = _children(cells, search, parent)
-    keep = bound(at, cells.centers[kids], cells.radius[kids]) >= floor[at]
-    at, rows = _owned(cells, at[keep], kids[keep], current)
+    # A node whose bound equals the floor is still searched: one of its
+    # points may tie the maximum at a lower index.
+    at, nodes = np.nonzero(top >= floor[:, None])
+    for up, level in zip(levels, rest):
+        at, nodes = _members(grid, up, at, nodes)
+        keep = bound(at, level, nodes) >= floor[at]
+        at, nodes = at[keep], nodes[keep]
+    at, rows = _owned(grid, levels[-1], at, nodes, current)
     return at, rows, score(at, rows)
 
 
-def _children(cells, searches, parents):
-    # The cells of parents[m], each tagged with its search searches[m].
-    kids, counts = cells.children(parents)
+def _size(grid, level):
+    # The number of nodes of a level of the grid.
+    if level == "points":
+        return grid.n
+    cells = grid.cells
+    return (cells.parent_radius if level == "parents" else cells.radius).shape[0]
+
+
+def _members(grid, level, searches, nodes):
+    # The members of node nodes[m] of `level`, each tagged with its
+    # search searches[m]: a parent's cells, a cell's grid points, or a
+    # grid point itself.
+    if level == "points":
+        return searches, nodes
+    cells = grid.cells
+    kids, counts = (cells.children if level == "parents" else cells.owned)(nodes)
     return np.repeat(searches, counts), kids
 
 
-def _owned(cells, searches, kids, current):
-    # The grid points of cells kids[m] for search searches[m], ascending
-    # within each search, and `current` for search 0 unless it is -1.
-    rows, counts = cells.owned(kids)
-    g = cells.owner.shape[0]
-    key = np.sort(np.repeat(searches, counts) * g + rows)
+def _owned(grid, level, searches, nodes, current):
+    # The grid points of nodes[m] of the last level for search
+    # searches[m], ascending within each search, and `current` for
+    # search 0 unless it is -1.
+    at, rows = _members(grid, level, searches, nodes)
+    key = np.sort(at * grid.n + rows)
     if current >= 0:
         at = int(np.searchsorted(key, current))
         if at == key.shape[0] or key[at] != current:
             key = np.insert(key, at, current)
-    return key // g, key % g
+    return key // grid.n, key % grid.n
 
 
 def _starts(at):

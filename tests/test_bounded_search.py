@@ -3,12 +3,14 @@
 `solver.grid_search` maximizes each of its groups' sums of `score_grid`
 terms over the grid: a block update is one group of every partner's
 terms, and `mst_init` searches one group per pair and order at once.
-When the scorer's block bounds its terms, the search bounds the parents
-of the grid's cells, then the cells of parents that reach each group's
-best exact score found so far, and scores only the points of cells
-that reach it. The oracle sums each group's terms over the whole grid
-from 0.0, takes the first maximum and reads the camera's current
-index, as the dense block update did.
+When the scorer's block bounds its terms, the search bounds every node
+of the block's first level, then, level by level, the members of the
+nodes that reach each group's best exact score found so far, and
+scores only the points of the last-level nodes that reach it: the
+mode scorer's levels are the parents and cells of the grid's cell
+index, the table scorer's the grid points. The oracle sums each
+group's terms over the whole grid from 0.0, takes the first maximum
+and reads the camera's current index, as the dense block update did.
 """
 
 import pickle
@@ -16,7 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
-from svpose import _kernels, so3, solver
+from svpose import _kernels, energy, so3, solver
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
@@ -172,7 +174,7 @@ def test_scene_solves_match_dense_oracle_on_both_sides_of_rule(
     monkeypatch, grid_n, n, bounded
 ):
     grid = grid_of(grid_n)
-    assert (grid.n * (n - 1) > solver._BOUND_WORK) == bounded
+    assert (grid.n * (n - 1) > energy._BOUND_WORK) == bounded
     hyp, oracle, rows = checked_solve(monkeypatch, scene_scorer(grid_n + n, n), n, grid)
     assert_same(hyp, oracle)
     assert hyp.sweeps_used >= 2  # a sweep after the projection onto the grid
@@ -197,7 +199,7 @@ def test_scene_solves_match_dense_oracle_on_both_sides_of_rule(
 )
 @pytest.mark.parametrize("grid_n", [576, 4608])
 def test_forced_bounded_search_matches_dense_oracle(monkeypatch, make, n, seed, grid_n):
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    monkeypatch.setattr(energy, "_BOUND_WORK", 0)
     grid = grid_of(grid_n, "random_uniform" if seed % 2 else "super_fibonacci")
     scorer = make()
     hyp, oracle, rows = checked_solve(monkeypatch, scorer, n, grid)
@@ -205,21 +207,25 @@ def test_forced_bounded_search_matches_dense_oracle(monkeypatch, make, n, seed, 
     assert None not in rows
 
 
-def test_table_scorer_searches_the_whole_grid(monkeypatch):
-    # No bound: every search scores the whole grid as one cell, even
-    # where a mode scorer would be bounded.
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
-    grid = grid_of(576)
-    source = scene_scorer(35, 5)
-    rows = {
-        (i, j): source.score_grid(i, j, grid)
-        for i in range(5)
-        for j in range(i + 1, 5)
-    }
-    scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+@pytest.mark.parametrize("grid_n", [576, 4608])
+def test_table_solves_match_dense_oracle_bounded_from_4608_points(monkeypatch, grid_n):
+    # Below 4608 points a table block offers no bound and every search
+    # scores the whole grid; from there on it bounds every grid point
+    # and snaps only the few that can win. The spanning tree's terms
+    # read stored rows as they are, snap nothing, and are scored whole.
+    grid = grid_of(grid_n)
+    scorer = table_scorer(35, 5, grid)
+    assert scorer.block(grid, pair_terms(scorer, 5)).levels == ()
+    update = [(1, j, grid.quats[j], "i") for j in (0, 2, 3, 4)]
+    assert scorer.block(grid, update).levels == (("points",) if grid_n >= 4608 else ())
     hyp, oracle, recorded = checked_solve(monkeypatch, scorer, 5, grid)
     assert_same(hyp, oracle)
-    assert set(recorded) == {None}
+    if grid_n < 4608:
+        assert set(recorded) == {None}
+    else:
+        assert None not in recorded
+        # Pruned: a block update scores a small share of its terms' rows.
+        assert max(recorded) < 4 * grid.n // 10
 
 
 def table_scorer(seed, n, grid):
@@ -246,7 +252,7 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
     # G=576 the parents are the four faces.
     grid = grid_of(grid_n, "random_uniform" if grid_n == 100 else "super_fibonacci")
     assert (grid.cells.level == 0) == (grid_n == 100)
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    monkeypatch.setattr(energy, "_BOUND_WORK", 0)
     scorer, n = STACKED_SCORERS[name](grid)
     terms = pair_terms(scorer, n)
     rng = rng_for(grid_n)
@@ -262,11 +268,10 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
     monkeypatch.setattr(solver, "_STACK_PAIRS", 5 * grid.cells.parent_radius.shape[0])
     assert len(terms) % 5
     assert bits(solver.grid_search(scorer, grid, groups)) == bits(want)
-    cells = grid.cells
-    bounded = scorer.block(grid, terms).bounds(
-        np.zeros((1, 1), dtype=np.int64), cells.parent_centers, cells.parent_radius
-    )
-    assert (bounded is not None) == (name in ("symmetric-multimode", "directional-modeless"))
+    # The table's terms include fixed partners, which it snaps.
+    bounded = bool(scorer.block(grid, terms).levels)
+    modes = name in ("symmetric-multimode", "directional-modeless")
+    assert bounded == (modes or (name == "table" and grid_n >= 4608))
     if name == "constant":
         assert {k for k, _, _ in got} == {0}
     for (i, j, fixed, _), (k, value, _) in zip(terms, got):
@@ -282,7 +287,7 @@ def test_one_search_over_multi_term_groups_matches_dense_group_sums(monkeypatch,
     # camera moving, k = 2 terms, some against a fixed first camera;
     # pairs (0, 2) and (3, 4) have no modes and score 0 everywhere.
     grid = grid_of(grid_n, "random_uniform" if grid_n == 100 else "super_fibonacci")
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    monkeypatch.setattr(energy, "_BOUND_WORK", 0)
     n = 5
     scorer = directional_scorer(54, n, missing={(0, 2), (3, 4)})
     rng = rng_for(grid_n + 54)
@@ -311,7 +316,7 @@ def test_one_search_over_multi_term_groups_matches_dense_group_sums(monkeypatch,
 def test_search_current_index_scored_with_candidates(monkeypatch):
     # The current index far from the maximum is still scored in the
     # candidates' evaluation, and equals the oracle's value there.
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    monkeypatch.setattr(energy, "_BOUND_WORK", 0)
     grid = grid_of(4608)
     scorer = scene_scorer(36, 6)
     rng = rng_for(36)
@@ -329,7 +334,7 @@ def test_search_scores_a_lone_row_like_the_dense_search(monkeypatch):
     # that cell is the only one to survive, and the search scores its
     # one row alone. Each |dot| is a fixed-order sum, so that row's score
     # is the whole grid's, bit for bit.
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    monkeypatch.setattr(energy, "_BOUND_WORK", 0)
     rng = rng_for(40)
     noise = 0.05 * rng.standard_normal((2000, 4))
     near = so3.quat_normalize(np.array([1.0, 0.0, 0.0, 0.0]) + noise)
@@ -379,7 +384,7 @@ def test_one_row_scores_match_the_whole_grid_bit_for_bit():
 def test_rerun_from_converged_hypothesis_accepts_nothing():
     grid = grid_of(36864)
     n = 10
-    assert grid.n * (n - 1) > solver._BOUND_WORK
+    assert grid.n * (n - 1) > energy._BOUND_WORK
     scorer = scene_scorer(37, n)
     hyp = solver.solve(scorer, n, grid)
     assert hyp.sweeps_used < 50
@@ -414,7 +419,8 @@ def bound_cases(draw):
 def test_cell_bound_covers_every_point_of_the_cell(case):
     scorer, grid, (i, j), fixed, moving = case
     cells = grid.cells
-    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds(0, cells.centers, cells.radius)
+    every = np.arange(cells.radius.shape[0])
+    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds(0, "cells", every)
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     cell_max = np.full(bound.shape[0], -np.inf)
     np.maximum.at(cell_max, cells.owner, scores)
@@ -427,10 +433,10 @@ def test_parent_bound_covers_every_point_of_the_parent(case):
     scorer, grid, (i, j), fixed, moving = case
     cells = grid.cells
     block = scorer.block(grid, [(i, j, fixed, moving)])
-    centers, radius = cells.parent_centers, cells.parent_radius
+    every = np.arange(cells.parent_radius.shape[0])
     # As a one-term block update sums it, and as the term's own.
-    summed = solver._summed(block.bounds(np.zeros((1, 1), dtype=np.int64), centers, radius))
-    alone = block.bounds(0, centers, radius)
+    summed = solver._summed(block.bounds(np.zeros((1, 1), dtype=np.int64), "parents", every))
+    alone = block.bounds(0, "parents", every)
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     counts = np.diff(cells.parent_start)
     parent = np.repeat(np.arange(counts.shape[0]), counts)[cells.owner]
@@ -440,15 +446,107 @@ def test_parent_bound_covers_every_point_of_the_parent(case):
     assert np.all(alone >= parent_max)
 
 
+def table_of(grid, rng, n, directional, quantized):
+    # Random float32 rows, or rows of a few levels, so that many grid
+    # points tie; every ordered pair stored when directional, else i < j.
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < j or (directional and i != j)]
+    rows = {}
+    for pair in pairs:
+        row = rng.standard_normal(grid.n)
+        if quantized:
+            row = -1.5 * np.round(rng.uniform(0.0, 3.0, grid.n))
+        rows[pair] = row
+    return TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
+
+
+def fixed_of(draw, grid, rng):
+    fixed = draw(st.sampled_from([None, "random", "grid"]))
+    if fixed == "random":
+        return so3.random_quats(rng, 1)[0]
+    if fixed == "grid":
+        return grid.quats[int(rng.integers(grid.n))]
+    return fixed
+
+
+@st.composite
+def table_bound_cases(draw):
+    generator = draw(st.sampled_from(sorted(so3.GENERATOR_IDS)))
+    grid = grid_of(draw(st.sampled_from([576, 4608])), generator)
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    scorer = table_of(grid, rng, 3, draw(st.booleans()), draw(st.booleans()))
+    # (1, 0) and (2, 1) are served transposed unless the table is directional.
+    pair = draw(st.sampled_from([(0, 1), (1, 0), (2, 1)]))
+    return scorer, grid, (*pair, fixed_of(draw, grid, rng), draw(st.sampled_from(["i", "j"])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table_bound_cases())
+def test_table_point_bound_covers_the_snapped_score(case):
+    # A snap scans only its bucket's list, so the row's largest entry
+    # over that list is at least the score at the point it snaps to.
+    scorer, grid, term = case
+    i, j, fixed, moving = term
+    block = scorer.block(grid, [term])
+    every = np.arange(grid.n)
+    bound = block.bounds(np.zeros((1, 1), dtype=np.int64), "points", every)[0]
+    scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
+    assert np.all(bound >= scores)
+    if fixed is None and moving == "j" and scorer._row(i, j)[1] is False:
+        assert np.array_equal(bound, scores)
+    # Its scores at chosen rows are the whole grid's, bit for bit.
+    rows = np.sort(rng_for(grid.n).choice(grid.n, 50, replace=False))
+    assert block.scores(0, rows).tobytes() == scores[rows].tobytes()
+
+
+@st.composite
+def table_search_cases(draw):
+    generator = draw(st.sampled_from(sorted(so3.GENERATOR_IDS)))
+    grid = grid_of(4608, generator)
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 5))
+    directional = draw(st.booleans())
+    scorer = table_of(grid, rng, n, directional, draw(st.booleans()))
+    if draw(st.booleans()):
+        # The spanning tree's shape, a one-term group per pair, in both
+        # orders: a symmetric table serves the second one transposed.
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        return scorer, grid, [[(i, j, None, "j")] for i, j in pairs], -1
+    # A block update: camera c against every partner, fixed on or off the grid.
+    c = draw(st.integers(0, n - 1))
+    terms = []
+    for j in range(n):
+        if j != c:
+            fixed = fixed_of(draw, grid, rng)
+            terms.append((c, j, fixed, "i"))
+            if directional:
+                terms.append((j, c, fixed, "j"))
+    current = draw(st.sampled_from([-1, 0, int(rng.integers(grid.n)), grid.n - 1]))
+    return scorer, grid, [terms], current
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(table_search_cases())
+def test_bounded_table_search_matches_dense_bit_for_bit(case):
+    # Rows of a few levels tie at many points: the bounded search must
+    # still return the lowest tied index, its value and the value at
+    # `current`, as the dense search does.
+    scorer, grid, groups, current = case
+    terms = [term for group in groups for term in group]
+    plain = all(q is None and m == "j" and (i, j) in scorer.table.rows for i, j, q, m in terms)
+    assert scorer.block(grid, terms).levels == (() if plain else ("points",))
+    got = solver.grid_search(scorer, grid, groups, current)
+    assert bits(got) == bits(dense_search(scorer, grid, groups, current))
+
+
 def test_modeless_pair_bound_is_zero():
     grid = grid_of(576)
     modes = {(0, 1): so3.random_quats(rng_for(38), 1)}
     scorer = SymmetricModeScorer(modes=modes, kappa=5.0)
     cells = grid.cells
     block = scorer.block(grid, [(0, 2, None, "j"), (0, 1, None, "j")])
-    levels = ((cells.centers, cells.radius), (cells.parent_centers, cells.parent_radius))
-    for centers, radius in levels:
-        bound = block.bounds(np.zeros((1, 1), dtype=np.int64), centers, radius)[0]
+    for level, radius in (("cells", cells.radius), ("parents", cells.parent_radius)):
+        every = np.arange(radius.shape[0])
+        bound = block.bounds(np.zeros((1, 1), dtype=np.int64), level, every)[0]
         assert bound.shape == radius.shape
         assert not bound.any()
     assert not block.scores(np.zeros(5, dtype=np.int64), np.arange(5)).any()
@@ -481,19 +579,18 @@ def test_rows_restrict_block_scores_bit_for_bit():
                 at = np.repeat([0, 1], rows.shape[0])
                 got = block.scores(at, np.tile(rows, 2))
                 assert np.array_equal(got, whole[:, rows].ravel())
-    cells = grid.cells
-    default = QuatsOnly(mode).block(grid, [(0, 1, None, "j")])
-    first = np.zeros((1, 1), dtype=np.int64)
-    assert default.bounds(first, cells.centers, cells.radius) is None
+    assert QuatsOnly(mode).block(grid, [(0, 1, None, "j")]).levels == ()
 
 
 class TwoHookBlock:
-    """A block written to the contract alone: the two per-term questions.
+    """A block written to the contract alone: its levels and two per-term questions.
 
-    It keeps each term's whole-grid `score_grid` row and bounds a term
-    near a center by its largest score among the grid points within the
-    half-angle radius of that center, the tightest bound there is.
+    It keeps each term's whole-grid `score_grid` row and bounds over one
+    level, the cells of the grid's cell index, each cell by its largest
+    score among the grid points it owns, the tightest bound there is.
     """
+
+    levels = ("cells",)
 
     def __init__(self, scorer, grid, terms):
         self.grid = grid
@@ -501,14 +598,12 @@ class TwoHookBlock:
             [scorer.score_grid(i, j, grid, fixed, moving=moving) for i, j, fixed, moving in terms]
         )
 
-    def bounds(self, at, centers, radius):
-        shape = np.broadcast_shapes(np.shape(at), centers.shape[:-1], radius.shape)
-        at = np.broadcast_to(at, shape).ravel()
-        centers = np.broadcast_to(centers, shape + (4,)).reshape(-1, 4)
-        radius = np.broadcast_to(radius, shape).ravel()
-        dots = _kernels.fixed_abs_dots(centers[:, None, :], self.grid.quats[None])
-        near = np.arccos(np.minimum(dots, 1.0)) <= radius[:, None] + 1e-9
-        return np.where(near, self.rows[at], -np.inf).max(axis=1).reshape(shape)
+    def bounds(self, at, level, nodes):
+        assert level == "cells"
+        cells = self.grid.cells
+        owned = self.rows[:, cells.order]
+        cell_max = np.maximum.reduceat(owned, cells.start[:-1], axis=1)
+        return cell_max[at, nodes]
 
     def scores(self, at, rows=None):
         return self.rows[at, np.arange(self.grid.n) if rows is None else rows]
@@ -520,10 +615,10 @@ class TwoHookScorer(QuatsOnly):
 
 
 def test_user_block_with_two_per_term_hooks_drives_a_bounded_solve(monkeypatch):
-    # Neither a GridBlock nor the mode block: the solver asks only
-    # `bounds(at, centers, radius)` and `scores(at, rows)`, and sums the
-    # terms itself, in the spanning tree's search and the block updates.
-    monkeypatch.setattr(solver, "_BOUND_WORK", 0)
+    # Neither a GridBlock nor a scorer's own block: the solver asks only
+    # `levels`, `bounds(at, level, nodes)` and `scores(at, rows)`, and
+    # sums the terms itself, in the spanning tree's search and the block
+    # updates, whichever levels a block bounds over.
     grid = grid_of(576)
     scorer = TwoHookScorer(scene_scorer(43, 5))
     hyp, oracle, rows = checked_solve(monkeypatch, scorer, 5, grid)
@@ -609,7 +704,8 @@ def test_stacked_block_matches_per_term_default_bit_for_bit(case):
     stacked, default = scorer.block(grid, terms), GridBlock(scorer, grid, terms)
     every = np.arange(len(terms))[:, None]
     assert stacked.scores(every, rows).tobytes() == default.scores(every, rows).tobytes()
-    assert default.bounds(every, cells.centers, cells.radius) is None
+    assert default.levels == ()
+    nodes = np.arange(cells.radius.shape[0])
     # The per-term formulas, summed in term order from 0.0.
     scores = np.zeros(grid.n if rows is None else len(rows))
     bounds = np.zeros(cells.radius.shape[0])
@@ -626,12 +722,12 @@ def test_stacked_block_matches_per_term_default_bit_for_bit(case):
         at = np.full(picked.shape[0], t)
         assert stacked.scores(at, picked).tobytes() == term_scores.tobytes()
         at = np.full(cells.radius.shape[0], t)
-        alone = stacked.bounds(at, cells.centers, cells.radius)
+        alone = stacked.bounds(at, "cells", nodes)
         assert alone.tobytes() == term_bounds.tobytes()
     # The solver's sums of them, as a block update takes them.
     summed = solver._summed(stacked.scores(every, rows))
     assert summed.tobytes() == scores.tobytes()
-    summed = solver._summed(stacked.bounds(every, cells.centers, cells.radius))
+    summed = solver._summed(stacked.bounds(every, "cells", nodes))
     assert summed.tobytes() == bounds.tobytes()
 
 

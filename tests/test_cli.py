@@ -162,15 +162,17 @@ def test_worker_errors_match_serial_errors(tmp_path, capsys, spoil, code):
     assert json.loads(errors["2"])["exit_code"] == code
 
 
-def test_dead_worker_fails_the_run_without_hanging(tmp_path, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
+def test_dead_worker_fails_the_run_without_hanging(tmp_path, monkeypatch, capsys):
     scenes = tmp_path / "scenes"
     run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 2)
+    capsys.readouterr()
     # Forked workers inherit the patched name.
     monkeypatch.setattr(cli, "solve", lambda *args: os._exit(1))
-    with pytest.raises(BrokenProcessPool):
-        run(*solve_args(scenes, tmp_path / "p"), "--jobs", "2")
+    assert run(*solve_args(scenes, tmp_path / "p"), "--jobs", "2") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "WorkerDiedError" and error["exit_code"] == 1
+    assert error["message"].startswith("a solve worker process died")
     assert_no_children()
     assert not (tmp_path / "p" / "manifest.json").exists()
 

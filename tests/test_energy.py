@@ -134,7 +134,7 @@ def test_zero_row_modes_are_no_modes():
         assert np.array_equal(s.score_grid(i, j, grid, q[0], moving="i"), np.zeros(576))
         block = s.block(grid, [(i, j, q[1], "j")])
         assert np.array_equal(block.scores(0, np.array([3])), [0.0])
-        bound = block.bounds(0, grid.cells.centers, grid.cells.radius)
+        bound = block.bounds(0, "cells", np.arange(grid.cells.radius.shape[0]))
         assert bound.shape == grid.cells.radius.shape and not bound.any()
 
 
@@ -429,6 +429,9 @@ def test_table_memo_stays_bounded_across_solves():
     # Each solve here starts from other rotations, so a memo keyed on
     # the rotations themselves would grow with every solve; one entry
     # per fixed camera, moving side and stored order stays at most 4 n.
+    # At G=4608 the searches are bounded: they keep bucket codes, one
+    # small integer per grid point, snap no whole grid and keep one row
+    # of bucket maxima per stored pair.
     from svpose.solver import coordinate_ascent
 
     n = 6
@@ -442,7 +445,9 @@ def test_table_memo_stays_bounded_across_solves():
         init = so3.quat_to_matrix(grid.quats[rng.choice(grid.n, n, replace=False)])
         want = coordinate_ascent(ComposedTableScorer(scorer.table, grid), init, grid)
         got = coordinate_ascent(scorer, init, grid)
-        assert 0 < len(scorer._snapped) <= 4 * n
+        assert 0 < len(scorer._buckets) <= 4 * n and not scorer._snapped
+        assert {codes.dtype for _, codes in scorer._buckets.values()} == {np.dtype(np.int16)}
+        assert len(scorer._maxima) <= len(rows)
         assert np.array_equal(got.rotations, want.rotations)
         assert got.energy_trace == want.energy_trace
         assert got.total_energy == want.total_energy

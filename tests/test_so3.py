@@ -261,9 +261,10 @@ def test_batched_nearest_uses_table(monkeypatch):
     assert calls == [] and grid._table is None
     so3.nearest_indices(grid, queries)
     assert calls == [4608]
+    # From 4608 points the table is one level coarser: 8 bins per axis.
     lens = np.diff(grid.nearest_table.ptr)
-    assert lens.shape[0] == 4 * 16**3
-    assert lens.min() >= 1 and lens.max() < grid.n // 100
+    assert grid.nearest_table.levels == 3 and lens.shape[0] == 4 * 8**3
+    assert lens.min() >= 1 and lens.max() < grid.n // 50
 
 
 def test_small_batch_skips_cell_index():
@@ -445,10 +446,13 @@ def test_covering_radius_scans_few_probes_and_builds_no_index(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 7, 576, 4608])
 def test_cells_are_nearest_table_buckets_two_levels_up(n):
+    # Two levels up below 4608 points; from there on the table is one
+    # level coarser and the cells keep their own level, one level up.
     grid = so3.build_grid(n, generator="random_uniform", seed=9)
     cells, table = grid.cells, grid.nearest_table
     up = table.levels - cells.level
-    assert up == min(2, table.levels)
+    assert up == min(2 if n < so3._COARSE_TABLE_POINTS else 1, table.levels)
+    assert cells.radius.shape[0] == {576: 32, 4608: 256}.get(n, cells.radius.shape[0])
     # A cell's center lies inside its bucket, so it names the bucket.
     cell_bucket = so3._cube_buckets(cells.centers, cells.level)[0]
     assert np.all(np.diff(cell_bucket) > 0)
@@ -456,6 +460,21 @@ def test_cells_are_nearest_table_buckets_two_levels_up(n):
     assert all(i in table.entries[table.ptr[b] : table.ptr[b + 1]] for i, b in enumerate(bucket))
     assert np.array_equal(cell_bucket[cells.owner], bucket >> 3 * up)
     assert np.array_equal(np.sort(cells.owned(np.arange(cells.radius.shape[0]))[0]), np.arange(n))
+
+
+@pytest.mark.parametrize(
+    "n, levels, cells, probe_level",
+    [(576, 3, 32, 2), (4608, 3, 256, 3), (36864, 4, 2048, 4)],
+)
+def test_levels_at_benchmark_sizes(n, levels, cells, probe_level):
+    # Each structure's level has its own rule: the nearest table about
+    # 3.5 buckets per point below 4608 points and 0.44 from there, the
+    # cell index about 18 points per cell, the covering's buckets about
+    # 0.44 per point.
+    assert so3._table_levels(n) == levels
+    assert so3._cube_level(n, 3.5 / 64.0) == {576: 1, 4608: 2, 36864: 3}[n]
+    assert 4 * 8 ** so3._cube_level(n, 3.5 / 64.0) == cells
+    assert so3._cube_level(n, 3.5 / 8.0) == probe_level
 
 
 @pytest.mark.parametrize("n", [1, 7, 576, 4608, 36864])
