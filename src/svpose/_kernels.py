@@ -48,7 +48,15 @@ def min_angle_sq_stacked(quats, targets):
 
 
 def min_angle_sq_to_targets(quats, targets):
-    """Squared geodesic angle from each of (R, 4) quaternions to the nearest of (k, 4) targets."""
+    """Squared geodesic angle from each of (R, 4) quaternions to the nearest of (k, 4) targets.
+
+    Nothing in svpose calls it: the scorers call `min_angle_sq_stacked`.
+    It stays because `perfbench/spans.py` patches it, which
+    `tests/test_perfbench_spans.py` checks, and because tests score
+    modes with it as the oracle, -kappa * min_angle_sq_to_targets(quats,
+    modes). The benchmark change planned in ROADMAP.md (item 6) wraps
+    the stacked kernel instead and deletes this alias.
+    """
     return min_angle_sq_stacked(quats, targets)
 
 

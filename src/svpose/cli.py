@@ -112,6 +112,11 @@ class RunConfig:
             value = getattr(self, name)
             if not all(map(math.isfinite, value if name == "lookat" else (value,))):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.kappa <= 0.0:
+            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        if self.noise_angle < 0.0:
+            raise ValueError(f"noise_angle must be non-negative, got {self.noise_angle!r}")
+        self.grid_spec()  # GridSpec checks the grid fields
 
     def to_json(self):
         return json_text(asdict(self))
@@ -217,11 +222,9 @@ def _write_manifest(out, key, entries):
 
 
 def cmd_synth(config: RunConfig):
-    out = _out_dir(config)
-    table_grid = grid_from_spec(config.grid_spec()) if config.emit_tables else None
-    entries = []
-    for k in range(config.n_scenes):
-        rig = RigSpec(
+    # Every rig is checked before the output directory exists.
+    rigs = [
+        RigSpec(
             n_cameras=config.n_cameras,
             seed=config.seed + k,
             radius_min=config.radius_min,
@@ -229,6 +232,12 @@ def cmd_synth(config: RunConfig):
             jitter=config.jitter,
             lookat=config.lookat,
         )
+        for k in range(config.n_scenes)
+    ]
+    table_grid = grid_from_spec(config.grid_spec()) if config.emit_tables else None
+    out = _out_dir(config)
+    entries = []
+    for k, rig in enumerate(rigs):
         scene = generate_scene(rig)
         name = f"scene_{k:03d}"
         save_scene(scene, out / f"{name}.json")

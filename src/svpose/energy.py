@@ -239,21 +239,10 @@ class SymmetricModeScorer(PairwiseScorer):
             self._slots[(i, j)] = (row, False)
             self._slots.setdefault((j, i), (row, True))
 
-    def mode_quats(self, i, j):
-        if (i, j) in self.modes:
-            return self.modes[(i, j)]
-        if (j, i) in self.modes:
-            return quat_conj(self.modes[(j, i)])
-        return None
-
     def score_quats(self, i, j, quats):
-        if i == j:
-            raise ValueError("pair indices must differ")
+        targets, weight = self._stacked_modes([(i, j)], ["j"])
         quats = np.asarray(quats, dtype=np.float64)
-        targets = self.mode_quats(i, j)
-        if targets is None:
-            return np.zeros(quats.shape[0])
-        return -self.kappa * _kernels.min_angle_sq_to_targets(quats, targets)
+        return weight[0] * _kernels.min_angle_sq_stacked(quats, targets[0])
 
     def score_pairs(self, pairs, quats):
         """All rows in one kernel call, against each pair's own modes."""
@@ -442,6 +431,15 @@ class TableScorer(PairwiseScorer):
     other order (symmetric semantics); the scorer is directional exactly
     when some pair is stored in both orders.
 
+    Every read goes through one map, built once, from each ordered pair
+    to the slot of its stored row and whether it is served transposed
+    (`_slots`), and one gather of entry k[m] of the row in slot slots[m]
+    (`_gather`). `score_quats`, `score_pairs` and the block's `scores`
+    snap their rotations in one `nearest_indices` call, each conjugated
+    where its pair is served transposed (`_snap`), then gather. A term
+    reads its row as stored, without a snap, when no camera moves off
+    the grid (`_term`): every grid rotation snaps to itself.
+
     A term over its own grid composes every grid point with the fixed
     camera's rotation, and it keeps what it derives from them in a memo:
     one entry per fixed camera, moving side and stored order, holding
@@ -451,12 +449,10 @@ class TableScorer(PairwiseScorer):
     memo holds at most four entries per camera. `score_grid` keeps the
     snapped grid indices (`_snapped`); bounds keep each composed
     rotation's nearest-table bucket (`_buckets`), int16 up to level 4.
-    The pair's stored row over its own grid is returned as it is, since
-    every grid rotation snaps to itself.
 
     Over a grid of at least _COARSE_TABLE_POINTS points the scorer's
     block bounds each grid point: a snap scans only its bucket's list,
-    so the row's largest entry over that list, kept per stored pair
+    so the row's largest entry over that list, kept per slot
     (`_maxima`), is at least the snapped score, exactly. The search then
     composes and snaps only the few points whose summed bound reaches
     its floor (`_TableBlock`).
@@ -472,28 +468,52 @@ class TableScorer(PairwiseScorer):
         self.table = table
         self.grid = grid
         self.directional = any((j, i) in table.rows for (i, j) in table.rows)
+        self._rows = list(table.rows.values())
+        self._slots = {}
+        for slot, (i, j) in enumerate(table.rows):
+            self._slots[(i, j)] = (slot, False)
+            self._slots.setdefault((j, i), (slot, True))
         self._snapped = {}
         self._buckets = {}
         self._maxima = {}
 
-    def _row(self, i, j):
-        if (i, j) in self.table.rows:
-            return self.table.rows[(i, j)], False
-        if (j, i) in self.table.rows:
-            return self.table.rows[(j, i)], True
-        raise ConsistencyError(f"table has no scores for pair ({i}, {j})")
+    def _slot(self, i, j):
+        if i == j:
+            raise ValueError("pair indices must differ")
+        if (i, j) not in self._slots:
+            raise ConsistencyError(f"table has no scores for pair ({i}, {j})")
+        return self._slots[(i, j)]
+
+    def _term(self, i, j, fixed, moving):
+        # A term's slot, whether it is served transposed, and whether it
+        # reads that row as stored: no camera moves off the grid.
+        _check_moving(moving)
+        slot, flip = self._slot(i, j)
+        return slot, flip, fixed is None and moving == "j" and not flip
+
+    def _snap(self, flips, quats):
+        # Each rotation's nearest grid index, conjugated first where its
+        # pair is served transposed; one lookup for the batch.
+        quats = np.array(quats, dtype=np.float64)
+        quats[flips, 1:] = -quats[flips, 1:]
+        return nearest_indices(self.grid, quats)
+
+    def _gather(self, slots, k):
+        """Entry k[m] of the stored row in slot slots[m], as float64."""
+        out = np.empty(k.shape[0])
+        # Not np.unique, whose plain form imports numpy.ma on first use.
+        for slot in np.flatnonzero(np.bincount(slots)):
+            picked = slots == slot
+            out[picked] = self._rows[slot][k[picked]]
+        return out
 
     def _own(self, grid):
         return grid is self.grid or np.array_equal(grid.quats, self.grid.quats)
 
     def score_quats(self, i, j, quats):
-        if i == j:
-            raise ValueError("pair indices must differ")
-        quats = np.asarray(quats, dtype=np.float64)
-        row, transposed = self._row(i, j)
-        if transposed:
-            quats = quat_conj(quats)
-        return row[nearest_indices(self.grid, quats)].astype(np.float64)
+        slot, flip = self._slot(i, j)
+        m = np.shape(quats)[0]
+        return self._gather(np.full(m, slot), self._snap(np.full(m, flip), quats))
 
     def score_pairs(self, pairs, quats):
         """Every rotation snapped in one lookup, then read from its pair's row.
@@ -501,30 +521,19 @@ class TableScorer(PairwiseScorer):
         A lookup's answer does not depend on its batch, so each entry is
         the pair's own `score_quats` entry, bit for bit.
         """
-        rows, flips = [], []
-        for i, j in pairs:
-            if i == j:
-                raise ValueError("pair indices must differ")
-            row, transposed = self._row(i, j)
-            rows.append(row)
-            flips.append(transposed)
-        quats = np.array(quats, dtype=np.float64)
-        quats[flips, 1:] = -quats[flips, 1:]
-        snapped = nearest_indices(self.grid, quats)
-        return np.array([row[k] for row, k in zip(rows, snapped)], dtype=np.float64)
+        reads = np.array([self._slot(i, j) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
+        return self._gather(reads[:, 0], self._snap(reads[:, 1] == 1, quats))
 
     def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        if i == j:
-            raise ValueError("pair indices must differ")
         if not self._own(grid):
             return super().score_grid(i, j, grid, fixed, moving)
-        row, transposed = self._row(i, j)
-        if fixed is None and moving == "j" and not transposed:
-            return row.astype(np.float64)
+        slot, flip, as_stored = self._term(i, j, fixed, moving)
+        if as_stored:
+            return self._rows[slot].astype(np.float64)
         snapped = self._memo(
-            self._snapped, i, j, fixed, moving, transposed, lambda q: nearest_indices(self.grid, q)
+            self._snapped, i, j, fixed, moving, flip, lambda q: nearest_indices(self.grid, q)
         )
-        return row[snapped].astype(np.float64)
+        return self._rows[slot][snapped].astype(np.float64)
 
     def _memo(self, memo, i, j, fixed, moving, transposed, derive):
         # derive(quats) of the term's composed grid rotations, kept per
@@ -539,17 +548,16 @@ class TableScorer(PairwiseScorer):
 
     def _point_bounds(self, i, j, fixed, moving):
         # At least the term's score at each grid point: the stored row
-        # itself where no camera moves off the grid, else the row's
-        # largest entry over the bucket list each composed point snaps in.
-        row, transposed = self._row(i, j)
-        if fixed is None and moving == "j" and not transposed:
-            return row
+        # itself where it is read as stored, else the row's largest entry
+        # over the bucket list each composed point snaps in.
+        slot, flip, as_stored = self._term(i, j, fixed, moving)
+        if as_stored:
+            return self._rows[slot]
         table = self.grid.nearest_table
-        stored = (j, i) if transposed else (i, j)
-        if stored not in self._maxima:
-            self._maxima[stored] = table.list_maxima(row)
-        buckets = self._memo(self._buckets, i, j, fixed, moving, transposed, table.buckets)
-        return self._maxima[stored][buckets]
+        if slot not in self._maxima:
+            self._maxima[slot] = table.list_maxima(self._rows[slot])
+        buckets = self._memo(self._buckets, i, j, fixed, moving, flip, table.buckets)
+        return self._maxima[slot][buckets]
 
     def block(self, grid: SO3Grid, terms):
         """Point bounds from bucket lists over its own grid; see `_TableBlock`."""
@@ -571,76 +579,57 @@ class _TableBlock(GridBlock):
     Its one level is the grid points, from _COARSE_TABLE_POINTS points
     on (see `TableScorer`); below that the search scores the whole grid.
     So does a block whose terms all read their stored rows as they are,
-    as the spanning tree's do: it snaps nothing. Rows asked for by a
-    bounded search are composed again and snapped in one
-    `nearest_indices` call. A lookup's answer does not depend on its
-    batch, and each composed rotation is the product `pair_quats` forms
-    for that grid rotation, so each score is the term's `score_grid`
-    entry, bit for bit.
+    as the spanning tree's do: it snaps nothing. Each term's slot, flags
+    and fixed quaternion are taken from the scorer's map once, when the
+    block is built. Rows asked for by a bounded search are composed
+    again, snapped in one lookup and read through the scorer's gather.
+    A lookup's answer does not depend on its batch, and each composed
+    rotation is the product `pair_quats` forms for that grid rotation,
+    so each score is the term's `score_grid` entry, bit for bit.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
         super().__init__(scorer, grid, terms)
-        stored = scorer.table.rows
-        snaps = any(q is not None or m != "j" or (i, j) not in stored for i, j, q, m in terms)
-        self.levels = ("points",) if snaps and grid.n >= _COARSE_TABLE_POINTS else ()
-        self._reads = None
+        # Per term: its slot, served transposed, snapped (not read as
+        # stored), camera i moves, a camera is fixed; and the fixed
+        # camera's quaternion, zero for none.
+        reads = np.array([scorer._term(*term) for term in terms], dtype=np.int64).reshape(-1, 3)
+        self._slots, self._flips, self._snaps = reads[:, 0], reads[:, 1] == 1, reads[:, 2] == 0
+        self._side_i = np.array([m == "i" for *_, m in terms], dtype=bool)
+        self._has_fixed = np.array([q is not None for _, _, q, _ in terms], dtype=bool)
+        self._fixed = np.array(
+            [np.zeros(4) if q is None else q for _, _, q, _ in terms], dtype=np.float64
+        ).reshape(-1, 4)
+        self.levels = ("points",) if self._snaps.any() and grid.n >= _COARSE_TABLE_POINTS else ()
 
     def bounds(self, at, level, nodes):
         ids, back = np.unique(at, return_inverse=True)
         table = np.array([self.scorer._point_bounds(*self.terms[t]) for t in ids])
         return table[back.reshape(np.shape(at)), nodes]
 
-    def _read(self):
-        # Per term: the index of its stored row in a list of them, its
-        # flags (camera i moves, a camera is fixed, served transposed)
-        # and the fixed camera's quaternion, zero for none.
-        if self._reads is None:
-            stored, row_of, flags = {}, [], []
-            fixed = np.zeros((len(self.terms), 4))
-            for t, (i, j, q, moving) in enumerate(self.terms):
-                if i == j:
-                    raise ValueError("pair indices must differ")
-                _check_moving(moving)
-                row, transposed = self.scorer._row(i, j)
-                row_of.append(stored.setdefault(id(row), (len(stored), row))[0])
-                flags.append((moving == "i", q is not None, transposed))
-                if q is not None:
-                    fixed[t] = q
-            rows = [row for _, row in stored.values()]
-            self._reads = rows, np.array(row_of), *np.array(flags, dtype=bool).T, fixed
-        return self._reads
-
     def scores(self, at, rows=None):
         if rows is None:
             return super().scores(at)
-        stored, row_of, side_i, has_fixed, transposed, fixed = self._read()
         at, rows = np.broadcast_arrays(at, rows)
         shape = at.shape
-        at, rows = at.ravel(), rows.ravel()
-        # The grid rotation S at each row, composed as `pair_quats` does:
-        # fixed S^-1 when camera i moves, S fixed^-1 when camera j does.
-        quats = self.grid.quats.T[:, rows].T
-        side_i, has_fixed, transposed = side_i[at], has_fixed[at], transposed[at]
-        q = np.where(side_i[:, None], quat_conj(quats), quats)
-        left, right = has_fixed & side_i, has_fixed & ~side_i
-        if left.any():
-            q[left] = quat_mul(fixed[at[left]], q[left])
-        if right.any():
-            q[right] = quat_mul(quats[right], quat_conj(fixed[at[right]]))
-        q[transposed, 1:] = -q[transposed, 1:]
+        at, k = at.ravel(), rows.ravel().copy()
         # Rows read as stored (no camera moves off the grid) are not snapped.
-        snap = has_fixed | side_i | transposed
-        k = rows.copy()
+        snap = self._snaps[at]
         if snap.any():
-            k[snap] = nearest_indices(self.grid, q[snap])
-        out = np.empty(at.shape[0])
-        read = row_of[at]
-        # Not np.unique, whose plain form imports numpy.ma on first use.
-        for r in np.flatnonzero(np.bincount(read)):
-            picked = read == r
-            out[picked] = stored[r][k[picked]]
-        return out.reshape(shape)
+            t = at[snap]
+            # The grid rotation S at each row, composed as `pair_quats`
+            # does: fixed S^-1 when camera i moves, S fixed^-1 when camera
+            # j does.
+            quats = self.grid.quats.T[:, k[snap]].T
+            side_i, has_fixed = self._side_i[t], self._has_fixed[t]
+            q = np.where(side_i[:, None], quat_conj(quats), quats)
+            left, right = has_fixed & side_i, has_fixed & ~side_i
+            if left.any():
+                q[left] = quat_mul(self._fixed[t[left]], q[left])
+            if right.any():
+                q[right] = quat_mul(quats[right], quat_conj(self._fixed[t[right]]))
+            k[snap] = self.scorer._snap(self._flips[t], q)
+        return self.scorer._gather(self._slots[at], k).reshape(shape)
 
 
 def score_over_grid(scorer, i, j, grid: SO3Grid):

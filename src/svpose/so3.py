@@ -44,13 +44,18 @@ _COVERING_BATCH = 64
 # Nearest-grid lookups: a batch whose size times the grid size is at
 # most _DENSE_WORK scans the whole grid (`_kernels.nearest_abs_dots`);
 # larger batches go through the grid's nearest table, built once per
-# grid. With the table built, a lookup beats the scan from about 2^15
-# (batch x grid) pairs at G=576, 4608 and 36864 (0.14 ms against
-# 0.21 ms for 14 rows at G=4608, 2 CPUs; below that both cost about
-# 0.1 ms of call overhead, measured with a level-4 table at G=4608),
-# but the build costs about 6 ms, 27 ms and 0.3 s at those sizes. At
-# 2^16 a single row stays on the scan up to G=65536, so a solve that
-# snaps single rotations never builds one.
+# grid. Timed against a built table at the levels `NearestTable` picks
+# (3 at G=576 and 4608, 4 at G=36864; two runs, 2 CPUs), for 1, 5, 14
+# and 32 random rotations, in microseconds:
+# - G=576: scan 23-29, 42-45, 71-78, 145-172; lookup 100-127;
+# - G=4608: scan 35-42, 84-90, 200-245, 498-515; lookup 103-140;
+# - G=36864: scan 110-134, 686, 2004-2074, 4041-4267; lookup 67-142.
+# A lookup costs about 0.1 ms of call overhead at any size, so it wins
+# from about 2^14 (batch x grid) pairs at G=576, from between 2^14.5
+# and 2^16 at G=4608, and for a single rotation at G=36864. The build
+# costs about 9, 44 and 425 ms at those sizes. At 2^16 a single
+# rotation stays on the scan up to G=65536, so a solve that snaps
+# single rotations never builds one.
 _DENSE_WORK = 1 << 16
 # Grids of at least _COARSE_TABLE_POINTS points build their nearest
 # table one level coarser (see `NearestTable`), and table scorers search

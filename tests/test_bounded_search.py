@@ -491,7 +491,7 @@ def test_table_point_bound_covers_the_snapped_score(case):
     bound = block.bounds(np.zeros((1, 1), dtype=np.int64), "points", every)[0]
     scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
     assert np.all(bound >= scores)
-    if fixed is None and moving == "j" and scorer._row(i, j)[1] is False:
+    if fixed is None and moving == "j" and scorer._slot(i, j)[1] is False:
         assert np.array_equal(bound, scores)
     # Its scores at chosen rows are the whole grid's, bit for bit.
     rows = np.sort(rng_for(grid.n).choice(grid.n, 50, replace=False))
@@ -630,8 +630,11 @@ def test_user_block_with_two_per_term_hooks_drives_a_bounded_solve(monkeypatch):
 def moved_modes(scorer, i, j, fixed, moving):
     # A term's modes composed one term at a time, as the per-term code
     # composed them before terms were stacked.
-    targets = scorer.mode_quats(i, j)
-    if targets is None:
+    if (i, j) in scorer.modes:
+        targets = scorer.modes[(i, j)]
+    elif (j, i) in scorer.modes:
+        targets = so3.quat_conj(scorer.modes[(j, i)])
+    else:
         return None
     if moving == "i":
         targets = so3.quat_conj(targets)

@@ -673,6 +673,48 @@ def test_negative_max_sweeps_is_exit_code_4_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, seed, words",
+    [
+        ("synth", ["--emit-tables", "--grid-n", 72, "--kappa", -1], None, "kappa"),
+        ("synth", ["--emit-tables", "--grid-n", 72, "--noise-angle", -0.1], None, "noise_angle"),
+        ("synth", ["--n", 0], None, "camera"),
+        ("synth", ["--radius-min", 2, "--radius-max", 1], None, "radius_min"),
+        ("synth", ["--jitter", 2], None, "jitter"),
+        ("synth", ["--lookat", "1,2"], None, "lookat"),
+        ("synth", [], "-3", "seed"),
+        ("solve", ["--grid-n", 0], None, "grid size"),
+        ("solve", ["--grid-generator", "nope"], None, "grid generator"),
+        ("solve", ["--kappa", 0], None, "kappa"),
+    ],
+    ids=[
+        "synth-kappa-minus-1", "synth-noise-angle-negative", "synth-n-0",
+        "synth-radius-min-above-max", "synth-jitter-2", "synth-lookat-2-vector",
+        "synth-env-seed-minus-3", "solve-grid-n-0", "solve-unknown-generator",
+        "solve-kappa-0",
+    ],
+)
+def test_out_of_range_option_is_exit_code_4_before_any_output(
+    tmp_path, capsys, monkeypatch, command, flags, seed, words
+):
+    # Finite values out of range fail as the non-finite ones do: no
+    # output directory, no scene file and no manifest.
+    out = tmp_path / "out"
+    if command == "solve":
+        scenes = tmp_path / "scenes"
+        run("synth", "-o", scenes, "--n", 3, "--scenes", 1, "--seed", 12)
+        args = ["solve", "-o", out, "--scenes", scenes]
+    else:
+        args = ["synth", "-o", out, "--n", 3, "--seed", 12]
+    if seed is not None:
+        monkeypatch.setenv("SVP_SEED", seed)
+    assert run(*args, *flags) == 4
+    err = last_error(capsys)
+    assert err["error"] == "ValueError"
+    assert words in err["message"]
+    assert not out.exists()
+
+
 def test_scene_solve_scores_the_modes_synth_tabled(tmp_path, monkeypatch):
     # A scene's noise comes from its own rig seed, so the scorer solve
     # builds from a scene reproduces the table synth wrote beside it.

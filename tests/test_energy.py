@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from svpose import energy, so3
+from svpose import _kernels, energy, so3
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
@@ -136,6 +136,52 @@ def test_zero_row_modes_are_no_modes():
         assert np.array_equal(block.scores(0, np.array([3])), [0.0])
         bound = block.bounds(0, "cells", np.arange(grid.cells.radius.shape[0]))
         assert bound.shape == grid.cells.radius.shape and not bound.any()
+
+
+def test_mode_score_quats_and_score_pairs_match_the_mode_formula():
+    # score_quats, score_pairs and the base class's per-pair loop all give
+    # the bytes of -kappa * min_angle_sq_to_targets(quats, modes), with
+    # the stored modes conjugated for a reversed pair, and 0.0 for a pair
+    # without modes or with a zero-row mode array.
+    rng = rng_for(31)
+    grid = so3.build_grid(576)
+    # A grid point whose own |dot| rounds to 1 scores exactly -0.0 on its mode.
+    k = int(np.flatnonzero(_kernels.fixed_abs_dots(grid.quats, grid.quats) >= 1.0)[0])
+    scorer = SymmetricModeScorer(
+        modes={
+            (0, 1): grid.quats[[k]],
+            (2, 1): so3.random_quats(rng, 3),
+            (0, 3): so3.random_quats(rng, 2),
+            (3, 0): so3.random_quats(rng, 1),
+            (2, 3): np.empty((0, 4)),
+        },
+        kappa=7.5,
+    )
+    pairs = [(0, 1), (1, 0), (2, 1), (1, 2), (0, 3), (3, 0), (2, 3), (3, 2), (0, 2)]
+    quats = np.concatenate([grid.quats[[k]], so3.random_quats(rng, len(pairs) - 1)])
+
+    def formula(i, j, q):
+        if (i, j) in scorer.modes:
+            modes = scorer.modes[(i, j)]
+        elif (j, i) in scorer.modes:
+            modes = so3.quat_conj(scorer.modes[(j, i)])
+        else:
+            return np.zeros(q.shape[0])
+        return -scorer.kappa * _kernels.min_angle_sq_to_targets(q, modes)
+
+    for i, j in pairs:
+        want = formula(i, j, quats).tobytes()
+        assert scorer.score_quats(i, j, quats).tobytes() == want
+        assert scorer.score_quats(i, j, quats[:0]).shape == (0,)
+        batch = [(i, j)] * len(quats)
+        assert scorer.score_pairs(batch, quats).tobytes() == want
+        assert PairwiseScorer.score_pairs(scorer, batch, quats).tobytes() == want
+    want = np.array([formula(i, j, q[None, :])[0] for (i, j), q in zip(pairs, quats)])
+    assert scorer.score_pairs(pairs, quats).tobytes() == want.tobytes()
+    on_mode = scorer.score_quats(0, 1, quats[:1])[0]
+    assert on_mode == 0.0 and np.signbit(on_mode)
+    with pytest.raises(ValueError):
+        scorer.score_quats(1, 1, quats)
 
 
 def test_score_over_grid_argmax_near_mode():
