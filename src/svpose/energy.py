@@ -39,13 +39,11 @@ import numpy as np
 
 from . import _kernels
 from ._fileio import write_bytes_atomic
+from ._gridspec import _ID_TO_GENERATOR, GENERATOR_IDS, GridSpec
 from .errors import ConsistencyError, CorruptTableError, FormatError
 from .so3 import (
     _CELL_SLACK,
     _COARSE_TABLE_POINTS,
-    _ID_TO_GENERATOR,
-    GENERATOR_IDS,
-    GridSpec,
     SO3Grid,
     grid_from_spec,
     matrix_to_quat,

@@ -26,13 +26,11 @@ import numpy as np
 
 from . import _kernels
 from ._fileio import write_bytes_atomic
+from ._gridspec import _ID_TO_GENERATOR, GENERATOR_IDS, GridSpec  # noqa: F401  (re-exported)
 from .errors import FormatError
 
 GRID_MAGIC = b"SO3G"
 GRID_VERSION = 1
-
-GENERATOR_IDS = {"super_fibonacci": 1, "random_uniform": 2}
-_ID_TO_GENERATOR = {v: k for k, v in GENERATOR_IDS.items()}
 
 # Covering radius is estimated against a fixed probe set so the value is
 # a deterministic function of the grid alone. The probes that can be the
@@ -272,23 +270,6 @@ def super_fibonacci_quats(n):
         axis=1,
     )
     return quat_normalize(q)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Recipe that reproduces a grid bit for bit."""
-
-    generator: str
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.generator not in GENERATOR_IDS:
-            raise ValueError(f"unknown grid generator {self.generator!r}")
-        if self.n < 1:
-            raise ValueError("grid size must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("grid seed must fit in an unsigned 64-bit integer")
 
 
 def _half_angle(abs_dot):

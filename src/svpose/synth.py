@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._fileio import json_text, read_json, write_text_atomic
-from .energy import SymmetricModeScorer
 from .errors import FormatError
 from .evaluation import scene_scale
 from .frame import CameraPose
@@ -113,8 +112,8 @@ def scene_to_scorer(
     kappa=50.0,
     noise_angle=0.0,
     symmetry=None,
-) -> SymmetricModeScorer:
-    """Mode scorer whose wells sit at the scene's relative rotations.
+):
+    """SymmetricModeScorer whose wells sit at the scene's relative rotations.
 
     `symmetry` maps camera pairs to (world_axis, k): the pair's mode is
     replicated k-fold by object rotations about that axis, giving the k
@@ -153,6 +152,9 @@ def scene_to_scorer(
             if noise_angle > 0.0:
                 copies = [noise_rot @ c for c in copies]
             modes[(i, j)] = np.stack([matrix_to_quat(c) for c in copies])
+    # Imported here, so that reading scenes (eval) never loads the scorers.
+    from .energy import SymmetricModeScorer
+
     return SymmetricModeScorer(modes=modes, kappa=kappa)
 
 

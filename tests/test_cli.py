@@ -177,17 +177,69 @@ def test_dead_worker_fails_the_run_without_hanging(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "p" / "manifest.json").exists()
 
 
-def test_importing_the_cli_leaves_multiprocessing_out():
-    # Only a parallel solve imports the process pool.
-    code = (
-        "import sys, svpose.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
+def fresh_interpreter(code):
+    """Run `code` in a new interpreter on this checkout; its stdout, stripped."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def loaded_after(setup, names):
+    """Which of `names` are in sys.modules after `setup` runs in a new interpreter."""
+    loaded = f"sorted(set({sorted(names)!r}) & set(sys.modules))"
+    code = f"import json, sys\n{setup}\nprint(json.dumps({loaded}))"
+    return json.loads(fresh_interpreter(code).splitlines()[-1])
+
+
+def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
+    # The cold-start contract. Only a parallel solve imports the process
+    # pool, importing the package or the CLI loads no numpy, and each
+    # subcommand loads only the modules it runs.
+    heavy = {"multiprocessing", "concurrent.futures.process", "numpy"}
+    assert loaded_after("import svpose", heavy) == []
+    assert loaded_after("import svpose.cli", heavy) == []
+
+    csv_in = tmp_path / "in.csv"
+    csv_in.write_text("scene_id,err\ns0,1\ns1,2\n")
+    report = ["report", "-o", str(tmp_path / "r.csv"), "--inputs", str(csv_in)]
+    main = "from svpose.cli import main\nassert main({!r}) == 0"
+    numeric = {"numpy", "svpose.so3", "svpose.energy", "svpose.solver"}
+    assert loaded_after(main.format(report), numeric) == []
+    assert (tmp_path / "r.csv").read_text().endswith("mean,1.5\n")
+
+    grid = ["grid", "-o", str(tmp_path / "g.so3g"), "--n", "72"]
+    others = {f"svpose.{m}" for m in ("energy", "solver", "synth", "evaluation")}
+    assert loaded_after(main.format(grid), others | {"svpose.so3"}) == ["svpose.so3"]
+
+
+def test_cli_patch_points_intercept_before_their_modules_load(tmp_path):
+    # The CLI's module attributes for the functions it calls exist before
+    # their modules are imported, and the subcommands call through them,
+    # so a patch made right after `import svpose.cli` takes effect.
+    scenes, preds = tmp_path / "scenes", tmp_path / "preds"
+    code = f"""
+import sys
+from svpose import cli
+assert "svpose.solver" not in sys.modules and "svpose.synth" not in sys.modules
+calls = []
+def counted(name, original):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    return call
+cli.solve = counted("solve", cli.solve)
+cli.load_scene = counted("load_scene", cli.load_scene)
+assert cli.main(["synth", "-o", {str(scenes)!r}, "--n", "3", "--scenes", "2"]) == 0
+solve = ["solve", "-o", {str(preds)!r}, "--scenes", {str(scenes)!r}, "--grid-n", "72"]
+assert cli.main(solve) == 0
+print(" ".join(calls))
+"""
+    assert fresh_interpreter(code) == "load_scene solve load_scene solve"
+    assert sorted(p.name for p in preds.glob("scene_*.json")) == [
+        "scene_000.json", "scene_001.json"
+    ]
 
 
 def test_run_config_reproduces_solve(tmp_path):
@@ -686,12 +738,16 @@ def test_negative_max_sweeps_is_exit_code_4_before_any_output(
         ("solve", ["--grid-n", 0], None, "grid size"),
         ("solve", ["--grid-generator", "nope"], None, "grid generator"),
         ("solve", ["--kappa", 0], None, "kappa"),
+        # Values argparse cannot convert fail the same way.
+        ("synth", ["--n", "abc"], None, "argument --n: invalid int value"),
+        ("synth", ["--lookat", "x,y"], None, "argument --lookat"),
+        ("solve", ["--translation", "bogus"], None, "argument --translation: invalid choice"),
     ],
     ids=[
         "synth-kappa-minus-1", "synth-noise-angle-negative", "synth-n-0",
         "synth-radius-min-above-max", "synth-jitter-2", "synth-lookat-2-vector",
         "synth-env-seed-minus-3", "solve-grid-n-0", "solve-unknown-generator",
-        "solve-kappa-0",
+        "solve-kappa-0", "synth-n-abc", "synth-lookat-x-y", "solve-translation-bogus",
     ],
 )
 def test_out_of_range_option_is_exit_code_4_before_any_output(
@@ -713,6 +769,13 @@ def test_out_of_range_option_is_exit_code_4_before_any_output(
     assert err["error"] == "ValueError"
     assert words in err["message"]
     assert not out.exists()
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        run("report", "-h")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: svpose report")
 
 
 def test_scene_solve_scores_the_modes_synth_tabled(tmp_path, monkeypatch):
