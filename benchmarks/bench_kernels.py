@@ -17,10 +17,9 @@ timing, and so are the parents and cells it bounds, for that update
 and on average over the block updates of a two-sweep solve. Building
 the cell index is timed on its own; a solve builds it once per grid.
 The mode scorer's stacked bounded search, which scores all the block's
-terms in one kernel call per evaluation, is then timed against the
-default `GridBlock`, which offers no bound and answers each term's
-whole-grid `score_grid` row, so its search is dense; again the two must
-return the same three numbers.
+terms in one kernel call per evaluation, is then timed against a dense
+search that scores each term's whole-grid row from a mode block of the
+term's own; again the two must return the same three numbers.
 
 The spanning tree's search, one call with a one-term group per pair,
 which finds all 190 pairs' best rotations of the same rig in one
@@ -30,8 +29,9 @@ every pair.
 
 Then one partner's term of a block update at G=36864 is timed both
 ways: composing every grid candidate with the partner's rotation and
-scoring the batch (`score_quats`), against the mode scorer's
-`score_grid`, which composes the few modes with the partner instead.
+scoring the batch (`score_quats`, as the default `GridBlock` does),
+against the term's whole-grid row from the mode scorer's block, which
+composes the few modes with the partner instead.
 Both sides of the pair are timed, and the two must agree to within
 1e-9 with the same argmax.
 
@@ -91,11 +91,11 @@ import numpy as np
 from svpose import _kernels, so3, solver
 from svpose.energy import (
     EnergyTable,
-    GridBlock,
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
     pair_quats,
+    score_over_grid,
 )
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
@@ -131,10 +131,20 @@ class Unbounded(Proxy):
 
 
 class PerTerm(Proxy):
-    """The scorer through the default block: dense, one `score_grid` call per term."""
+    """The scorer dense, each term's whole-grid row from a block of its own."""
 
     def block(self, grid, terms):
-        return GridBlock(self._inner, grid, terms)
+        return PerTermRows([self._inner.block(grid, [term]).scores(0) for term in terms])
+
+
+class PerTermRows:
+    levels = ()
+
+    def __init__(self, rows):
+        self._rows = np.array(rows)
+
+    def scores(self, at, rows=None):
+        return self._rows[at, np.arange(self._rows.shape[1]) if rows is None else rows]
 
 
 class RowCounter(Proxy):
@@ -244,7 +254,7 @@ def bench_block_update():
     name = f"{len(per_update)} updates of a 2-sweep solve, mean bounded"
     print(f"{name:<44} {mean_parents:>6.0f} parents {mean_cells:>6.1f} cells")
     print(f"{'cell index build (once per grid)':<44} {t_cells * 1e3:>8.2f}ms")
-    name = f"{len(terms)} terms, default dense vs stacked bounded"
+    name = f"{len(terms)} terms, per-term dense vs stacked bounded"
     print(f"{name:<44} {'per-term':>10} {'stacked':>10} {'speedup':>8}")
     print(
         f"{'same argmax, value and current value':<44} {t_per_term * 1e3:>8.2f}ms "
@@ -279,37 +289,37 @@ def bench_pair_search():
     )
 
 
-def bench_score_grid():
+def bench_term_row():
     rng = np.random.default_rng(13)
     grid = so3.build_grid(36864)
     scorer = SymmetricModeScorer(modes={(0, 1): so3.random_quats(rng, 2)}, kappa=50.0)
     partner = so3.random_quats(rng, 1)[0]
-    print(f"{'one partner, G=36864, 2 modes':<44} {'composed':>10} {'hook':>10} {'speedup':>8}")
+    print(f"{'one partner, G=36864, 2 modes':<44} {'composed':>10} {'block':>10} {'speedup':>8}")
     for moving in ("i", "j"):
 
         def composed():
             return scorer.score_quats(0, 1, pair_quats(grid.quats, partner, moving))
 
-        def hook():
-            return scorer.score_grid(0, 1, grid, partner, moving=moving)
+        def block_row():
+            return scorer.block(grid, [(0, 1, partner, moving)]).scores(0)
 
-        want, got = composed(), hook()
+        want, got = composed(), block_row()
         err = float(np.abs(got - want).max())
-        assert err <= 1e-9, f"moving {moving}: hook differs by {err!r}"
+        assert err <= 1e-9, f"moving {moving}: block row differs by {err!r}"
         assert got.argmax() == want.argmax(), f"moving {moving}: argmax differs"
         t_composed = _timeit(composed)
-        t_hook = _timeit(hook)
+        t_block = _timeit(block_row)
         name = f"camera {moving} moves (max diff {err:.1e})"
         print(
-            f"{name:<44} {t_composed * 1e3:>8.2f}ms {t_hook * 1e3:>8.2f}ms "
-            f"{t_composed / t_hook:>7.2f}x"
+            f"{name:<44} {t_composed * 1e3:>8.2f}ms {t_block * 1e3:>8.2f}ms "
+            f"{t_composed / t_block:>7.2f}x"
         )
 
 
 def table_for(grid, n, seed):
     scene = generate_scene(RigSpec(n_cameras=n, seed=seed, jitter=0.05))
     source = scene_to_scorer(scene, 50.0, 0.02)
-    rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    rows = {(i, j): score_over_grid(source, i, j, grid) for i in range(n) for j in range(i + 1, n)}
     return EnergyTable(grid_spec=grid.spec, rows=rows)
 
 
@@ -457,7 +467,7 @@ def bench_table_energy():
     for g in (576, 4608):
         grid = so3.build_grid(g)
         source = scene_to_scorer(generate_scene(RigSpec(n_cameras=n, seed=1000)), 50.0, 0.02)
-        rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+        rows = {(i, j): score_over_grid(source, i, j, grid) for i in range(n) for j in range(i + 1, n)}
         scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
         quats = so3.random_quats(np.random.default_rng(g), len(pairs))
 
@@ -531,7 +541,7 @@ def main():
     print()
     bench_pair_search()
     print()
-    bench_score_grid()
+    bench_term_row()
     print()
     bench_lookup()
     print()

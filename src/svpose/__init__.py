@@ -80,7 +80,6 @@ _EXPORTS = {
     ),
     "solver": (
         "RotationHypothesis",
-        "best_pairwise",
         "coordinate_ascent",
         "mst_init",
         "solve",

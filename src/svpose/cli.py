@@ -488,14 +488,16 @@ def cmd_eval(config: RunConfig):
     if config.sweep:
         import numpy as np
 
+        from .evaluation import accuracy
+
         sweep_rows = []
         rot = np.concatenate([r.rotation_errors_deg for r in reports])
         for t in range(1, 61):
-            sweep_rows.append(["rotation_deg", _fmt(float(t)), _fmt((rot < t).mean())])
+            sweep_rows.append(["rotation_deg", _fmt(float(t)), _fmt(accuracy(rot, t))])
         cen = np.concatenate([r.center_errors_frac for r in reports])
         for k in range(1, 41):
             t = k / 100.0
-            sweep_rows.append(["center_frac", _fmt(t), _fmt((cen < t).mean())])
+            sweep_rows.append(["center_frac", _fmt(t), _fmt(accuracy(cen, t))])
         _write_csv(out / "sweep.csv", ["metric", "threshold", "accuracy"], sweep_rows)
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0

@@ -2,30 +2,31 @@
 
 A scorer assigns a real score to "the relative rotation from camera i to
 camera j is R". Higher is better. Scorers may be directional: when
-`directional` is False, score(i, j, R) == score(j, i, R^T) is guaranteed
-and callers may skip the reverse term in sums over ordered pairs.
+`directional` is False, the score of R for (i, j) is the score of R^T
+for (j, i), and callers may skip the reverse term in sums over ordered
+pairs.
 
 `PairwiseScorer` has one required method, `score_quats`, which scores a
 batch of candidate relative rotations of one pair, given as unit
-quaternions. Three optional overrides each answer one question faster
+quaternions. Two optional overrides each answer one question faster
 than their defaults, which are written in terms of `score_quats`:
-- `score_grid` scores one pair over a whole grid while one camera of
-  the pair runs over the grid and the other stays fixed. The mode
-  scorer moves its few modes instead of the G candidates; the table
-  scorer looks up grid indices.
-- `block` prepares one search over a list of `score_grid` terms and
-  answers two questions about each term alone: an upper bound on its
-  score over the grid points a node of one of its `levels` owns,
-  `bounds(at, level, nodes)`, and its score at any grid rows,
-  `scores(at, rows)`. It is the only place a bound or a row subset
-  exists; the solver sums the terms. The default `GridBlock` offers no
-  bound, so the solver scores the whole grid. The mode scorer's block
-  stacks its terms: one quaternion product moves every term's modes,
-  one kernel call scores every term, and the points of a cell within
-  half-angle r of its center are bounded from that center, since the
-  geodesic angle is 1-Lipschitz. The table scorer's block bounds each
-  grid point by the row's largest entry over the nearest-table bucket
-  list its composed rotation falls in, where its snap must land.
+- `block` prepares one search over a list of terms, each one pair
+  scored while one camera of the pair runs over the grid and the other
+  stays fixed (`pair_quats`), and answers two questions about each
+  term alone: an upper bound on its score over the grid points a node
+  of one of its `levels` owns, `bounds(at, level, nodes)`, and its
+  score at any grid rows, `scores(at, rows)`. It is the only place a
+  bound or a row subset exists; the solver sums the terms. The default
+  `GridBlock` offers no bound, so the solver scores the whole grid,
+  and it composes and scores each term's G candidates. The mode
+  scorer's block stacks its terms and moves their few modes instead:
+  one quaternion product moves every term's modes, one kernel call
+  scores every term, and the points of a cell within half-angle r of
+  its center are bounded from that center, since the geodesic angle is
+  1-Lipschitz. The table scorer's block reads grid indices: a stored
+  row as it is, or the snapped composed rotations. It bounds each grid
+  point by the row's largest entry over the nearest-table bucket list
+  its composed rotation falls in, where its snap must land.
 - `score_pairs` scores one relative rotation for each of a list of
   pairs: the solver's energies ask only this.
 Table rows are stored float32; every accumulation happens in float64.
@@ -46,7 +47,6 @@ from .so3 import (
     _COARSE_TABLE_POINTS,
     SO3Grid,
     grid_from_spec,
-    matrix_to_quat,
     nearest_in_grid,
     nearest_indices,
     quat_conj,
@@ -100,16 +100,29 @@ def _check_moving(moving):
         raise ValueError(f"moving must be 'i' or 'j', got {moving!r}")
 
 
+def _pair_map(stored):
+    """Each ordered pair's (slot, served transposed), and whether directional.
+
+    Slot s is the s-th pair of `stored`. A pair stored in one order is
+    served transposed for the other; the scorer is directional exactly
+    when some pair is stored in both orders.
+    """
+    slots = {}
+    for slot, (i, j) in enumerate(stored):
+        slots[(i, j)] = (slot, False)
+        slots.setdefault((j, i), (slot, True))
+    return slots, any((j, i) in stored for i, j in stored)
+
+
 class PairwiseScorer:
     """Base scorer: a subclass overrides `score_quats` and may override more.
 
-    `score_quats` is the one required method. `score_grid`, `block` and
-    `score_pairs` are optional overrides for a scorer that can answer
-    them faster than the defaults. An override must return what its
-    default returns, up to rounding; the mode scorer's `block` and
-    `score_pairs` return the same bits as the defaults, so its solves do
-    not depend on which path scored them. A block may also bound each
-    term's score over parts of the grid; see `GridBlock`.
+    `score_quats` is the one required method. `block` and `score_pairs`
+    are optional overrides for a scorer that can answer them faster than
+    the defaults. An override must return what its default returns, up
+    to rounding; the mode scorer's `score_pairs` returns the same bits
+    as the default. A block may also bound each term's score over parts
+    of the grid; see `GridBlock`.
     """
 
     directional = True
@@ -118,23 +131,8 @@ class PairwiseScorer:
         """Scores for a (m, 4) batch of candidate relative rotations."""
         raise NotImplementedError(f"{type(self).__name__} must override score_quats")
 
-    def score(self, i, j, rotation):
-        """The score of one relative rotation, given as a matrix."""
-        return float(self.score_quats(i, j, matrix_to_quat(rotation)[None, :])[0])
-
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        """Scores of pair (i, j) for every grid rotation of one camera.
-
-        The camera named by `moving` ("i" or "j") takes each grid
-        rotation in turn while the other stays at the unit quaternion
-        `fixed` (None is the identity); see `pair_quats`. With
-        fixed=None and moving="j" this is the pair's score row over the
-        grid. The default composes the candidates and scores them.
-        """
-        return self.score_quats(i, j, pair_quats(grid.quats, fixed, moving))
-
     def block(self, grid: SO3Grid, terms):
-        """The sum of the `score_grid` terms `terms` over `grid`; see `GridBlock`."""
+        """The terms `terms` over `grid`, for one search; see `GridBlock`."""
         return GridBlock(self, grid, terms)
 
     def score_pairs(self, pairs, quats):
@@ -146,13 +144,16 @@ class PairwiseScorer:
 
 
 class GridBlock:
-    """`score_grid` terms over a grid, prepared once for one search.
+    """Terms over a grid, prepared once for one search.
 
-    `terms` lists the (i, j, fixed, moving) arguments of each term.
-    `levels` names, coarse to fine, the levels of the grid the block
-    bounds over, or is empty for a block without bounds. A level is
-    "parents" or "cells" of the grid's cell index (`SO3Grid.cells`), or
-    "points", where each grid point is a node of its own; a parent's
+    `terms` lists each term's (i, j, fixed, moving): pair (i, j), scored
+    with the camera named by `moving` ("i" or "j") at each grid rotation
+    and the other at the unit quaternion `fixed` (None is the identity);
+    see `pair_quats`. (i, j, None, "j") is the pair's score row over the
+    grid. `levels` names, coarse to fine, the levels of the grid the
+    block bounds over, or is empty for a block without bounds. A level
+    is "parents" or "cells" of the grid's cell index (`SO3Grid.cells`),
+    or "points", where each grid point is a node of its own; a parent's
     members are its cells, a cell's are the grid points it owns. The
     levels are a run of parents, cells, points that ends at cells or
     points. A block answers two questions about each term alone; `at`
@@ -161,12 +162,13 @@ class GridBlock:
       is at least term `at[m]`'s score, as computed in floating point,
       at every grid point that node `nodes[m]` of `level` owns;
     - `scores(at, rows=None)`: term `at[m]`'s score at grid row
-      `rows[m]`, bit for bit as in its whole-grid `score_grid` row;
-      None is every row.
+      `rows[m]`, bit for bit as in the term's whole-grid row,
+      `scores(t)`; None is every row.
     The solver sums the terms itself, in term order from 0.0; rounding
     is monotone, so its sum of bounds stays at least its sum of scores.
     This default offers no bound, so the solver scores the whole grid as
-    one cell.
+    one cell, and it scores a term's whole grid as `score_quats` of the
+    composed candidates (`_row`).
     """
 
     levels = ()
@@ -178,14 +180,13 @@ class GridBlock:
 
     def scores(self, at, rows=None):
         ids, back = np.unique(at, return_inverse=True)
-        table = np.array(
-            [
-                self.scorer.score_grid(i, j, self.grid, fixed, moving=moving)
-                for i, j, fixed, moving in (self.terms[t] for t in ids)
-            ]
-        )
+        table = np.array([self._row(*self.terms[t]) for t in ids])
         rows = np.arange(self.grid.n) if rows is None else rows
         return table[back.reshape(np.shape(at)), rows]
+
+    def _row(self, i, j, fixed, moving):
+        # One term's scores over the whole grid.
+        return self.scorer.score_quats(i, j, pair_quats(self.grid.quats, fixed, moving))
 
 
 class ConstantScorer(PairwiseScorer):
@@ -224,7 +225,6 @@ class SymmetricModeScorer(PairwiseScorer):
             q = np.asarray(quats, dtype=np.float64).reshape(-1, 4)
             if q.shape[0]:
                 self.modes[(int(i), int(j))] = quat_normalize(q)
-        self.directional = any((j, i) in self.modes for (i, j) in self.modes)
         # One stack of every stored pair's modes, each padded to the most
         # modes of any pair by repeating its own, and the identity last.
         # A pair maps to its row, conjugated when served from its reverse.
@@ -232,10 +232,7 @@ class SymmetricModeScorer(PairwiseScorer):
         self._counts = np.array([m.shape[0] for m in stored])
         self._stack = np.array([np.resize(m, (self._counts.max(), 4)) for m in stored])
         self._no_modes = (len(stored) - 1, False)
-        self._slots = {}
-        for row, (i, j) in enumerate(self.modes):
-            self._slots[(i, j)] = (row, False)
-            self._slots.setdefault((j, i), (row, True))
+        self._slots, self.directional = _pair_map(self.modes)
 
     def score_quats(self, i, j, quats):
         targets, weight = self._stacked_modes([(i, j)], ["j"])
@@ -275,11 +272,6 @@ class SymmetricModeScorer(PairwiseScorer):
     def block(self, grid: SO3Grid, terms):
         """Every term's modes moved at once; see `_ModeBlock`."""
         return _ModeBlock(self, grid, terms)
-
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        """Moves the k modes instead of composing the G candidates."""
-        # The term's own scores: a grid point on a mode keeps its -0.0.
-        return _ModeBlock(self, grid, [(i, j, fixed, moving)]).scores(0)
 
 
 _IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
@@ -431,22 +423,24 @@ class TableScorer(PairwiseScorer):
 
     Every read goes through one map, built once, from each ordered pair
     to the slot of its stored row and whether it is served transposed
-    (`_slots`), and one gather of entry k[m] of the row in slot slots[m]
-    (`_gather`). `score_quats`, `score_pairs` and the block's `scores`
-    snap their rotations in one `nearest_indices` call, each conjugated
-    where its pair is served transposed (`_snap`), then gather. A term
-    reads its row as stored, without a snap, when no camera moves off
-    the grid (`_term`): every grid rotation snaps to itself.
+    (`_slots`, from `_pair_map`), and one gather of entry k[m] of the
+    row in slot slots[m] (`_gather`). `score_quats`, `score_pairs` and
+    the block's `scores` snap their rotations in one `nearest_indices`
+    call, each conjugated where its pair is served transposed (`_snap`),
+    then gather. A term reads its row as stored, without a snap, when no
+    camera moves off the grid (`_term`): every grid rotation snaps to
+    itself.
 
-    A term over its own grid composes every grid point with the fixed
-    camera's rotation, and it keeps what it derives from them in a memo:
-    one entry per fixed camera, moving side and stored order, holding
-    the fixed camera's quaternion and replaced when that camera's
-    rotation changes. The solver scores the same partner rotation again
+    A term over the scorer's own grid composes every grid point with the
+    fixed camera's rotation, and the scorer keeps what it derives from
+    them in a memo: one entry per fixed camera, moving side and stored
+    order, holding the fixed camera's quaternion and replaced when that
+    camera's rotation changes. The solver scores the same partner rotation again
     for every block update in which that partner has not moved, so each
-    memo holds at most four entries per camera. `score_grid` keeps the
-    snapped grid indices (`_snapped`); bounds keep each composed
-    rotation's nearest-table bucket (`_buckets`), int16 up to level 4.
+    memo holds at most four entries per camera. A term's whole-grid row
+    keeps the snapped grid indices (`_snapped`); bounds keep each
+    composed rotation's nearest-table bucket (`_buckets`), int16 up to
+    level 4.
 
     Over a grid of at least _COARSE_TABLE_POINTS points the scorer's
     block bounds each grid point: a snap scans only its bucket's list,
@@ -465,12 +459,8 @@ class TableScorer(PairwiseScorer):
             )
         self.table = table
         self.grid = grid
-        self.directional = any((j, i) in table.rows for (i, j) in table.rows)
         self._rows = list(table.rows.values())
-        self._slots = {}
-        for slot, (i, j) in enumerate(table.rows):
-            self._slots[(i, j)] = (slot, False)
-            self._slots.setdefault((j, i), (slot, True))
+        self._slots, self.directional = _pair_map(table.rows)
         self._snapped = {}
         self._buckets = {}
         self._maxima = {}
@@ -505,9 +495,6 @@ class TableScorer(PairwiseScorer):
             out[picked] = self._rows[slot][k[picked]]
         return out
 
-    def _own(self, grid):
-        return grid is self.grid or np.array_equal(grid.quats, self.grid.quats)
-
     def score_quats(self, i, j, quats):
         slot, flip = self._slot(i, j)
         m = np.shape(quats)[0]
@@ -521,17 +508,6 @@ class TableScorer(PairwiseScorer):
         """
         reads = np.array([self._slot(i, j) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
         return self._gather(reads[:, 0], self._snap(reads[:, 1] == 1, quats))
-
-    def score_grid(self, i, j, grid: SO3Grid, fixed=None, moving="j"):
-        if not self._own(grid):
-            return super().score_grid(i, j, grid, fixed, moving)
-        slot, flip, as_stored = self._term(i, j, fixed, moving)
-        if as_stored:
-            return self._rows[slot].astype(np.float64)
-        snapped = self._memo(
-            self._snapped, i, j, fixed, moving, flip, lambda q: nearest_indices(self.grid, q)
-        )
-        return self._rows[slot][snapped].astype(np.float64)
 
     def _memo(self, memo, i, j, fixed, moving, transposed, derive):
         # derive(quats) of the term's composed grid rotations, kept per
@@ -558,10 +534,10 @@ class TableScorer(PairwiseScorer):
         return self._maxima[slot][buckets]
 
     def block(self, grid: SO3Grid, terms):
-        """Point bounds from bucket lists over its own grid; see `_TableBlock`."""
-        if not self._own(grid):
-            return GridBlock(self, grid, terms)
-        return _TableBlock(self, self.grid, terms)
+        """Over its own grid, grid indices and bucket-list bounds; see `_TableBlock`."""
+        if grid is self.grid or np.array_equal(grid.quats, self.grid.quats):
+            return _TableBlock(self, self.grid, terms)
+        return super().block(grid, terms)
 
 
 def _composed(quats, fixed, moving, transposed):
@@ -583,7 +559,8 @@ class _TableBlock(GridBlock):
     again, snapped in one lookup and read through the scorer's gather.
     A lookup's answer does not depend on its batch, and each composed
     rotation is the product `pair_quats` forms for that grid rotation,
-    so each score is the term's `score_grid` entry, bit for bit.
+    so each score is the entry of the term's whole-grid row (`_row`),
+    bit for bit.
     """
 
     def __init__(self, scorer, grid: SO3Grid, terms):
@@ -604,6 +581,17 @@ class _TableBlock(GridBlock):
         ids, back = np.unique(at, return_inverse=True)
         table = np.array([self.scorer._point_bounds(*self.terms[t]) for t in ids])
         return table[back.reshape(np.shape(at)), nodes]
+
+    def _row(self, i, j, fixed, moving):
+        # The stored row as it is, or read at the snapped composed grid.
+        scorer = self.scorer
+        slot, flip, as_stored = scorer._term(i, j, fixed, moving)
+        if as_stored:
+            return scorer._rows[slot].astype(np.float64)
+        snapped = scorer._memo(
+            scorer._snapped, i, j, fixed, moving, flip, lambda q: nearest_indices(self.grid, q)
+        )
+        return scorer._rows[slot][snapped].astype(np.float64)
 
     def scores(self, at, rows=None):
         if rows is None:
@@ -638,7 +626,7 @@ def score_over_grid(scorer, i, j, grid: SO3Grid):
     """
     if i == j:
         raise ValueError("pair indices must differ")
-    return np.asarray(scorer.score_grid(i, j, grid), dtype=np.float64)
+    return np.asarray(scorer.block(grid, [(i, j, None, "j")]).scores(0), dtype=np.float64)
 
 
 def nll_of(scores, gt_rotation, grid: SO3Grid):

@@ -19,21 +19,24 @@ Refinement is block coordinate ascent that searches the full grid for
 one camera at a time and accepts strict improvements, so the running
 energy never decreases.
 
-Both use one search, `grid_search`, over groups of
-`PairwiseScorer.score_grid` terms: it maximizes each group's sum of
-terms over the grid. A block update is one group, a term per partner
-(two for a directional scorer), each with the partner's rotation
-fixed; the spanning tree is one group per pair and order, searched
-together. The search asks the scorer once for its block
-(`PairwiseScorer.block`), then for each term's bounds and its scores
-at the rows it picks. The mode scorer answers each question with one
-stacked comparison against the k modes of all T terms; the default
-block offers no bound and answers each term's whole-grid `score_grid`
-row. Every sum of the objective, a group's bounds and scores, an
-energy and a camera's value off the grid, goes through `_summed`, in
-term order from 0.0. The solver never composes the G candidates
+Both use one search, `grid_search`, over groups of terms, each one
+pair scored while one of its cameras runs over the grid and the other
+stays fixed (`GridBlock`): it maximizes each group's sum of terms over
+the grid. A block update is one group, a term per partner (two for a
+directional scorer), each with the partner's rotation fixed; the
+spanning tree is one group per pair and order, searched together. The
+search asks the scorer once for its block (`PairwiseScorer.block`),
+then for each term's bounds and its scores at the rows it picks. The
+mode scorer answers each question with one stacked comparison against
+the k modes of all T terms; the default block offers no bound and
+answers each term's whole-grid row, `score_quats` of its composed
+candidates. Every sum of the objective, a group's bounds and scores,
+an energy and a camera's value off the grid, goes through `_summed`,
+in term order from 0.0. The solver never composes the G candidates
 itself; an energy, or a camera still off the grid, is scored at its
-own relative rotations in one `PairwiseScorer.score_pairs` call.
+own relative rotations in one `PairwiseScorer.score_pairs` call. A
+NaN in any of these sums is refused with a ValueError (`_refuse_nan`):
+an argmax takes a NaN for the maximum, so it would steer the search.
 
 When the block has levels to bound over (`GridBlock`), the search is
 exact branch and bound down them, in the manner of Hartley and Kahl's
@@ -103,7 +106,7 @@ def _pair_sum(scorer, pairs, left, right):
     # The summed scores of pairs[m] at relative rotation left[m] right[m]^-1:
     # one product and one `score_pairs` call for all of them.
     rel = quat_mul(left, quat_conj(right))
-    return float(_summed(np.asarray(scorer.score_pairs(pairs, rel))))
+    return float(_refuse_nan(_summed(np.asarray(scorer.score_pairs(pairs, rel)))))
 
 
 def _summed(terms):
@@ -114,16 +117,24 @@ def _summed(terms):
     return total
 
 
+def _refuse_nan(values):
+    """`values`, unless one is NaN: a NaN score raises ValueError."""
+    if np.isnan(values).any():
+        raise ValueError("the scorer returned a NaN score")
+    return values
+
+
 def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     """Each group's grid index maximizing its sum of terms, lowest on ties.
 
-    `groups` lists equally long lists of the (i, j, fixed, moving)
-    arguments of `score_grid` terms; a group's terms are summed in
-    order from 0.0 (`_summed`). Returns each group's (index, value,
-    value at `current`): its first maximum, the sum there and the sum
-    at grid index `current`, all from one evaluation. `current` is -1,
+    `groups` lists equally long lists of (i, j, fixed, moving) terms
+    (see `GridBlock`); a group's terms are summed in order from 0.0
+    (`_summed`). Returns each group's (index, value, value at
+    `current`): its first maximum, the sum there and the sum at grid
+    index `current`, all from one evaluation. `current` is -1,
     giving None, or needs a single group. The search is bounded over
-    the block's levels, if it has any.
+    the block's levels, if it has any. A NaN in the objective it
+    evaluates raises ValueError.
     """
     size = len(groups[0]) if groups else 0
     if any(len(group) != size for group in groups):
@@ -145,6 +156,8 @@ def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     for g in range(len(groups)):
         obj = _summed(block.scores(ids[:, g, None]))
         k = int(np.argmax(obj))
+        # argmax stops at the first NaN, so a NaN anywhere is at k.
+        _refuse_nan(obj[k])
         found.append((k, float(obj[k]), None if current < 0 else float(obj[current])))
     return found
 
@@ -171,8 +184,8 @@ def _bounded(grid, block, ids, current=-1):
         # node nodes[m] of `level` owns, the two broadcast together.
         return _summed(block.bounds(terms(at), level, nodes))
 
-    def score(at, rows):
-        return _summed(block.scores(terms(at), rows))
+    def exact(at, rows):
+        return _refuse_nan(_summed(block.scores(terms(at), rows)))
 
     searches = np.arange(n)
     top = np.reshape(bound(searches[:, None], first, np.arange(_size(grid, first))), (n, -1))
@@ -181,14 +194,14 @@ def _bounded(grid, block, ids, current=-1):
     # reached from the search's best first-level node by taking the
     # best-bounded member at each level.
     if current >= 0:
-        floor = score(searches, np.array([current]))
+        floor = exact(searches, np.array([current]))
     else:
         nodes = top.argmax(axis=1)
         for up, level in zip(levels, rest):
             at, kids = _members(grid, up, searches, nodes)
             nodes = kids[_first_max(bound(at, level, kids), at)]
         at, rows = _owned(grid, levels[-1], searches, nodes, -1)
-        floor = np.maximum.reduceat(score(at, rows), _starts(at))
+        floor = np.maximum.reduceat(exact(at, rows), _starts(at))
     # A node whose bound equals the floor is still searched: one of its
     # points may tie the maximum at a lower index.
     at, nodes = np.nonzero(top >= floor[:, None])
@@ -197,7 +210,7 @@ def _bounded(grid, block, ids, current=-1):
         keep = bound(at, level, nodes) >= floor[at]
         at, nodes = at[keep], nodes[keep]
     at, rows = _owned(grid, levels[-1], at, nodes, current)
-    return at, rows, score(at, rows)
+    return at, rows, exact(at, rows)
 
 
 def _size(grid, level):
@@ -243,14 +256,6 @@ def _first_max(values, at):
     best = np.maximum.reduceat(values, starts)
     pos = np.where(values == best[at], np.arange(values.shape[0]), values.shape[0])
     return np.minimum.reduceat(pos, starts)
-
-
-def best_pairwise(scorer, i, j, grid: SO3Grid):
-    """Grid rotation maximizing score(i, j, .), ties to the lowest index."""
-    if i == j:
-        raise ValueError("pair indices must differ")
-    [(k, best, _)] = grid_search(scorer, grid, [[(i, j, None, "j")]])
-    return quat_to_matrix(grid.quats[k]), best
 
 
 def mst_init(scorer, n_cameras, grid: SO3Grid):
@@ -325,8 +330,8 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
     quats = [matrix_to_quat(r) for r in rotations]
 
     def block_terms(i):
-        # Camera i's block objective as score_grid terms of its candidate
-        # S: one per partner, two when directional.
+        # Camera i's block objective as terms of its candidate S: one
+        # per partner, two when directional.
         terms = []
         for j in range(n):
             if j == i:

@@ -1,7 +1,7 @@
 """The solver's one bounded grid search against a dense oracle.
 
-`solver.grid_search` maximizes each of its groups' sums of `score_grid`
-terms over the grid: a block update is one group of every partner's
+`solver.grid_search` maximizes each of its groups' sums of terms over
+the grid: a block update is one group of every partner's
 terms, and `mst_init` searches one group per pair and order at once.
 When the scorer's block bounds its terms, the search bounds every node
 of the block's first level, then, level by level, the members of the
@@ -9,8 +9,9 @@ nodes that reach each group's best exact score found so far, and
 scores only the points of the last-level nodes that reach it: the
 mode scorer's levels are the parents and cells of the grid's cell
 index, the table scorer's the grid points. The oracle sums each
-group's terms over the whole grid from 0.0, takes the first maximum
-and reads the camera's current index, as the dense block update did.
+group's terms' whole-grid rows, each from a block of its own, from
+0.0, takes the first maximum and reads the camera's current index, as
+the dense block update did.
 """
 
 import pickle
@@ -26,6 +27,7 @@ from svpose.energy import (
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
+    score_over_grid,
 )
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
@@ -46,12 +48,17 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def term_row(scorer, grid, term):
+    # One term's whole-grid row, from a block of its own.
+    return scorer.block(grid, [term]).scores(0)
+
+
 def dense_search(scorer, grid, groups, current=-1):
     found = []
     for group in groups:
         obj = np.zeros(grid.n)
-        for i, j, fixed, moving in group:
-            obj += scorer.score_grid(i, j, grid, fixed, moving=moving)
+        for term in group:
+            obj += term_row(scorer, grid, term)
         k = int(np.argmax(obj))
         found.append((k, float(obj[k]), None if current < 0 else float(obj[current])))
     return found
@@ -230,7 +237,7 @@ def test_table_solves_match_dense_oracle_bounded_from_4608_points(monkeypatch, g
 
 def table_scorer(seed, n, grid):
     source = scene_scorer(seed, n)
-    rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    rows = {(i, j): score_over_grid(source, i, j, grid) for i in range(n) for j in range(i + 1, n)}
     return TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
 
 
@@ -274,11 +281,11 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
     assert bounded == (modes or (name == "table" and grid_n >= 4608))
     if name == "constant":
         assert {k for k, _, _ in got} == {0}
-    for (i, j, fixed, _), (k, value, _) in zip(terms, got):
+    for (i, j, fixed, _), found in zip(terms, got):
         if fixed is None:
-            rotation, best = solver.best_pairwise(scorer, i, j, grid)
-            assert np.array_equal(rotation, so3.quat_to_matrix(grid.quats[k]))
-            assert float(best).hex() == float(value).hex()
+            # The pair's best rotation searched alone.
+            alone = solver.grid_search(scorer, grid, [[(i, j, None, "j")]])
+            assert bits(alone) == bits([found])
 
 
 @pytest.mark.parametrize("grid_n", [100, 576, 4608])
@@ -420,8 +427,9 @@ def test_cell_bound_covers_every_point_of_the_cell(case):
     scorer, grid, (i, j), fixed, moving = case
     cells = grid.cells
     every = np.arange(cells.radius.shape[0])
-    bound = scorer.block(grid, [(i, j, fixed, moving)]).bounds(0, "cells", every)
-    scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
+    block = scorer.block(grid, [(i, j, fixed, moving)])
+    bound = block.bounds(0, "cells", every)
+    scores = block.scores(0)
     cell_max = np.full(bound.shape[0], -np.inf)
     np.maximum.at(cell_max, cells.owner, scores)
     assert np.all(bound >= cell_max)
@@ -437,7 +445,7 @@ def test_parent_bound_covers_every_point_of_the_parent(case):
     # As a one-term block update sums it, and as the term's own.
     summed = solver._summed(block.bounds(np.zeros((1, 1), dtype=np.int64), "parents", every))
     alone = block.bounds(0, "parents", every)
-    scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
+    scores = block.scores(0)
     counts = np.diff(cells.parent_start)
     parent = np.repeat(np.arange(counts.shape[0]), counts)[cells.owner]
     parent_max = np.full(counts.shape[0], -np.inf)
@@ -489,7 +497,7 @@ def test_table_point_bound_covers_the_snapped_score(case):
     block = scorer.block(grid, [term])
     every = np.arange(grid.n)
     bound = block.bounds(np.zeros((1, 1), dtype=np.int64), "points", every)[0]
-    scores = scorer.score_grid(i, j, grid, fixed, moving=moving)
+    scores = block.scores(0)
     assert np.all(bound >= scores)
     if fixed is None and moving == "j" and scorer._slot(i, j)[1] is False:
         assert np.array_equal(bound, scores)
@@ -585,8 +593,8 @@ def test_rows_restrict_block_scores_bit_for_bit():
 class TwoHookBlock:
     """A block written to the contract alone: its levels and two per-term questions.
 
-    It keeps each term's whole-grid `score_grid` row and bounds over one
-    level, the cells of the grid's cell index, each cell by its largest
+    It keeps each term's whole-grid row, as the default block scores it,
+    and bounds over one level, the cells of the grid's cell index, each cell by its largest
     score among the grid points it owns, the tightest bound there is.
     """
 
@@ -594,9 +602,7 @@ class TwoHookBlock:
 
     def __init__(self, scorer, grid, terms):
         self.grid = grid
-        self.rows = np.array(
-            [scorer.score_grid(i, j, grid, fixed, moving=moving) for i, j, fixed, moving in terms]
-        )
+        self.rows = GridBlock(scorer, grid, terms).scores(np.arange(len(terms))[:, None])
 
     def bounds(self, at, level, nodes):
         assert level == "cells"
@@ -706,21 +712,24 @@ def test_stacked_block_matches_per_term_default_bit_for_bit(case):
     cells = grid.cells
     stacked, default = scorer.block(grid, terms), GridBlock(scorer, grid, terms)
     every = np.arange(len(terms))[:, None]
-    assert stacked.scores(every, rows).tobytes() == default.scores(every, rows).tobytes()
+    picked = np.arange(grid.n) if rows is None else rows
+    got = stacked.scores(every, rows)
+    # Bit for bit each term's own block; up to rounding the default
+    # block, which composes the G candidates instead of moving the modes.
+    own = np.array([term_row(scorer, grid, term) for term in terms])
+    assert got.tobytes() == own[:, picked].tobytes()
+    assert np.abs(got - default.scores(every, rows)).max() <= 1e-9
     assert default.levels == ()
     nodes = np.arange(cells.radius.shape[0])
     # The per-term formulas, summed in term order from 0.0.
     scores = np.zeros(grid.n if rows is None else len(rows))
     bounds = np.zeros(cells.radius.shape[0])
-    picked = np.arange(grid.n) if rows is None else rows
     for t, term in enumerate(terms):
         term_scores, term_bounds = one_term(scorer, grid, term, rows)
         scores += term_scores
         bounds += term_bounds
         # One term is the term's own row, -0.0 included, not a sum from 0.0.
-        i, j, fixed, moving = term
-        got = scorer.score_grid(i, j, grid, fixed, moving=moving)
-        assert got.tobytes() == one_term(scorer, grid, term, None)[0].tobytes()
+        assert own[t].tobytes() == one_term(scorer, grid, term, None)[0].tobytes()
         # So are the term's own answers, entry by entry.
         at = np.full(picked.shape[0], t)
         assert stacked.scores(at, picked).tobytes() == term_scores.tobytes()
@@ -739,7 +748,7 @@ def test_one_term_keeps_the_negative_zero_of_a_mode_on_the_grid():
     # A grid point whose own |dot| rounds to 1 scores exactly -0.0.
     k = int(np.flatnonzero(_kernels.fixed_abs_dots(grid.quats, grid.quats) >= 1.0)[0])
     scorer = SymmetricModeScorer(modes={(0, 1): grid.quats[[k]]}, kappa=50.0)
-    row = scorer.score_grid(0, 1, grid)
+    row = score_over_grid(scorer, 0, 1, grid)
     assert row[k] == 0.0 and np.signbit(row[k])
     assert np.signbit(row.astype(np.float32)[k])
     block = scorer.block(grid, [(0, 1, None, "j")])

@@ -8,6 +8,7 @@ from svpose import _kernels, energy, so3
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
+    GridBlock,
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
@@ -18,12 +19,22 @@ from svpose.energy import (
     score_over_grid,
 )
 from svpose.errors import ConsistencyError, CorruptTableError, FormatError
-from svpose.solver import best_pairwise
+from svpose.solver import grid_search
 from svpose.synth import RigSpec, generate_scene, scene_to_scorer
 
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def score_one(scorer, i, j, rotation):
+    """The score of one relative rotation, given as a matrix."""
+    return float(scorer.score_quats(i, j, so3.matrix_to_quat(rotation)[None, :])[0])
+
+
+def term_row(scorer, grid, i, j, fixed=None, moving="j"):
+    """One term's whole-grid row, as the scorer's block scores it."""
+    return scorer.block(grid, [(i, j, fixed, moving)]).scores(0)
 
 
 def mode_scorer(rng, pairs, kappa=10.0):
@@ -44,9 +55,6 @@ def test_base_scorer_needs_an_override():
     class Bare(PairwiseScorer):
         pass
 
-    r = so3.random_rotation(rng_for(0))
-    with pytest.raises(NotImplementedError, match="Bare must override score_quats"):
-        Bare().score(0, 1, r)
     with pytest.raises(NotImplementedError, match="Bare must override score_quats"):
         Bare().score_quats(0, 1, so3.random_quats(rng_for(0), 2))
 
@@ -67,7 +75,7 @@ def test_mode_score_is_minus_kappa_theta_sq():
     for theta in (0.1, 0.5, 1.5, 2.5):
         axis = rng.standard_normal(3)
         probe = so3.axis_angle_rotation(axis, theta) @ base
-        got = s.score(0, 1, probe)
+        got = score_one(s, 0, 1, probe)
         assert got == pytest.approx(-3.0 * theta * theta, abs=1e-7)
 
 
@@ -79,14 +87,14 @@ def test_multi_mode_takes_nearest_well():
     s = SymmetricModeScorer(modes={(0, 1): modes}, kappa=1.0)
     probe = so3.axis_angle_rotation([0.0, 0.0, 1.0], 0.2) @ base
     # 0.2 to the first mode, pi - 0.2 to the second.
-    assert s.score(0, 1, probe) == pytest.approx(-0.04, abs=1e-7)
+    assert score_one(s, 0, 1, probe) == pytest.approx(-0.04, abs=1e-7)
 
 
 def test_reverse_pair_served_transposed():
     rng = rng_for(4)
     s = mode_scorer(rng, [(0, 1)])
     r = so3.random_rotation(rng)
-    assert s.score(1, 0, r.T) == pytest.approx(s.score(0, 1, r), abs=1e-9)
+    assert score_one(s, 1, 0, r.T) == pytest.approx(score_one(s, 0, 1, r), abs=1e-9)
     assert not s.directional
 
 
@@ -131,7 +139,7 @@ def test_zero_row_modes_are_no_modes():
         s = SymmetricModeScorer(modes={(i, j): np.empty((0, 4))}, kappa=3.0)
         assert np.array_equal(s.score_quats(i, j, q), np.zeros(5))
         assert np.array_equal(s.score_quats(j, i, q), np.zeros(5))
-        assert np.array_equal(s.score_grid(i, j, grid, q[0], moving="i"), np.zeros(576))
+        assert np.array_equal(term_row(s, grid, i, j, q[0], "i"), np.zeros(576))
         block = s.block(grid, [(i, j, q[1], "j")])
         assert np.array_equal(block.scores(0, np.array([3])), [0.0])
         bound = block.bounds(0, "cells", np.arange(grid.cells.radius.shape[0]))
@@ -207,6 +215,8 @@ def composed(grid, fixed, moving):
 
 
 def test_mode_score_grid_matches_composed_batch():
+    # The mode block moves the modes; composing the G candidates and
+    # scoring them agrees up to rounding.
     rng = rng_for(15)
     grid = so3.build_grid(576)
     symmetric = SymmetricModeScorer(
@@ -225,20 +235,22 @@ def test_mode_score_grid_matches_composed_batch():
             for moving in ("i", "j"):
                 for q in fixed:
                     want = s.score_quats(i, j, composed(grid, q, moving))
-                    got = s.score_grid(i, j, grid, q, moving=moving)
+                    got = term_row(s, grid, i, j, q, moving)
                     assert np.abs(got - want).max() <= 1e-9
                     assert got.argmax() == want.argmax()
-                got = s.score_grid(i, j, grid, moving=moving)
+                    default = GridBlock(s, grid, [(i, j, q, moving)]).scores(0)
+                    assert np.array_equal(default, want)
+                got = term_row(s, grid, i, j, None, moving)
                 want = s.score_quats(i, j, pair_quats(grid.quats, None, moving))
                 assert np.abs(got - want).max() <= 1e-9
             # The identity with j moving is the pair's row over the grid.
-            row = s.score_grid(i, j, grid)
+            row = term_row(s, grid, i, j)
             assert np.array_equal(row, s.score_quats(i, j, grid.quats))
             assert np.array_equal(score_over_grid(s, i, j, grid), row)
         with pytest.raises(ValueError):
-            s.score_grid(0, 1, grid, fixed[0], moving="k")
+            term_row(s, grid, 0, 1, fixed[0], "k")
         with pytest.raises(ValueError):
-            s.score_grid(1, 1, grid)
+            term_row(s, grid, 1, 1)
 
 
 def test_default_score_grid_composes_then_scores():
@@ -251,12 +263,14 @@ def test_default_score_grid_composes_then_scores():
     grid = so3.build_grid(72)
     s = QuatsOnly()
     q = so3.random_quats(rng_for(16), 1)[0]
+    assert type(s.block(grid, [])) is GridBlock
     for moving in ("i", "j"):
         want = s.score_quats(0, 1, composed(grid, q, moving))
-        assert np.array_equal(s.score_grid(0, 1, grid, q, moving=moving), want)
-    assert np.array_equal(s.score_grid(0, 1, grid), s.score_quats(0, 1, grid.quats))
+        assert np.array_equal(term_row(s, grid, 0, 1, q, moving), want)
+    assert np.array_equal(term_row(s, grid, 0, 1), s.score_quats(0, 1, grid.quats))
+    assert np.array_equal(score_over_grid(s, 0, 1, grid), s.score_quats(0, 1, grid.quats))
     with pytest.raises(ValueError):
-        s.score_grid(0, 1, grid, q, moving="k")
+        term_row(s, grid, 0, 1, q, "k")
 
 
 def table_for(rng, grid, pairs):
@@ -349,11 +363,11 @@ def test_table_scorer_serves_rows_and_transposes():
     assert np.allclose(row, table.rows[(0, 1)].astype(np.float64))
     # Reverse direction: score(1, 0, R) = row at nearest grid point of R^T.
     r = so3.quat_to_matrix(grid.quats[33])
-    got = s.score(1, 0, r.T)
+    got = score_one(s, 1, 0, r.T)
     assert got == pytest.approx(float(table.rows[(0, 1)][33]), abs=1e-6)
     assert not s.directional
     with pytest.raises(ConsistencyError):
-        s.score(0, 2, r)
+        score_one(s, 0, 2, r)
 
 
 @pytest.mark.parametrize("both_orders", [False, True])
@@ -391,9 +405,9 @@ def test_table_scorer_grid_mismatch():
 
 
 class ComposedTableScorer(TableScorer):
-    """Scores whole grids through the base class: compose, then snap."""
+    """Scores whole grids through the default block: compose, then snap."""
 
-    score_grid = PairwiseScorer.score_grid
+    block = PairwiseScorer.block
 
 
 def test_table_scorer_memo_matches_fresh_scorer():
@@ -408,11 +422,9 @@ def test_table_scorer_memo_matches_fresh_scorer():
         for i, j in [(0, 1), (1, 0), (2, 1), (1, 2)]:
             for moving in ("i", "j"):
                 for q in fixed:
-                    want = ComposedTableScorer(table, grid).score_grid(
-                        i, j, grid, q, moving=moving
-                    )
+                    want = term_row(ComposedTableScorer(table, grid), grid, i, j, q, moving)
                     for g in (grid, same_quats):
-                        got = memo.score_grid(i, j, g, q, moving=moving)
+                        got = term_row(memo, g, i, j, q, moving)
                         assert np.array_equal(got, want)
     # One snapped batch per (fixed camera, moving side, stored order):
     # cameras 0 and 2 are fixed in one stored order per side, camera 1
@@ -420,12 +432,13 @@ def test_table_scorer_memo_matches_fresh_scorer():
     assert len(memo._snapped) == 6
     for _ in range(2):
         with pytest.raises(ValueError):
-            memo.score_grid(0, 1, grid, fixed[1], moving="k")
+            term_row(memo, grid, 0, 1, fixed[1], "k")
     # Over another grid the scorer composes and snaps to its own grid.
     other = so3.build_grid(72)
     q = fixed[1]
     want = memo.score_quats(1, 2, composed(other, q, "i"))
-    assert np.array_equal(memo.score_grid(1, 2, other, q, moving="i"), want)
+    assert type(memo.block(other, [])) is GridBlock
+    assert np.array_equal(term_row(memo, other, 1, 2, q, "i"), want)
 
 
 def test_table_score_grid_serves_own_grid_rows():
@@ -434,7 +447,7 @@ def test_table_score_grid_serves_own_grid_rows():
             grid = so3.build_grid(n, generator=generator, seed=3)
             assert np.array_equal(so3.nearest_indices(grid, grid.quats), np.arange(n))
             table = table_for(rng_for(n), grid, [(0, 1)])
-            row = TableScorer(table).score_grid(0, 1, grid)
+            row = score_over_grid(TableScorer(table), 0, 1, grid)
             assert np.array_equal(row, table.rows[(0, 1)].astype(np.float64))
             assert np.array_equal(row, TableScorer(table).score_quats(0, 1, grid.quats))
 
@@ -484,7 +497,7 @@ def test_table_memo_stays_bounded_across_solves():
     grid = so3.build_grid(4608)
     rig = RigSpec(n_cameras=n, seed=17, jitter=0.05)
     source = scene_to_scorer(generate_scene(rig), 50.0, 0.02)
-    rows = {(i, j): source.score_grid(i, j, grid) for i in range(n) for j in range(i + 1, n)}
+    rows = {(i, j): score_over_grid(source, i, j, grid) for i in range(n) for j in range(i + 1, n)}
     scorer = TableScorer(EnergyTable(grid_spec=grid.spec, rows=rows), grid)
     rng = rng_for(17)
     for _ in range(3):
@@ -549,11 +562,8 @@ def test_scene_and_table_paths_agree_on_the_grid(grid_n, generator):
             stored = table.table.rows[(i, j)]
             want = mode.score_quats(i, j, grid.quats).astype(np.float32)
             assert np.array_equal(table.score_quats(i, j, grid.quats), want)
-            picks = []
-            for scorer in (mode, table):
-                rotation, _ = best_pairwise(scorer, i, j, grid)
-                k, _ = so3.nearest_in_grid(grid, rotation)
-                assert np.array_equal(rotation, so3.quat_to_matrix(grid.quats[k]))
-                picks.append(k)
-            k_mode, k_table = picks
+            # Each scorer's best pairwise rotation: a one-term search.
+            k_mode, k_table = (
+                grid_search(scorer, grid, [[(i, j, None, "j")]])[0][0] for scorer in (mode, table)
+            )
             assert k_table == k_mode or stored[k_table] == stored[k_mode]

@@ -5,6 +5,7 @@ from svpose import so3, solver
 from svpose.energy import (
     ConstantScorer,
     EnergyTable,
+    GridBlock,
     PairwiseScorer,
     SymmetricModeScorer,
     TableScorer,
@@ -13,8 +14,8 @@ from svpose.energy import (
 )
 from svpose.solver import (
     RotationHypothesis,
-    best_pairwise,
     coordinate_ascent,
+    grid_search,
     mst_init,
     solve,
     total_energy,
@@ -68,24 +69,29 @@ def test_total_energy_matches_pairwise_loop():
     for i in range(4):
         for j in range(4):
             if i != j:
-                expect += scorer.score(i, j, rots[j] @ rots[i].T)
+                rel = so3.matrix_to_quat(rots[j] @ rots[i].T)
+                expect += scorer.score_quats(i, j, rel[None, :])[0]
     assert total_energy(scorer, rots) == pytest.approx(expect, abs=1e-9)
+
+
+def best_pairwise(scorer, i, j, grid):
+    # The pair's best grid index and score: a one-term search.
+    [(k, score, _)] = grid_search(scorer, grid, [[(i, j, None, "j")]])
+    return k, score
 
 
 def test_best_pairwise_matches_row_argmax():
     grid = so3.build_grid(72)
     scorer, _ = planted_instance(2, grid)
     row = score_over_grid(scorer, 0, 1, grid)
-    rot, score = best_pairwise(scorer, 0, 1, grid)
-    assert score == pytest.approx(row.max(), abs=1e-12)
-    assert np.array_equal(rot, so3.quat_to_matrix(grid.quats[row.argmax()]))
+    k, score = best_pairwise(scorer, 0, 1, grid)
+    assert score == row.max()
+    assert k == row.argmax()
 
 
 def test_best_pairwise_tie_breaks_low():
     grid = so3.build_grid(72)
-    rot, score = best_pairwise(ConstantScorer(1.0), 0, 1, grid)
-    assert score == 1.0
-    assert np.array_equal(rot, so3.quat_to_matrix(grid.quats[0]))
+    assert best_pairwise(ConstantScorer(1.0), 0, 1, grid) == (0, 1.0)
 
 
 def test_mst_init_star_recovers_planted_exactly():
@@ -342,3 +348,56 @@ def test_batched_energies_match_the_per_pair_loop_bit_for_bit():
             left, right = np.array(ends).transpose(1, 0, 2)
             pairs = [term[:2] for term in terms]
             assert solver._pair_sum(scorer, pairs, left, right) == looped[0]
+
+
+class NaNAt(PairwiseScorer):
+    """Minus the angle from the identity, and NaN at one quaternion, if any."""
+
+    directional = False
+
+    def __init__(self, nan_quat=None):
+        self.nan_quat = nan_quat
+
+    def score_quats(self, i, j, quats):
+        q = np.asarray(quats)
+        scores = -2.0 * np.arccos(np.minimum(np.abs(q[:, 0]), 1.0))
+        if self.nan_quat is not None:
+            scores[(q == self.nan_quat).all(axis=1)] = np.nan
+        return scores
+
+
+class EveryCell(GridBlock):
+    """The default block's scores, bounded over the cells by +inf: nothing is pruned."""
+
+    levels = ("cells",)
+
+    def bounds(self, at, level, nodes):
+        return np.full(np.broadcast(at, nodes).shape, np.inf)
+
+
+class BoundedNaNAt(NaNAt):
+    def block(self, grid, terms):
+        return EveryCell(self, grid, terms)
+
+
+def test_a_nan_score_is_refused_by_dense_and_bounded_searches():
+    # np.argmax takes a NaN for the maximum: a dense search once picked
+    # the NaN row for every pair, and the solve put cameras 1-3 there.
+    grid = so3.build_grid(576)
+    clean = solve(NaNAt(), 4, grid)
+    assert [so3.nearest_in_grid(grid, r)[0] for r in clean.rotations[1:]] == [574] * 3
+    for scorer in (NaNAt(grid.quats[100]), BoundedNaNAt(grid.quats[100])):
+        with pytest.raises(ValueError, match="NaN"):
+            solve(scorer, 4, grid)
+        with pytest.raises(ValueError, match="NaN"):
+            grid_search(scorer, grid, [[(0, 1, None, "j")]])
+    # Away from the NaN, the bounded search answers as the dense one.
+    groups = [[(0, 1, grid.quats[7], "i")]]
+    assert grid_search(BoundedNaNAt(), grid, groups) == grid_search(NaNAt(), grid, groups)
+
+
+def test_total_energy_refuses_a_nan_sum_and_keeps_infinities():
+    rotations = [np.eye(3)] * 3
+    with pytest.raises(ValueError, match="NaN"):
+        total_energy(ConstantScorer(np.nan), rotations)
+    assert total_energy(ConstantScorer(-np.inf), rotations) == -np.inf

@@ -13,7 +13,7 @@ from svpose.energy import (  # noqa: E402
     SymmetricModeScorer,
     TableScorer,
 )
-from svpose.solver import best_pairwise, coordinate_ascent, mst_init, total_energy  # noqa: E402
+from svpose.solver import coordinate_ascent, grid_search, mst_init, total_energy  # noqa: E402
 
 GRID_SIZES = (8, 24, 72)
 grids = {
@@ -76,6 +76,12 @@ def test_energy_invariant_to_rotating_the_world(instance, seed):
     energy = total_energy(scorer, rotations)
     moved = total_energy(scorer, [r @ world for r in rotations])
     assert abs(moved - energy) <= 1e-9 * (1.0 + abs(energy))
+
+
+def best_pairwise(scorer, i, j, grid):
+    # The pair's best grid rotation and score: a one-term search.
+    [(k, score, _)] = grid_search(scorer, grid, [[(i, j, None, "j")]])
+    return so3.quat_to_matrix(grid.quats[k]), score
 
 
 def kruskal_reference(scorer, n_cameras, grid):
