@@ -14,12 +14,17 @@ individual fields, and synth, solve and eval write the resolved config
 next to their outputs, so such a run can be reproduced from its config
 alone. The seed field, which SVP_SEED in the environment overrides,
 seeds synth's rigs and nothing else; every subcommand records it.
-solve --jobs N solves its input files in up to N forked worker
-processes, one per file at most, with the same output bytes as
---jobs 1, which solves them one by one in this process. Exit
+solve --jobs N solves its input files in up to N workers, one per
+file at most: this process is worker 0 and forks the others. Worker k
+solves files k, k + N, k + 2N, ... in input order and stops at its
+first failed file; the run raises the failure with the lowest file
+index, as --jobs 1 does, and writes the same output bytes. Exit
 codes: 0 ok, 1 a solve worker died, 2 IO, 3 format, 4 consistency or
 a bad option value, including a flag that does not parse; errors go to
-stderr as one JSON line each. Output files are written atomically.
+stderr as one JSON line each. Output files are written atomically and
+closed before main returns, so at exit the interpreter skips its
+garbage collection of the run's objects (gc.freeze) and the operating
+system reclaims their memory.
 
 Importing this module loads neither numpy nor the numeric modules:
 each subcommand imports what it runs when it runs, so `report` needs
@@ -27,7 +32,9 @@ no numpy and `grid` loads only so3.
 """
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import math
@@ -362,7 +369,7 @@ def _load_table_problem(path, config, grid):
 
 
 def _solve_file(config, grid, path):
-    """Solve one scene or table file, write its prediction, return its scene id."""
+    """Solve one scene or table file and write its prediction."""
     # Each loader returns (scorer, n_cameras, ground-truth poses or None).
     load = _load_scene_problem if config.scenes else _load_table_problem
     scorer, n_cameras, gt_poses = load(path, config, grid)
@@ -372,19 +379,91 @@ def _solve_file(config, grid, path):
     # Positional: perfbench's traced solve takes a 4th argument by position.
     hyp = solve(scorer, n_cameras, grid, config.max_sweeps)
     _write_pred(config, Path(config.out), scene_id, hyp, translations, grid.spec)
-    return scene_id
 
 
-_job = ()  # a forked worker's (config, grid), set by _start_worker
+def _solve_share(config, grid, files, first, step):
+    """Solve files[first::step] in turn, stopping at the first failure.
+
+    Returns that failure as (file index, exception), or None.
+    """
+    for k in range(first, len(files), step):
+        try:
+            _solve_file(config, grid, files[k])
+        except Exception as e:
+            return k, e
+    return None
 
 
-def _start_worker(config, grid):
-    global _job
-    _job = config, grid
+def _fork_worker(config, grid, files, first, step):
+    """Fork a child that solves its share of `files`; (pid, pipe read end).
+
+    The child writes its failure, pickled, to the pipe, or nothing when
+    its share is solved, and leaves through os._exit: it runs no atexit
+    hook and flushes no buffer it inherited. It exits 1 if it cannot
+    report.
+    """
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        failure = _solve_share(config, grid, files, first, step)
+        message = b"" if failure is None else pickle.dumps(failure)
+        with open(write, "wb") as f:
+            f.write(message)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _solve_in_worker(path):
-    return _solve_file(*_job, path)
+def _join_worker(pid, read):
+    """Reap a forked worker: its failure, or None when it solved its share.
+
+    A worker that exits non-zero without a report died. Its failure
+    takes index -1, so that it outranks every file's.
+    """
+    import pickle
+
+    with open(read, "rb") as f:
+        message = f.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if message:
+        return pickle.loads(message)
+    if code != 0:
+        return -1, WorkerDiedError(f"a solve worker process died with exit code {code}")
+    return None
+
+
+def _solve_files(config, grid, files, workers):
+    """Solve `files` in this process and workers - 1 forked children.
+
+    Forked children inherit the config, the grid and every loaded
+    module; a solve's many small numpy calls hold the GIL, so threads
+    would not run in parallel. Worker k solves files k, k + workers, ...
+    Every child is reaped, also when this process's share fails, and
+    the failure with the lowest file index is raised: the one a serial
+    solve raises.
+    """
+    children, failures = [], []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_worker(config, grid, files, k, workers))
+        failures.append(_solve_share(config, grid, files, 0, workers))
+    finally:
+        failures += [_join_worker(pid, read) for pid, read in children]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def cmd_solve(config: RunConfig):
@@ -395,40 +474,23 @@ def cmd_solve(config: RunConfig):
 
     if bool(config.scenes) == bool(config.tables):
         raise ConsistencyError("pass exactly one of scene inputs or table inputs")
-    out = _out_dir(config)
-    grid = grid_from_spec(config.grid_spec())
     if config.scenes:
         files = _scene_files(config.scenes)
     else:
         files = _scene_files(config.tables, suffix="*.rpet")
-
-    workers = min(config.jobs, len(files))
-    if workers == 1:
-        ids = [_solve_file(config, grid, f) for f in files]
-    else:
-        # Imported here, so that no other run pays for the import. A
-        # solve's many small numpy calls hold the GIL, so scenes are
-        # solved in processes. Forked workers inherit the config and the
-        # grid, where spawned ones would import numpy and svpose again;
-        # only paths go out, and scene ids come back in order.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker,
-            initargs=(config, grid),
-        )
-        try:
-            ids = list(pool.map(_solve_in_worker, files))
-        except BrokenProcessPool as e:
-            raise WorkerDiedError(f"a solve worker process died: {e}") from None
-        finally:
-            # After a failed file, solve no more of them.
-            pool.shutdown(cancel_futures=True)
-    _write_manifest(out, "predictions", [{"id": i, "file": f"{i}.json"} for i in ids])
+    # Two files with one id would write one prediction file.
+    sources = {}
+    for path in files:
+        scene_id = Path(path).stem
+        if scene_id in sources:
+            raise ConsistencyError(
+                f"scene id {scene_id!r} comes from both {sources[scene_id]} and {path}"
+            )
+        sources[scene_id] = path
+    out = _out_dir(config)
+    grid = grid_from_spec(config.grid_spec())
+    _solve_files(config, grid, files, min(config.jobs, len(files)))
+    _write_manifest(out, "predictions", [{"id": i, "file": f"{i}.json"} for i in sources])
     write_text_atomic(out / "run_config.json", config.to_json())
     return 0
 
@@ -649,6 +711,11 @@ COMMANDS = {
 
 
 def main(argv=None):
+    # At exit, the interpreter's last collections would walk every object
+    # the run made; frozen, they are left to the operating system. One
+    # hook per process, however often main runs in it.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         config = resolve_config(parse_args(argv))
         if not config.out:

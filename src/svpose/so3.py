@@ -608,7 +608,7 @@ class SO3Grid:
     def _cached(self, name, build):
         # For library callers that share one grid across threads: the
         # lock keeps them from building an index twice. (The CLI's
-        # parallel solves are processes, each with its own copy.)
+        # parallel solves are forked processes, each with its own copy.)
         if getattr(self, name) is None:
             with self._lock:
                 if getattr(self, name) is None:

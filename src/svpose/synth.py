@@ -121,6 +121,7 @@ def scene_to_scorer(
     object would produce. `noise_angle` bounds a per-pair perturbation
     (uniform angle in [0, noise_angle], uniform axis) applied to all of
     a pair's modes, drawn from the rig seed's stream: one scene, one scorer.
+    At zero noise no stream is made, so numpy.random is not loaded.
     """
     if not (math.isfinite(noise_angle) and noise_angle >= 0.0):
         raise ValueError("noise_angle must be finite and non-negative")
@@ -132,7 +133,8 @@ def scene_to_scorer(
             raise ValueError("symmetry order must be at least 1")
         key = (min(i, j), max(i, j))
         sym[key] = (np.asarray(axis, dtype=np.float64), int(k))
-    rng = np.random.Generator(np.random.PCG64(scene.rig.seed))
+    # Each pair draws its noise from the stream in (i, j) order.
+    rng = np.random.Generator(np.random.PCG64(scene.rig.seed)) if noise_angle > 0.0 else None
     n = len(scene.poses)
     modes = {}
     for i in range(n):
@@ -147,9 +149,9 @@ def scene_to_scorer(
                 ]
             else:
                 copies = [relative_rotation(r_i, r_j)]
-            noise_axis = rng.standard_normal(3)
-            noise_rot = axis_angle_rotation(noise_axis, noise_angle * rng.uniform())
-            if noise_angle > 0.0:
+            if rng is not None:
+                noise_axis = rng.standard_normal(3)
+                noise_rot = axis_angle_rotation(noise_axis, noise_angle * rng.uniform())
                 copies = [noise_rot @ c for c in copies]
             modes[(i, j)] = np.stack([matrix_to_quat(c) for c in copies])
     # Imported here, so that reading scenes (eval) never loads the scorers.

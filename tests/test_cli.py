@@ -143,15 +143,20 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-9])
 
 
-@pytest.mark.parametrize("spoil, code", [(_drop_pair, 4), (_truncate, 3)])
-def test_worker_errors_match_serial_errors(tmp_path, capsys, spoil, code):
+def spoiled_table_errors(tmp_path, capsys, n_files, spoiled, code):
+    """Solve `n_files` tables, some spoiled, at --jobs 1 and 2; the JSON error.
+
+    Both runs must exit `code` with the same error line, write no
+    manifest and leave no child unreaped.
+    """
     scenes = tmp_path / "scenes"
-    run("synth", "-o", scenes, "--n", 3, "--scenes", 3, "--seed", 2, "--emit-tables", "--grid-n", 72)
+    run("synth", "-o", scenes, "--n", 3, "--scenes", n_files, "--seed", 2, "--emit-tables", "--grid-n", 72)
     tables = tmp_path / "tables"
     tables.mkdir()
-    for k in range(3):
+    for k in range(n_files):
         shutil.copy(scenes / f"scene_00{k}.rpet", tables)
-    spoil(tables / "scene_001.rpet")
+    for k, spoil in spoiled.items():
+        spoil(tables / f"scene_00{k}.rpet")
     errors = {}
     for jobs in ("1", "2"):
         assert run(*table_args(tables, tmp_path / jobs), "--jobs", jobs) == code
@@ -159,15 +164,53 @@ def test_worker_errors_match_serial_errors(tmp_path, capsys, spoil, code):
         errors[jobs] = capsys.readouterr().err
         assert not (tmp_path / jobs / "manifest.json").exists()
     assert errors["1"] == errors["2"]
-    assert json.loads(errors["2"])["exit_code"] == code
+    return json.loads(errors["2"])
+
+
+@pytest.mark.parametrize("spoil, code", [(_drop_pair, 4), (_truncate, 3)])
+def test_worker_errors_match_serial_errors(tmp_path, capsys, spoil, code):
+    error = spoiled_table_errors(tmp_path, capsys, 3, {1: spoil}, code)
+    assert error["exit_code"] == code
+
+
+@pytest.mark.parametrize("spoiled, code", [
+    ({1: _truncate, 2: _drop_pair}, 3),  # the lower failure is a child's
+    ({0: _drop_pair, 3: _truncate}, 4),  # the lower failure is this process's
+])
+def test_split_solve_raises_the_lowest_failure(tmp_path, capsys, spoiled, code):
+    # --jobs 2 over four files: this process solves files 0 and 2, a
+    # forked child files 1 and 3, and each stops at its first failure.
+    error = spoiled_table_errors(tmp_path, capsys, 4, spoiled, code)
+    assert f"scene_00{min(spoiled)}.rpet" in error["message"]
+
+
+def test_two_inputs_with_one_scene_id_are_exit_code_4(tmp_path, capsys):
+    a, b, preds = tmp_path / "a", tmp_path / "b", tmp_path / "p"
+    run("synth", "-o", a, "--n", 3, "--scenes", 1, "--seed", 1)
+    run("synth", "-o", b, "--n", 3, "--scenes", 1, "--seed", 2)
+    capsys.readouterr()
+    assert run("solve", "-o", preds, "--scenes", a, b, "--grid-n", 72, "--jobs", 2) == 4
+    err = last_error(capsys)
+    assert err["error"] == "ConsistencyError"
+    assert str(a / "scene_000.json") in err["message"]
+    assert str(b / "scene_000.json") in err["message"]
+    assert not preds.exists()
 
 
 def test_dead_worker_fails_the_run_without_hanging(tmp_path, monkeypatch, capsys):
     scenes = tmp_path / "scenes"
     run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 2)
     capsys.readouterr()
-    # Forked workers inherit the patched name.
-    monkeypatch.setattr(cli, "solve", lambda *args: os._exit(1))
+    # Forked workers inherit the patched name; only a child dies, while
+    # this process solves its own share.
+    parent, solve = os.getpid(), cli.solve
+
+    def die_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "solve", die_in_child)
     assert run(*solve_args(scenes, tmp_path / "p"), "--jobs", "2") == 1
     [line] = capsys.readouterr().err.splitlines()
     error = json.loads(line)
@@ -194,9 +237,9 @@ def loaded_after(setup, names):
 
 
 def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
-    # The cold-start contract. Only a parallel solve imports the process
-    # pool, importing the package or the CLI loads no numpy, and each
-    # subcommand loads only the modules it runs.
+    # The cold-start contract. Importing the package or the CLI loads no
+    # process pool and no numpy, and each subcommand loads only the
+    # modules it runs.
     heavy = {"multiprocessing", "concurrent.futures.process", "numpy"}
     assert loaded_after("import svpose", heavy) == []
     assert loaded_after("import svpose.cli", heavy) == []
@@ -212,6 +255,58 @@ def test_importing_the_cli_leaves_multiprocessing_out(tmp_path):
     grid = ["grid", "-o", str(tmp_path / "g.so3g"), "--n", "72"]
     others = {f"svpose.{m}" for m in ("energy", "solver", "synth", "evaluation")}
     assert loaded_after(main.format(grid), others | {"svpose.so3"}) == ["svpose.so3"]
+
+
+def test_zero_noise_parallel_solve_loads_no_pool_and_no_random(tmp_path):
+    # Forking needs neither multiprocessing nor concurrent.futures, and a
+    # noiseless scene scorer draws nothing.
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 3, "--seed", 2)
+    argv = ["solve", "-o", str(preds), "--scenes", str(scenes), "--grid-n", "72", "--jobs", "2"]
+    setup = f"from svpose.cli import main\nassert main({argv!r}) == 0"
+    heavy = {"multiprocessing", "concurrent.futures", "numpy.random"}
+    assert loaded_after(setup, heavy) == []
+    assert len(list(preds.glob("scene_*.json"))) == 3
+
+
+def test_exit_hooks_registered_before_main_run_after_the_freeze(tmp_path):
+    # Atexit hooks run last registered first, so this one runs after the
+    # gc.freeze that main registers.
+    grid = ["grid", "-o", str(tmp_path / "g.so3g"), "--n", "72"]
+    code = f"""
+import atexit, gc
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+from svpose.cli import main
+assert main({grid!r}) == 0
+"""
+    assert fresh_interpreter(code).splitlines()[-1] == "frozen True"
+
+
+def test_subcommands_write_the_same_bytes_in_a_process(tmp_path, capsys):
+    # Each subcommand runs as a process, then in this one on the same
+    # paths; the files and the printed lines must match byte for byte.
+    scenes, preds, metrics = tmp_path / "scenes", tmp_path / "preds", tmp_path / "metrics"
+    grids, reports = tmp_path / "grids", tmp_path / "reports"
+    steps = [
+        (scenes, ["synth", "-o", scenes, "--n", 3, "--scenes", 3, "--seed", 2,
+                  "--emit-tables", "--grid-n", 72, "--noise-angle", "0.02"]),
+        (preds, ["solve", "-o", preds, "--scenes", scenes, "--grid-n", 72,
+                 "--noise-angle", "0.02", "--jobs", 2]),
+        (metrics, ["eval", "-o", metrics, "--pred", preds, "--gt", scenes, "--sweep"]),
+        (grids, ["grid", "-o", grids / "g.so3g", "--n", 72, "--covering"]),
+        (reports, ["report", "-o", reports / "r.csv", "--inputs", metrics / "per_scene.csv"]),
+    ]
+    for out, argv in steps:
+        argv = [str(a) for a in argv]
+        printed = fresh_interpreter(
+            f"import sys\nfrom svpose.cli import main\nsys.exit(main({argv!r}))"
+        )
+        by_process = read_dir_bytes(out)
+        shutil.rmtree(out)
+        assert cli.main(argv) == 0, argv[0]
+        assert_no_children()
+        assert capsys.readouterr().out.strip() == printed, argv[0]
+        assert read_dir_bytes(out) == by_process, argv[0]
 
 
 def test_cli_patch_points_intercept_before_their_modules_load(tmp_path):
