@@ -18,13 +18,14 @@ solve --jobs N solves its input files in up to N workers, one per
 file at most: this process is worker 0 and forks the others. Worker k
 solves files k, k + N, k + 2N, ... in input order and stops at its
 first failed file; the run raises the failure with the lowest file
-index, as --jobs 1 does, and writes the same output bytes. Exit
-codes: 0 ok, 1 a solve worker died, 2 IO, 3 format, 4 consistency or
-a bad option value, including a flag that does not parse; errors go to
-stderr as one JSON line each. Output files are written atomically and
-closed before main returns, so at exit the interpreter skips its
-garbage collection of the run's objects (gc.freeze) and the operating
-system reclaims their memory.
+index, as --jobs 1 does, and writes the same output bytes; a
+worker's exception carries the worker's traceback as its cause. Exit
+codes: 0 ok, 1 a solve worker died or could not pass its exception
+back, 2 IO, 3 format, 4 consistency or a bad option value, including a
+flag that does not parse; errors go to stderr as one JSON line each.
+Output files are written atomically and closed before main returns,
+so at exit the interpreter skips its garbage collection of the run's
+objects (gc.freeze) and the operating system reclaims their memory.
 
 Importing this module loads neither numpy nor the numeric modules:
 each subcommand imports what it runs when it runs, so `report` needs
@@ -397,13 +398,11 @@ def _solve_share(config, grid, files, first, step):
 def _fork_worker(config, grid, files, first, step):
     """Fork a child that solves its share of `files`; (pid, pipe read end).
 
-    The child writes its failure, pickled, to the pipe, or nothing when
-    its share is solved, and leaves through os._exit: it runs no atexit
-    hook and flushes no buffer it inherited. It exits 1 if it cannot
-    report.
+    The child writes its failure's report (`_report`) to the pipe, or
+    nothing when its share is solved, and leaves through os._exit: it
+    runs no atexit hook and flushes no buffer it inherited. It exits 1
+    if it cannot report.
     """
-    import pickle
-
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -418,7 +417,7 @@ def _fork_worker(config, grid, files, first, step):
     try:
         os.close(read)
         failure = _solve_share(config, grid, files, first, step)
-        message = b"" if failure is None else pickle.dumps(failure)
+        message = b"" if failure is None else _report(*failure)
         with open(write, "wb") as f:
             f.write(message)
         code = 0
@@ -426,22 +425,67 @@ def _fork_worker(config, grid, files, first, step):
         os._exit(code)
 
 
-def _join_worker(pid, read):
-    """Reap a forked worker: its failure, or None when it solved its share.
+def _report(index, exc):
+    """A child's failure on file `index`, pickled with its formatted traceback.
 
-    A worker that exits non-zero without a report died. Its failure
-    takes index -1, so that it outranks every file's.
+    The exception is pickled on its own, inside the report, so that a
+    parent that cannot rebuild it still reads the index and the
+    traceback; an exception that will not pickle is sent as None.
+    """
+    import pickle
+    import traceback
+
+    text = "".join(traceback.format_exception(exc))
+    try:
+        pickled = pickle.dumps(exc)
+    except Exception:
+        pickled = None
+    return pickle.dumps((index, text, pickled))
+
+
+class _RemoteTraceback(Exception):
+    """A forked worker's formatted traceback, the cause of the failure it sent."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _join_worker(pid, read):
+    """Read a forked worker's report, then reap it: (report, exit code)."""
+    with open(read, "rb") as f:
+        report = f.read()
+    return report, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _worker_failure(files, report, code):
+    """A reaped worker's failure as (file index, exception), or None when it solved its share.
+
+    The exception is raised with the child's traceback as its cause,
+    as concurrent.futures does. One that cannot be rebuilt here becomes
+    a WorkerDiedError on the same file with that cause. A worker that
+    exits non-zero without a report died: its failure takes index -1,
+    so that it outranks every file's.
     """
     import pickle
 
-    with open(read, "rb") as f:
-        message = f.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if message:
-        return pickle.loads(message)
-    if code != 0:
-        return -1, WorkerDiedError(f"a solve worker process died with exit code {code}")
-    return None
+    if not report:
+        if code != 0:
+            return -1, WorkerDiedError(f"a solve worker process died with exit code {code}")
+        return None
+    index, text, pickled = pickle.loads(report)
+    try:
+        exc = None if pickled is None else pickle.loads(pickled)
+    except Exception:
+        # Its class does not rebuild from the arguments it pickled.
+        exc = None
+    if exc is None:
+        failed = text.rstrip().rpartition("\n")[2]
+        exc = WorkerDiedError(
+            f"a solve worker failed on {files[index]} and could not pass its"
+            f" exception back: {failed}"
+        )
+    exc.__cause__ = _RemoteTraceback(text)
+    return index, exc
 
 
 def _solve_files(config, grid, files, workers):
@@ -450,9 +494,9 @@ def _solve_files(config, grid, files, workers):
     Forked children inherit the config, the grid and every loaded
     module; a solve's many small numpy calls hold the GIL, so threads
     would not run in parallel. Worker k solves files k, k + workers, ...
-    Every child is reaped, also when this process's share fails, and
-    the failure with the lowest file index is raised: the one a serial
-    solve raises.
+    Every child is read and reaped before any report is decoded, also
+    when this process's share fails, and the failure with the lowest
+    file index is raised: the one a serial solve raises.
     """
     children, failures = [], []
     try:
@@ -460,7 +504,8 @@ def _solve_files(config, grid, files, workers):
             children.append(_fork_worker(config, grid, files, k, workers))
         failures.append(_solve_share(config, grid, files, 0, workers))
     finally:
-        failures += [_join_worker(pid, read) for pid, read in children]
+        reports = [_join_worker(pid, read) for pid, read in children]
+    failures += [_worker_failure(files, *r) for r in reports]
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

@@ -7,7 +7,7 @@ arguments.
 
 
 class WorkerDiedError(RuntimeError):
-    """A worker process of a parallel solve died before its file was solved."""
+    """A worker process of a parallel solve died, or could not pass back why its file failed."""
 
 
 class FormatError(ValueError):

@@ -256,20 +256,39 @@ def super_fibonacci_quats(n):
 
     Double spiral on S^3 driven by sqrt(2) and the positive real root of
     x^4 = x + 4; seed-independent by construction.
+
+    Returns the (n, 4) transpose of a contiguous (4, n) array, the
+    grid's layout (see `SO3Grid`). Each component is computed in its
+    own row, with two n-vectors of scratch, and each quaternion is
+    divided by the root of ((a^2 + b^2) + c^2) + d^2, the sum
+    `quat_normalize` takes: the values are those of normalizing the
+    stacked (n, 4) components.
     """
     phi = math.sqrt(2.0)
     psi = 1.533751168755204288118041
-    s = np.arange(n, dtype=np.float64) + 0.5
-    t = s / n
-    r = np.sqrt(t)
-    rr = np.sqrt(1.0 - t)
-    alpha = 2.0 * math.pi * s / phi
-    beta = 2.0 * math.pi * s / psi
-    q = np.stack(
-        [r * np.sin(alpha), r * np.cos(alpha), rr * np.sin(beta), rr * np.cos(beta)],
-        axis=1,
-    )
-    return quat_normalize(q)
+    q = np.empty((4, n))
+    s = np.arange(n, dtype=np.float64)
+    s += 0.5
+    # Rows 0 and 1 are the sin and cos of 2 pi s / phi times sqrt(t),
+    # rows 2 and 3 those of 2 pi s / psi times sqrt(1 - t), t = s / n.
+    for k, turn in ((0, phi), (2, psi)):
+        np.multiply(2.0 * math.pi, s, out=q[k])
+        q[k] /= turn
+        np.cos(q[k], out=q[k + 1])
+        np.sin(q[k], out=q[k])
+    s /= n
+    rr = np.subtract(1.0, s)
+    for k, scale in ((0, s), (2, rr)):
+        np.sqrt(scale, out=scale)
+        q[k] *= scale
+        q[k + 1] *= scale
+    # s and rr are free again: the squared norm and each term of it.
+    norm = np.multiply(q[0], q[0], out=s)
+    for k in range(1, 4):
+        norm += np.multiply(q[k], q[k], out=rr)
+    np.sqrt(norm, out=norm)
+    q /= norm
+    return q.T
 
 
 def _half_angle(abs_dot):
@@ -426,6 +445,19 @@ def _cube_buckets(queries, levels):
     return code, face, b
 
 
+def _grid_keys(quats, levels, key):
+    """key(code, face, bins) of each grid point's `_cube_buckets`, as int64.
+
+    Points are taken _TABLE_PAIRS at a time, so only the keys are kept
+    at the grid's size; the faces, bins and float temporaries stay
+    chunk-sized.
+    """
+    out = np.empty(quats.shape[0], dtype=np.int64)
+    for s in range(0, quats.shape[0], _TABLE_PAIRS):
+        out[s : s + _TABLE_PAIRS] = key(*_cube_buckets(quats[s : s + _TABLE_PAIRS], levels))
+    return out
+
+
 @functools.cache
 def _spread(levels):
     """Each bin below 2**levels with bit k of it moved to bit 3k."""
@@ -534,6 +566,27 @@ class NearestTable:
         return np.maximum.reduceat(values[self.entries.astype(np.intp)], self.ptr[:-1])
 
 
+def _run_radii(quats, order, ptr, centers):
+    """Per run k of grid points order[ptr[k]:ptr[k + 1]], the largest theta to centers[k].
+
+    Whole runs are taken in chunks of about _TABLE_PAIRS points. Each
+    |dot| is summed a component at a time, in the order of
+    `_kernels.fixed_abs_dots`, so no (points, 4) gather is made.
+    """
+    lens = np.diff(ptr)
+    radius = np.empty(lens.shape[0])
+    for s, e in _chunks(lens):
+        points = order[ptr[s] : ptr[e]]
+        dot = np.zeros(points.shape[0])
+        for k in range(4):
+            term = np.take(quats[:, k], points)
+            term *= np.repeat(centers[s:e, k], lens[s:e])
+            dot += term
+        np.abs(dot, out=dot)
+        radius[s:e] = np.maximum.reduceat(_half_angle(dot), ptr[s:e] - ptr[s])
+    return radius
+
+
 class CellIndex:
     """Coarse partition of a grid into cells, for bounds over many points.
 
@@ -551,28 +604,36 @@ class CellIndex:
     numbered in bucket order, so parent p's cells are the run
     `parent_start[p]:parent_start[p + 1]`, and each parent keeps its box
     center and the largest theta from it to a point it owns.
+
+    Of the grid's size it keeps only `owner` and `order`, int32 each.
+    The build holds no other array of that size but the bucket codes
+    (`_grid_keys`): a cell's box center comes from the face and bins of
+    its first point, and a parent's from its first cell's. The radii
+    are read along `order`, whole cells a chunk at a time (`_run_radii`).
     """
 
     def __init__(self, quats):
         self.level = _cube_level(quats.shape[0], 3.5 / 64.0)
-        bucket, face, bins = _cube_buckets(quats, self.level)
-        _, first, owner = np.unique(bucket, return_index=True, return_inverse=True)
-        self.centers = np.ascontiguousarray(_box_centers(face[first], bins[first], self.level).T).T
+        bucket = _grid_keys(quats, self.level, lambda code, face, bins: code)
+        counts = np.bincount(bucket)
+        codes = np.flatnonzero(counts)
         # int32 halves the two G-sized arrays; grids stay far below 2^31.
-        self.owner = owner.astype(np.int32)
+        cell_of = np.zeros(counts.shape[0], dtype=np.int32)
+        cell_of[codes] = np.arange(codes.shape[0])
+        self.owner = cell_of[bucket]
+        del bucket
         self.order = np.argsort(self.owner, kind="stable").astype(np.int32)
-        self.start = np.concatenate([[0], np.cumsum(np.bincount(owner))])
-        ordered, cell = quats[self.order], owner[self.order]
-        dot = _kernels.fixed_abs_dots(ordered, self.centers[cell])
-        self.radius = np.maximum.reduceat(_half_angle(dot), self.start[:-1])
+        self.start = np.concatenate([[0], np.cumsum(counts[codes])])
+        _, face, bins = _cube_buckets(quats[self.order[self.start[:-1]]], self.level)
+        self.centers = np.ascontiguousarray(_box_centers(face, bins, self.level).T).T
+        self.radius = _run_radii(quats, self.order, self.start, self.centers)
         up = min(1, self.level)
-        _, runs = np.unique(bucket[first] >> 3 * up, return_index=True)
-        self.parent_start = np.append(runs, first.shape[0])
-        lead = first[runs]
-        self.parent_centers = _box_centers(face[lead], bins[lead] >> up, self.level - up)
-        parent = np.repeat(np.arange(runs.shape[0]), np.diff(self.parent_start))
-        dot = _kernels.fixed_abs_dots(ordered, self.parent_centers[parent[cell]])
-        self.parent_radius = np.maximum.reduceat(_half_angle(dot), self.start[runs])
+        _, runs = np.unique(codes >> 3 * up, return_index=True)
+        self.parent_start = np.append(runs, codes.shape[0])
+        self.parent_centers = _box_centers(face[runs], bins[runs] >> up, self.level - up)
+        self.parent_radius = _run_radii(
+            quats, self.order, self.start[self.parent_start], self.parent_centers
+        )
 
     def owned(self, cells):
         """The grid indices each of the given cells owns, concatenated, and their counts."""
@@ -589,6 +650,10 @@ class SO3Grid:
 
     `quats` is (G, 4), the transpose of a contiguous (4, G) array, so
     `_kernels.fixed_abs_dots` reads each component as a contiguous row.
+    `super_fibonacci_quats` builds that layout, which is kept without a
+    copy; any other (G, 4) array is copied into it once. The cell
+    index, the nearest table and the covering radius are built on first
+    use and kept with the grid.
     """
 
     quats: np.ndarray
@@ -662,25 +727,32 @@ def _covering_bounds(quats, probes):
     cube-map buckets, at the level with about 0.44 buckets per grid
     point, nearest to it on its own face (the face's one bucket at
     level 0). A probe whose block holds no point takes grid point 0
-    alone, so every bound is one of its probe's own |dot| values. Probes are taken in chunks of
-    about _TABLE_PAIRS (probe, point) pairs.
+    alone, so every bound is one of its probe's own |dot| values.
+    Probes are taken in chunks of about _TABLE_PAIRS (probe, point)
+    pairs, and the grid's bucket keys are built in chunks of its points
+    (`_grid_keys`).
     """
     levels = _cube_level(quats.shape[0], 3.5 / 8.0)
     n = 1 << levels
     w = min(2, n)
+
+    def row_major(face, bins):
+        return ((face * n + bins[:, 0]) * n + bins[:, 1]) * n + bins[:, 2]
+
     # Buckets numbered face by face, bins in row-major order.
-    _, face, bins = _cube_buckets(quats, levels)
-    key = ((face * n + bins[:, 0]) * n + bins[:, 1]) * n + bins[:, 2]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=4 * n**3))])
+    key = _grid_keys(quats, levels, lambda code, face, bins: row_major(face, bins))
+    size = np.bincount(key, minlength=4 * n**3)
+    ptr = np.concatenate([[0], np.cumsum(size)])
     entries = np.argsort(key, kind="stable")
+    del key
     # A probe's bin one level down is the half of its bucket it lies
     # in, which names the nearer neighbour on each axis.
     _, face, fine = _cube_buckets(probes, levels + 1)
     lo = np.clip((fine - 1) >> 1, 0, n - w)
     step = np.arange(w)
     offsets = ((step[:, None, None] * n + step[:, None]) * n + step).ravel()
-    keys = (((face * n + lo[:, 0]) * n + lo[:, 1]) * n + lo[:, 2])[:, None] + offsets
-    counts = (ptr[keys + 1] - ptr[keys]).sum(axis=1)
+    keys = row_major(face, lo)[:, None] + offsets
+    counts = size[keys].sum(axis=1)
     lens = np.maximum(counts, 1)
     bound = np.empty(probes.shape[0])
     for s, e in _chunks(lens):

@@ -16,7 +16,6 @@ import numpy as np
 
 from ._fileio import json_text, read_json, write_text_atomic
 from .errors import FormatError
-from .evaluation import scene_scale
 from .frame import CameraPose
 from .so3 import (
     axis_angle_rotation,
@@ -86,6 +85,10 @@ def generate_scene(rig: RigSpec) -> SyntheticScene:
     Jitter draws are consumed even when jitter is zero, so rigs that
     differ only in the jitter amount share camera placements.
     """
+    # Here, not at module level: solve loads this module and never
+    # generates a scene, so it needs no evaluation module.
+    from .evaluation import scene_scale
+
     rng = np.random.Generator(np.random.PCG64(rig.seed))
     lookat = np.array(rig.lookat)
     poses = []

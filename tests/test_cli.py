@@ -220,6 +220,69 @@ def test_dead_worker_fails_the_run_without_hanging(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "p" / "manifest.json").exists()
 
 
+def test_child_exception_carries_the_child_traceback(tmp_path, monkeypatch):
+    # An exception a forked child raises reaches this process without
+    # its frames; they come back as its cause.
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 2)
+    parent, solve = os.getpid(), cli.solve
+
+    def nested_lookup():
+        return {}["only in the child"]
+
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            nested_lookup()
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "solve", fail_in_child)
+    with pytest.raises(KeyError) as raised:
+        run(*solve_args(scenes, tmp_path / "p"), "--jobs", "2")
+    assert_no_children()
+    child = str(raised.value.__cause__)
+    assert "in nested_lookup" in child and "in fail_in_child" in child
+    assert "KeyError: 'only in the child'" in child
+
+
+class TwoArgumentError(Exception):
+    """Pickles its one message, so unpickling calls it with one argument and fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize("unpicklable", [False, True], ids=["will-not-load", "will-not-dump"])
+def test_unreadable_child_exception_is_a_worker_died_error(tmp_path, monkeypatch, capsys, unpicklable):
+    scenes = tmp_path / "scenes"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 3, "--seed", 2)
+    capsys.readouterr()
+
+    class LocalError(Exception):
+        pass  # a local class pickles by a name no module holds
+
+    error = LocalError("local") if unpicklable else TwoArgumentError("spoiled", "a child")
+    parent, solve = os.getpid(), cli.solve
+
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            raise error
+        return solve(*args)
+
+    failures, fail = [], cli._fail
+    monkeypatch.setattr(cli, "solve", fail_in_child)
+    monkeypatch.setattr(cli, "_fail", lambda exc, code: failures.append(exc) or fail(exc, code))
+    # Files 1 and 2 fail in two children; the lower one is raised.
+    assert run(*solve_args(scenes, tmp_path / "p"), "--jobs", "3") == 1
+    assert_no_children()
+    [line] = capsys.readouterr().err.splitlines()
+    reported = json.loads(line)
+    assert reported["error"] == "WorkerDiedError" and reported["exit_code"] == 1
+    assert str(scenes / "scene_001.json") in reported["message"]
+    assert type(error).__name__ in reported["message"]
+    assert "in fail_in_child" in str(failures[0].__cause__)
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
 def fresh_interpreter(code):
     """Run `code` in a new interpreter on this checkout; its stdout, stripped."""
     src = str(Path(cli.__file__).parents[1])
@@ -267,6 +330,20 @@ def test_zero_noise_parallel_solve_loads_no_pool_and_no_random(tmp_path):
     heavy = {"multiprocessing", "concurrent.futures", "numpy.random"}
     assert loaded_after(setup, heavy) == []
     assert len(list(preds.glob("scene_*.json"))) == 3
+
+
+@pytest.mark.parametrize("inputs", ["scenes", "tables"])
+def test_solves_leave_the_evaluation_module_out(tmp_path, inputs):
+    # A solve reads scenes or tables; it never evaluates, so it does not
+    # load or compile `svpose.evaluation`.
+    scenes, preds = tmp_path / "scenes", tmp_path / "p"
+    run("synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 2, "--emit-tables", "--grid-n", 72)
+    argv = ["solve", "-o", str(preds), f"--{inputs}", str(scenes), "--grid-n", "72"]
+    if inputs == "tables":
+        argv += ["--translation", "constant-z"]
+    setup = f"from svpose.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(setup, {"svpose.evaluation", "svpose.synth"}) == ["svpose.synth"]
+    assert len(list(preds.glob("scene_*.json"))) == 2
 
 
 def test_exit_hooks_registered_before_main_run_after_the_freeze(tmp_path):

@@ -504,3 +504,87 @@ def test_parents_are_the_cells_buckets_one_level_up(n):
     if n >= 4608:
         # 32 and 256 parents: every bucket one level up owns points.
         assert counts.shape[0] == 4 * 8 ** (cells.level - 1)
+
+
+def reference_super_fibonacci(n):
+    """The grid as built from six n-vectors, a stacked (n, 4) copy and `quat_normalize`."""
+    phi, psi = math.sqrt(2.0), 1.533751168755204288118041
+    s = np.arange(n, dtype=np.float64) + 0.5
+    r, rr = np.sqrt(s / n), np.sqrt(1.0 - s / n)
+    alpha, beta = 2.0 * math.pi * s / phi, 2.0 * math.pi * s / psi
+    q = np.stack(
+        [r * np.sin(alpha), r * np.cos(alpha), rr * np.sin(beta), rr * np.cos(beta)], axis=1
+    )
+    return so3.quat_normalize(q)
+
+
+def reference_cell_index(quats):
+    """`CellIndex`'s arrays from whole-grid buckets, `np.unique` and (G, 4) gathers."""
+    level = so3._cube_level(quats.shape[0], 3.5 / 64.0)
+    bucket, face, bins = so3._cube_buckets(quats, level)
+    _, first, owner = np.unique(bucket, return_index=True, return_inverse=True)
+    centers = so3._box_centers(face[first], bins[first], level)
+    order = np.argsort(owner, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(owner))])
+    ordered, cell = quats[order], owner[order]
+    dot = _kernels.fixed_abs_dots(ordered, centers[cell])
+    radius = np.maximum.reduceat(np.arccos(np.minimum(dot, 1.0)), start[:-1])
+    up = min(1, level)
+    _, runs = np.unique(bucket[first] >> 3 * up, return_index=True)
+    parent_start = np.append(runs, first.shape[0])
+    lead = first[runs]
+    parent_centers = so3._box_centers(face[lead], bins[lead] >> up, level - up)
+    parent = np.repeat(np.arange(runs.shape[0]), np.diff(parent_start))
+    dot = _kernels.fixed_abs_dots(ordered, parent_centers[parent[cell]])
+    parent_radius = np.maximum.reduceat(np.arccos(np.minimum(dot, 1.0)), start[runs])
+    return {
+        "centers": centers, "owner": owner.astype(np.int32), "order": order.astype(np.int32),
+        "start": start, "radius": radius, "parent_start": parent_start,
+        "parent_centers": parent_centers, "parent_radius": parent_radius,
+    }
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [576, 4608, 36864, "clustered"])
+def test_grid_and_cell_index_match_their_reference_builds(n):
+    # The in-place and chunked builds give the reference's bits. (The
+    # covering radius at these sizes is pinned in COVERING.)
+    if n == "clustered":  # most cells own no point
+        grid = clustered_grid(4608, 29)
+    else:
+        grid = so3.build_grid(n)
+        assert same_bits(grid.quats, reference_super_fibonacci(n))
+    cells = grid.cells
+    assert cells.level == so3._cube_level(grid.n, 3.5 / 64.0)
+    for name, want in reference_cell_index(grid.quats).items():
+        assert same_bits(getattr(cells, name), want), name
+
+
+def traced_peak(build):
+    """build() and the peak of the memory it allocates, as tracemalloc counts it."""
+    import tracemalloc
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        built = build()
+        return built, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_grid_and_cell_index_builds_make_no_grid_sized_copies():
+    # A (G, 4) float64 temporary alone would be 1x the grid's size; the
+    # whole-grid builds peaked at 4.0x (grid) and 4.9x (cell index).
+    so3.build_grid(72).cells
+    grid, peak = traced_peak(lambda: so3.build_grid(36864))
+    size = grid.quats.nbytes
+    assert peak < 2.5 * size
+    assert traced_peak(lambda: grid.cells)[1] < 2.5 * size
