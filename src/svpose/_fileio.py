@@ -2,7 +2,6 @@
 
 import json
 import os
-import tempfile
 
 from .errors import FormatError
 
@@ -42,13 +41,31 @@ def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
+def write_bytes_atomic(path, data) -> None:
+    """Write `data`, bytes or an iterable of bytes-like chunks, to `path` atomically.
+
+    The chunks go in turn to a sibling temp file, created with mode
+    0o666 less the umask as `open` would create it, which then replaces
+    `path`. On any failure the temp file is removed and `path` is left
+    as it was.
+    """
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    chunks = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
+    # Created with mode 0o666, which the umask then narrows, where
+    # tempfile.mkstemp makes every file 0o600. O_EXCL skips a random
+    # name that some file already holds.
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -7,8 +7,8 @@ first maximum wins, so a grid argmax breaks ties toward the lowest
 index.
 
 The grid-sized kernels work through their rows in blocks of about
-`_BLOCK_ENTRIES` entries and reuse each block's buffer in place, so no
-full rows x grid product is ever held.
+`_BLOCK_ENTRIES` entries, written into two buffers made once per scan
+(`_blocks`), so no full rows x grid product is ever held.
 
 One rounding rule: every kernel takes its |dot| values from
 `fixed_abs_dots`, which sums the four terms in one fixed order, so a
@@ -60,36 +60,55 @@ def min_angle_sq_to_targets(quats, targets):
     return min_angle_sq_stacked(quats, targets)
 
 
-def fixed_abs_dots(a, b):
-    """|((a0 b0 + a1 b1) + a2 b2) + a3 b3| over broadcast (..., 4) arrays."""
-    out = a[..., 0] * b[..., 0]
-    out += a[..., 1] * b[..., 1]
-    out += a[..., 2] * b[..., 2]
-    out += a[..., 3] * b[..., 3]
+def fixed_abs_dots(a, b, out=None, scratch=None):
+    """|((a0 b0 + a1 b1) + a2 b2) + a3 b3| over broadcast (..., 4) arrays.
+
+    `out` and `scratch`, arrays of the broadcast shape, take the result
+    and each later product when given, so a loop over blocks can reuse
+    two buffers; the values are the same either way.
+    """
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
+    for k in range(1, 4):
+        out += np.multiply(a[..., k], b[..., k], out=scratch)
     np.abs(out, out=out)
     return out
+
+
+def _blocks(queries, grid):
+    """(start, rows, |dot| block) per block of queries against the whole grid.
+
+    Every block is written into the same two buffers, allocated once
+    per scan. A fresh block per row of a G=36864 scan is a 288 kB
+    allocation, which glibc maps and faults in anew each time unless
+    earlier frees have raised its mmap threshold: a fresh process's
+    covering radius took 57 ms that way against 43 ms.
+    """
+    step = _block_rows(grid.shape[0])
+    out = np.empty((min(step, queries.shape[0]), grid.shape[0]))
+    scratch = np.empty_like(out)
+    for s in range(0, queries.shape[0], step):
+        q = queries[s : s + step, None, :]
+        m = q.shape[0]
+        yield s, m, fixed_abs_dots(q, grid, out[:m], scratch[:m])
 
 
 def nearest_abs_dots(queries, grid):
     """Index of each query's nearest grid quaternion, and its |dot| from `fixed_abs_dots`."""
     n = queries.shape[0]
-    step = _block_rows(grid.shape[0])
     idx = np.empty(n, dtype=np.int64)
     dot = np.empty(n)
-    for s in range(0, n, step):
-        block = fixed_abs_dots(queries[s : s + step, None, :], grid)
+    for s, m, block in _blocks(queries, grid):
         k = block.argmax(axis=1)
-        idx[s : s + step] = k
-        dot[s : s + step] = block[np.arange(block.shape[0]), k]
+        idx[s : s + m] = k
+        dot[s : s + m] = block[np.arange(m), k]
     return idx, dot
 
 
 def min_max_abs_dot(samples, grid):
     """Smallest over the samples of each sample's largest |dot| with the grid."""
-    step = _block_rows(grid.shape[0])
     worst = np.inf
-    for s in range(0, samples.shape[0], step):
-        m = fixed_abs_dots(samples[s : s + step, None, :], grid).max(axis=1).min()
+    for _, _, block in _blocks(samples, grid):
+        m = block.max(axis=1).min()
         if m < worst:
             worst = m
     return worst

@@ -279,8 +279,10 @@ def cmd_synth(config: RunConfig):
                 scene, kappa=config.kappa, noise_angle=config.noise_angle
             )
             n = rig.n_cameras
+            # Each row cast to the table's float32 as it is scored, so
+            # the float64 rows are never all held at once.
             rows = {
-                (i, j): score_over_grid(scorer, i, j, table_grid)
+                (i, j): score_over_grid(scorer, i, j, table_grid).astype("float32")
                 for i in range(n)
                 for j in range(i + 1, n)
             }

@@ -33,6 +33,7 @@ Table rows are stored float32; every accumulation happens in float64.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -357,6 +358,12 @@ class EnergyTable:
         return 1 + max(max(i, j) for i, j in self.rows)
 
     def save(self, path):
+        """Write the table as an .rpet file: the header, then each pair and its row.
+
+        Pairs go in ascending (i, j) order, each row as little-endian
+        float32. The file is written a row at a time from the rows
+        themselves, so saving holds no copy of the table.
+        """
         head = TABLE_MAGIC + struct.pack(
             "<IBIQI",
             TABLE_VERSION,
@@ -365,18 +372,28 @@ class EnergyTable:
             self.grid_spec.seed,
             len(self.rows),
         )
-        parts = [head]
-        for (i, j) in sorted(self.rows):
-            parts.append(struct.pack("<HH", i, j))
-            parts.append(
-                np.ascontiguousarray(self.rows[(i, j)], dtype="<f4").tobytes()
-            )
-        write_bytes_atomic(path, b"".join(parts))
+
+        def chunks():
+            yield head
+            for i, j in sorted(self.rows):
+                yield struct.pack("<HH", i, j)
+                yield np.ascontiguousarray(self.rows[(i, j)], dtype="<f4")
+
+        write_bytes_atomic(path, chunks())
 
 
 def load_table(path) -> EnergyTable:
+    """The EnergyTable in an .rpet file; its rows are views of the one copy read.
+
+    Each row's scores start 1 byte past a multiple of 4 in the file (a
+    25-byte header, then 4 bytes of pair before each row of 4-byte
+    scores), so the file is read 3 bytes into an aligned buffer, where
+    every row is an aligned float32 array.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
+        buf = np.empty(os.fstat(f.fileno()).st_size + 3, dtype=np.uint8)
+        read = f.readinto(memoryview(buf)[3:])
+    blob = memoryview(buf)[3 : 3 + read]
     if blob[:4] != TABLE_MAGIC:
         raise FormatError(f"{path}: not an energy table file")
     if len(blob) < 4 + 21:
@@ -401,9 +418,7 @@ def load_table(path) -> EnergyTable:
             raise CorruptTableError(f"{path}: pair ({i}, {j}) is degenerate")
         if (i, j) in rows:
             raise CorruptTableError(f"{path}: duplicate pair ({i}, {j})")
-        rows[(i, j)] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(
-            np.float32
-        )
+        rows[(i, j)] = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
         off += row_bytes
     if off != len(blob):
         raise CorruptTableError(f"{path}: {len(blob) - off} trailing bytes")

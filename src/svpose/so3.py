@@ -69,8 +69,9 @@ _COARSE_TABLE_POINTS = 4608
 # Slack on bounds over a cell, in radians; far above the rounding error
 # of arccos near 1 (about 1.5e-8).
 _CELL_SLACK = 1e-6
-# Pairs per chunk of the nearest table's build and lookups and of the
-# covering's bounds; each temporary stays a few hundred kB.
+# Pairs per chunk of the nearest table's build, lookups and list maxima
+# and of the covering's bounds, and entries per chunk of a grid's bucket
+# keys (`_grid_keys`); each temporary stays a few hundred kB.
 _TABLE_PAIRS = 1 << 14
 # Slack on the table's keep test, in face coordinates. The test runs in
 # float32 (u = 2^-24) on terms whose magnitudes sum to at most
@@ -308,13 +309,13 @@ def _gather(ptr, entries, lists):
     return entries[src], lens
 
 
-def _chunks(lens):
-    """Runs s:e of rows whose `lens` sum to about _TABLE_PAIRS, or one longer row."""
+def _chunks(lens, pairs=_TABLE_PAIRS):
+    """Runs s:e of rows whose `lens` sum to about `pairs`, or one longer row."""
     ends = np.cumsum(lens)
     s = 0
     while s < ends.shape[0]:
         done = int(ends[s - 1]) if s else 0
-        e = max(s + 1, int(np.searchsorted(ends, done + _TABLE_PAIRS, side="right")))
+        e = max(s + 1, int(np.searchsorted(ends, done + pairs, side="right")))
         yield s, e
         s = e
 
@@ -323,13 +324,19 @@ def _first_best(quats, queries, cand, lens):
     """Each query's first nearest among its candidates, and its fixed-order |dot|.
 
     Query m's candidates are the next `lens[m]` (at least 1) grid
-    indices of `cand`. Queries and candidates are gathered
-    component-major, (4, pairs), so every gather reads whole rows of the
-    grid's (4, G) layout (see `SO3Grid`).
+    indices of `cand`. Each |dot| is summed a component at a time, in
+    the order of `_kernels.fixed_abs_dots`, from gathers of one row of
+    the grid's (4, G) layout (see `SO3Grid`), so no (pairs, 4) array of
+    queries or candidates is made.
     """
     starts = np.cumsum(lens) - lens
-    q = np.repeat(queries.T, lens, axis=1)
-    d = _kernels.fixed_abs_dots(q.T, np.take(quats.T, cand, axis=1).T)
+    d = np.take(quats[:, 0], cand)
+    d *= np.repeat(queries[:, 0], lens)
+    for k in range(1, 4):
+        term = np.take(quats[:, k], cand)
+        term *= np.repeat(queries[:, k], lens)
+        d += term
+    np.abs(d, out=d)
     best = np.maximum.reduceat(d, starts)
     at = np.where(d == np.repeat(best, lens), np.arange(d.shape[0]), d.shape[0])
     return cand[np.minimum.reduceat(at, starts)], best
@@ -446,15 +453,18 @@ def _cube_buckets(queries, levels):
 
 
 def _grid_keys(quats, levels, key):
-    """key(code, face, bins) of each grid point's `_cube_buckets`, as int64.
+    """key(code, face, bins) of each grid point's `_cube_buckets`, as int32.
 
-    Points are taken _TABLE_PAIRS at a time, so only the keys are kept
-    at the grid's size; the faces, bins and float temporaries stay
-    chunk-sized.
+    Points are taken _TABLE_PAIRS // 4 at a time, so only the keys are
+    kept at the grid's size; the faces, bins and float temporaries, 3 or
+    4 entries per point, stay within _TABLE_PAIRS entries. Every key
+    here is below 4 * 8**levels, far below 2^31 at any level a grid
+    reaches.
     """
-    out = np.empty(quats.shape[0], dtype=np.int64)
-    for s in range(0, quats.shape[0], _TABLE_PAIRS):
-        out[s : s + _TABLE_PAIRS] = key(*_cube_buckets(quats[s : s + _TABLE_PAIRS], levels))
+    out = np.empty(quats.shape[0], dtype=np.int32)
+    step = _TABLE_PAIRS // 4
+    for s in range(0, quats.shape[0], step):
+        out[s : s + step] = key(*_cube_buckets(quats[s : s + step], levels))
     return out
 
 
@@ -562,20 +572,28 @@ class NearestTable:
         A lookup's answer lies in its bucket's list, so this bounds
         `values` at the nearest point of every query in the bucket.
         """
-        # Gathered through intp indices, which numpy indexes fastest.
-        return np.maximum.reduceat(values[self.entries.astype(np.intp)], self.ptr[:-1])
+        # Gathered through intp indices, which numpy indexes fastest,
+        # cast _TABLE_PAIRS entries at a time: no intp copy of every
+        # entry is made.
+        picked = np.empty(self.entries.shape[0], dtype=values.dtype)
+        for s in range(0, picked.shape[0], _TABLE_PAIRS):
+            chunk = self.entries[s : s + _TABLE_PAIRS].astype(np.intp)
+            picked[s : s + _TABLE_PAIRS] = values[chunk]
+        return np.maximum.reduceat(picked, self.ptr[:-1])
 
 
 def _run_radii(quats, order, ptr, centers):
     """Per run k of grid points order[ptr[k]:ptr[k + 1]], the largest theta to centers[k].
 
-    Whole runs are taken in chunks of about _TABLE_PAIRS points. Each
-    |dot| is summed a component at a time, in the order of
+    Whole runs are taken in chunks of about _TABLE_PAIRS // 4 points,
+    so the float64 temporaries (the sums, a term, a repeated center
+    component, the angles) stay near _TABLE_PAIRS entries. Each |dot| is
+    summed a component at a time, in the order of
     `_kernels.fixed_abs_dots`, so no (points, 4) gather is made.
     """
     lens = np.diff(ptr)
     radius = np.empty(lens.shape[0])
-    for s, e in _chunks(lens):
+    for s, e in _chunks(lens, _TABLE_PAIRS // 4):
         points = order[ptr[s] : ptr[e]]
         dot = np.zeros(points.shape[0])
         for k in range(4):
@@ -606,10 +624,13 @@ class CellIndex:
     center and the largest theta from it to a point it owns.
 
     Of the grid's size it keeps only `owner` and `order`, int32 each.
-    The build holds no other array of that size but the bucket codes
-    (`_grid_keys`): a cell's box center comes from the face and bins of
-    its first point, and a parent's from its first cell's. The radii
+    The build holds no other array of that size but the int32 bucket
+    codes, computed _TABLE_PAIRS // 4 points at a time (`_grid_keys`),
+    and `order`'s sort: a cell's box center comes from the face and bins
+    of its first point, and a parent's from its first cell's. The radii
     are read along `order`, whole cells a chunk at a time (`_run_radii`).
+    At G=36864 the build peaks at about 0.7 times the grid's
+    quaternions (`tracemalloc`).
     """
 
     def __init__(self, quats):
@@ -728,9 +749,14 @@ def _covering_bounds(quats, probes):
     point, nearest to it on its own face (the face's one bucket at
     level 0). A probe whose block holds no point takes grid point 0
     alone, so every bound is one of its probe's own |dot| values.
-    Probes are taken in chunks of about _TABLE_PAIRS (probe, point)
-    pairs, and the grid's bucket keys are built in chunks of its points
-    (`_grid_keys`).
+
+    Of the grid's size it holds only the bucket lists' int32 `entries`
+    and, while they are sorted, the int32 bucket keys (`_grid_keys`).
+    Probes are taken _TABLE_PAIRS // 16 at a time: a probe's 8 buckets
+    hold about 18 grid points, so a chunk's keys, bins and gathered
+    candidates stay near _TABLE_PAIRS entries, and its (probe, point)
+    pairs are scanned in runs of about _TABLE_PAIRS (`_chunks`). Each
+    probe's bound is the same whatever chunk it is in.
     """
     levels = _cube_level(quats.shape[0], 3.5 / 8.0)
     n = 1 << levels
@@ -743,23 +769,26 @@ def _covering_bounds(quats, probes):
     key = _grid_keys(quats, levels, lambda code, face, bins: row_major(face, bins))
     size = np.bincount(key, minlength=4 * n**3)
     ptr = np.concatenate([[0], np.cumsum(size)])
-    entries = np.argsort(key, kind="stable")
+    entries = np.argsort(key, kind="stable").astype(np.int32)
     del key
-    # A probe's bin one level down is the half of its bucket it lies
-    # in, which names the nearer neighbour on each axis.
-    _, face, fine = _cube_buckets(probes, levels + 1)
-    lo = np.clip((fine - 1) >> 1, 0, n - w)
     step = np.arange(w)
     offsets = ((step[:, None, None] * n + step[:, None]) * n + step).ravel()
-    keys = row_major(face, lo)[:, None] + offsets
-    counts = size[keys].sum(axis=1)
-    lens = np.maximum(counts, 1)
     bound = np.empty(probes.shape[0])
-    for s, e in _chunks(lens):
-        cand = _gather(ptr, entries, keys[s:e].ravel())[0]
-        # A probe whose block is empty takes grid point 0 alone.
-        cand = np.insert(cand, np.cumsum(counts[s:e])[counts[s:e] == 0], 0)
-        bound[s:e] = _first_best(quats, probes[s:e], cand, lens[s:e])[1]
+    per = _TABLE_PAIRS // 16
+    for p0 in range(0, probes.shape[0], per):
+        chunk = probes[p0 : p0 + per]
+        # A probe's bin one level down is the half of its bucket it lies
+        # in, which names the nearer neighbour on each axis.
+        _, face, fine = _cube_buckets(chunk, levels + 1)
+        lo = np.clip((fine - 1) >> 1, 0, n - w)
+        keys = row_major(face, lo)[:, None] + offsets
+        counts = size[keys].sum(axis=1)
+        lens = np.maximum(counts, 1)
+        for s, e in _chunks(lens):
+            cand = _gather(ptr, entries, keys[s:e].ravel())[0]
+            # A probe whose block is empty takes grid point 0 alone.
+            cand = np.insert(cand, np.cumsum(counts[s:e])[counts[s:e] == 0], 0)
+            bound[p0 + s : p0 + e] = _first_best(quats, chunk[s:e], cand, lens[s:e])[1]
     return bound
 
 
@@ -813,8 +842,15 @@ def save_grid(grid: SO3Grid, path):
         GENERATOR_IDS[grid.spec.generator],
         grid.spec.seed,
     )
-    body = np.ascontiguousarray(grid.quats, dtype="<f8").tobytes()
-    write_bytes_atomic(path, head + body)
+
+    def chunks():
+        # The (G, 4) rows as little-endian float64, the grid's (4, G)
+        # layout transposed _TABLE_PAIRS // 4 rows at a time.
+        yield head
+        for s in range(0, grid.n, _TABLE_PAIRS // 4):
+            yield np.ascontiguousarray(grid.quats[s : s + _TABLE_PAIRS // 4], dtype="<f8")
+
+    write_bytes_atomic(path, chunks())
 
 
 def load_grid(path) -> SO3Grid:

@@ -53,7 +53,9 @@ rotation search. For every group at once, each against its own floor:
 The last evaluation holds the camera's current grid index too, so the
 argmax, its lowest-index tie-break and the strict-improvement test
 come from one evaluation and match a dense search. Groups are taken
-in chunks of `_STACK_PAIRS` (group, first-level node) pairs.
+in chunks of about `_STACK_PAIRS` (term, first-level node) pairs, and
+the last level's rows are scored `_STACK_PAIRS` (term, row) pairs at
+a time; a row's score does not depend on the rows scored beside it.
 Otherwise each group's whole grid is scored as one cell: one
 T x G x k comparison for a block update.
 
@@ -71,13 +73,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import SO3Grid, matrix_to_quat, nearest_in_grid, quat_conj, quat_mul, quat_to_matrix
+from . import _kernels
+from .so3 import SO3Grid, matrix_to_quat, quat_conj, quat_mul, quat_to_matrix
+from .so3 import nearest_in_grid  # noqa: F401  (perfbench/spans.py patches it here)
 
-# (group, node) pairs of a block's first level per chunk of a bounded
-# search, which keeps each temporary a few hundred kB however many
-# cameras there are: 64 groups over the 256 parents at G=36864, where
-# the spanning tree's 190 would otherwise take 2.5 MB.
-_STACK_PAIRS = 1 << 14
+# (term, node) pairs per evaluation of a bounded search, which keeps
+# each temporary near 100 kB however many cameras and candidates there
+# are: groups are taken as many at a time as put that many (term,
+# first-level node) pairs in one chunk, 16 of the spanning tree's 190
+# groups over the 256 parents at G=36864, and the last level's rows
+# are scored that many (term, row) pairs at a time. At 2^14, with the
+# last level scored whole, the spanning tree's row gathers would set
+# the G=36864 solve's peak. A table block update at G=4608 (5 terms, at
+# most about 230 rows to score in the benchmark's scenes) is one call.
+_STACK_PAIRS = 1 << 12
 
 
 @dataclass
@@ -135,6 +144,14 @@ def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     giving None, or needs a single group. The search is bounded over
     the block's levels, if it has any. A NaN in the objective it
     evaluates raises ValueError.
+
+    A bounded search takes as many groups at a time as put
+    `_STACK_PAIRS` (term, first-level node) pairs in one chunk (at least
+    one group), and scores each chunk's last-level rows in calls of at
+    most `_STACK_PAIRS` (term, row) pairs (at least one row), so its
+    temporaries stay near 100 kB whatever the number of cameras or the
+    share of the grid that reaches the floor. A row is scored once per
+    evaluation, and the answers do not depend on the chunks.
     """
     size = len(groups[0]) if groups else 0
     if any(len(group) != size for group in groups):
@@ -147,7 +164,7 @@ def grid_search(scorer, grid: SO3Grid, groups, current=-1):
     ids = np.arange(len(terms)).reshape(len(groups), size).T
     found = []
     if block.levels:
-        step = max(1, _STACK_PAIRS // _size(grid, block.levels[0]))
+        step = max(1, _STACK_PAIRS // (_size(grid, block.levels[0]) * max(1, size)))
         for s in range(0, len(groups), step):
             at, rows, obj = _bounded(grid, block, ids[:, s : s + step], current)
             cur = None if current < 0 else float(obj[np.searchsorted(rows, current)])
@@ -185,7 +202,14 @@ def _bounded(grid, block, ids, current=-1):
         return _summed(block.bounds(terms(at), level, nodes))
 
     def exact(at, rows):
-        return _refuse_nan(_summed(block.scores(terms(at), rows)))
+        # In runs of _STACK_PAIRS (term, row) pairs, or one row. A row's
+        # score does not depend on the rows beside it, so the runs give
+        # the bits of one call.
+        step = max(1, _STACK_PAIRS // ids.shape[0])
+        obj = np.empty(rows.shape[0])
+        for s in range(0, rows.shape[0], step):
+            obj[s : s + step] = _summed(block.scores(terms(at[s : s + step]), rows[s : s + step]))
+        return _refuse_nan(obj)
 
     searches = np.arange(n)
     top = np.reshape(bound(searches[:, None], first, np.arange(_size(grid, first))), (n, -1))
@@ -352,11 +376,15 @@ def coordinate_ascent(scorer, init, grid: SO3Grid, max_sweeps=50):
     # Grid index of each camera's current rotation, -1 while off-grid.
     # Rotations bitwise equal to a grid rotation count as on-grid, so an
     # init built from grid rotations is not needlessly re-projected.
-    on_grid = [-1] * n
-    for i in range(n):
-        k, _ = nearest_in_grid(grid, rotations[i])
-        if np.array_equal(rotations[i], quat_to_matrix(grid.quats[k])):
-            on_grid[i] = k
+    # Every camera's nearest grid point, as `nearest_in_grid` finds it,
+    # comes from one whole-grid scan, which makes its row buffers once:
+    # a scan per camera made two fresh 288 kB rows each at G=36864, and
+    # a process that had handed its memory back faulted them in anew.
+    nearest, _ = _kernels.nearest_abs_dots(np.array(quats), grid.quats)
+    on_grid = [
+        int(k) if np.array_equal(r, quat_to_matrix(grid.quats[k])) else -1
+        for r, k in zip(rotations, nearest)
+    ]
     for _ in range(max_sweeps):
         sweeps_used += 1
         changed = False

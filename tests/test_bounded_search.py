@@ -288,6 +288,25 @@ def test_stacked_pair_search_matches_dense_per_term_search(monkeypatch, name, gr
             assert bits(alone) == bits([found])
 
 
+@pytest.mark.parametrize("stack", [1, 64])
+def test_search_in_small_chunks_gives_the_bits_of_one_evaluation(monkeypatch, stack):
+    # Groups taken one at a time, and every evaluation of bounds or
+    # scores split into calls of at most `stack` (term, node) pairs,
+    # or one row: the spanning tree and every block update decide as
+    # with the default chunks, bit for bit.
+    monkeypatch.setattr(energy, "_BOUND_WORK", 0)
+    grid = grid_of(4608)
+    scorer = scene_scorer(35, 8)
+    want = solver.solve(scorer, 8, grid)
+    monkeypatch.setattr(solver, "_STACK_PAIRS", stack)
+    recorder = Recorder(scorer)
+    assert_same(solver.solve(recorder, 8, grid), want)
+    rows = [r for block in recorder.blocks for r in block]
+    assert None not in rows and max(rows) == stack
+    # A block update's 7 terms per row: at most stack // 7 rows, or one.
+    assert max(r for block in recorder.blocks[1:] for r in block) == max(1, stack // 7)
+
+
 @pytest.mark.parametrize("grid_n", [100, 576, 4608])
 def test_one_search_over_multi_term_groups_matches_dense_group_sums(monkeypatch, grid_n):
     # A group per pair holding both of its orders with the pair's second
@@ -306,14 +325,17 @@ def test_one_search_over_multi_term_groups_matches_dense_group_sums(monkeypatch,
     ]
     want = dense_search(scorer, grid, groups)
     assert bits(solver.grid_search(scorer, grid, groups)) == bits(want)
-    # In chunks of 3 groups, the last one short.
-    monkeypatch.setattr(solver, "_STACK_PAIRS", 3 * grid.cells.parent_radius.shape[0])
+    # In chunks of 3 groups, the last one short: 3 groups of 2 terms
+    # over the parents fill a chunk's (term, node) pairs.
+    monkeypatch.setattr(solver, "_STACK_PAIRS", 3 * 2 * grid.cells.parent_radius.shape[0])
     assert len(groups) % 3
     recorder = Recorder(scorer)
     assert bits(solver.grid_search(recorder, grid, groups)) == bits(want)
-    # Bounded: every chunk's last evaluation scores chosen rows only.
+    # Bounded: every chunk's floor and last evaluations score chosen
+    # rows only, each in calls of at most _STACK_PAIRS (term, row) pairs.
     [rows] = recorder.blocks
-    assert len(rows) == 2 * -(-len(groups) // 3) and None not in rows
+    assert None not in rows and 2 * max(rows) <= solver._STACK_PAIRS
+    assert len(rows) >= 2 * -(-len(groups) // 3)
     with pytest.raises(ValueError):
         solver.grid_search(scorer, grid, groups, current=0)
     with pytest.raises(ValueError):

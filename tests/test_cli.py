@@ -694,6 +694,60 @@ def test_report_appends_mean(tmp_path):
     assert run("report", "-o", tmp_path / "x.csv", "--inputs", per_scene, other) == 3
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, capsys, umask, mode):
+    # Every file each subcommand writes (scenes, tables, predictions,
+    # metrics, grids, reports, manifests and configs) is created as
+    # open() creates a file: 0o666 less the umask, never a temp file's
+    # 0o600.
+    scenes, preds, tables = tmp_path / "scenes", tmp_path / "preds", tmp_path / "tpreds"
+    metrics, grid, report = tmp_path / "metrics", tmp_path / "g.so3g", tmp_path / "r.csv"
+    steps = [
+        ["synth", "-o", scenes, "--n", 3, "--scenes", 2, "--seed", 3,
+         "--emit-tables", "--grid-n", 72],
+        ["solve", "-o", preds, "--scenes", scenes, "--grid-n", 72, "--jobs", 2],
+        ["solve", "-o", tables, "--tables", scenes, "--grid-n", 72,
+         "--translation", "constant-z"],
+        ["eval", "-o", metrics, "--pred", preds, "--gt", scenes, "--sweep"],
+        ["grid", "-o", grid, "--n", 72],
+        ["report", "-o", report, "--inputs", metrics / "per_scene.csv"],
+    ]
+    old = os.umask(umask)
+    try:
+        codes = [run(*argv) for argv in steps]
+    finally:
+        os.umask(old)
+    assert codes == [0] * len(steps)
+    assert_no_children()
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    for name in ("scenes/scene_001.rpet", "preds/manifest.json", "tpreds/scene_000.json",
+                 "metrics/sweep.csv", "metrics/run_config.json", "g.so3g", "r.csv"):
+        assert name in written
+    modes = {name: oct((tmp_path / name).stat().st_mode & 0o777) for name in written}
+    assert modes == {name: oct(mode) for name in written}
+    # No temp file is left behind.
+    assert not [name for name in written if ".tmp-" in name]
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    from svpose._fileio import write_bytes_atomic
+
+    path = tmp_path / "out.bin"
+    write_bytes_atomic(path, b"old")
+
+    def chunks():
+        yield b"new"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_bytes_atomic(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    # Chunks are any bytes-like objects, written in turn.
+    write_bytes_atomic(path, [b"a", memoryview(b"b"), np.arange(2, dtype="<u1")])
+    assert path.read_bytes() == b"ab\x00\x01"
+
+
 def test_missing_out_is_consistency_error(tmp_path, capsys):
     assert run("grid", "--n", 16) == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

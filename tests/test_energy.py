@@ -567,3 +567,49 @@ def test_scene_and_table_paths_agree_on_the_grid(grid_n, generator):
                 grid_search(scorer, grid, [[(i, j, None, "j")]])[0][0] for scorer in (mode, table)
             )
             assert k_table == k_mode or stored[k_table] == stored[k_mode]
+
+
+def traced(call):
+    """call() and the peak of what it allocates above what it leaves, by tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - held, held
+
+
+def test_table_save_streams_rows_without_copying_the_table(tmp_path):
+    # 190 pairs (20 cameras) at G=36864, every pair the same stored row,
+    # so the table itself holds one row: saving writes 28 MB while
+    # holding at most two rows of it. Joined into one blob, the file
+    # would be held twice over.
+    grid_spec = so3.GridSpec("super_fibonacci", 36864)
+    row = rng_for(40).standard_normal(grid_spec.n).astype(np.float32)
+    pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+    table = EnergyTable(grid_spec=grid_spec, rows={p: row for p in pairs})
+    path = tmp_path / "big.rpet"
+    _, peak, _ = traced(lambda: table.save(path))
+    assert peak <= 2 * row.nbytes
+    assert path.stat().st_size == 25 + len(pairs) * (4 + row.nbytes)
+    back = load_table(path)
+    assert list(back.rows) == sorted(pairs)
+    assert all(np.array_equal(r, row) for r in back.rows.values())
+
+
+def test_load_table_keeps_one_copy_of_its_rows(tmp_path):
+    # The rows are aligned float32 views of the one buffer the file is
+    # read into, not copies beside it.
+    grid = so3.build_grid(4608)
+    table = table_for(rng_for(41), grid, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    path = tmp_path / "t.rpet"
+    table.save(path)
+    size = path.stat().st_size
+    back, above, held = traced(lambda: load_table(path))
+    assert held < size + 64 * 1024 and above < 64 * 1024
+    for key, r in back.rows.items():
+        assert r.dtype == np.float32 and r.flags.aligned
+        assert np.array_equal(r, table.rows[key])

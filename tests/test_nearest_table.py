@@ -199,3 +199,24 @@ def test_table_at_benchmark_sizes(n, generator):
     nearest, _ = _kernels.nearest_abs_dots(centers, grid.quats)
     for code, k in zip(codes, nearest):
         assert k in table.entries[table.ptr[code] : table.ptr[code + 1]]
+
+
+def test_list_maxima_are_each_lists_maximum_without_an_index_copy():
+    # Each bucket's maximum over its list, and a peak of about the
+    # gathered values: casting every int32 entry to intp at once would
+    # make an index copy twice the entries' size on every call.
+    import tracemalloc
+
+    grid = so3.build_grid(4608)
+    table = grid.nearest_table
+    values = np.random.Generator(np.random.PCG64(46)).standard_normal(grid.n)
+    values = values.astype(np.float32)
+    tracemalloc.start()
+    try:
+        got = table.list_maxima(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = [values[table.entries[s:e]].max() for s, e in zip(table.ptr[:-1], table.ptr[1:])]
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+    assert peak < 2 * table.entries.nbytes

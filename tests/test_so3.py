@@ -588,3 +588,19 @@ def test_grid_and_cell_index_builds_make_no_grid_sized_copies():
     size = grid.quats.nbytes
     assert peak < 2.5 * size
     assert traced_peak(lambda: grid.cells)[1] < 2.5 * size
+
+
+def test_covering_radius_and_cell_index_peak_below_the_grid_size():
+    # Probes bucketed a chunk at a time, int32 bucket lists and keys,
+    # and chunk-sized key temporaries. Built whole, the probes' keys,
+    # bins and gathered candidates would take the covering radius to
+    # 3.3x the grid's quaternions, and whole-grid key chunks the cell
+    # index to 1.4x.
+    warm = so3.build_grid(72)
+    warm.covering_radius, warm.cells
+    grid = so3.build_grid(36864)
+    size = grid.quats.nbytes
+    assert traced_peak(lambda: grid.covering_radius)[1] < 2.5 * size
+    assert grid.covering_radius == COVERING[36864]
+    fresh = so3.build_grid(36864)
+    assert traced_peak(lambda: fresh.cells)[1] < 1.0 * size

@@ -165,6 +165,31 @@ def test_ascent_trace_monotone_from_on_grid_init():
     )
 
 
+def test_ascent_finds_every_camera_on_the_grid_in_one_scan(monkeypatch):
+    # Cameras 1 and 3 sit on grid points, camera 2 off the grid; one
+    # whole-grid scan of all four rotations finds the two on-grid
+    # indices that `nearest_in_grid` gives, so the ascent leaves those
+    # cameras unprojected until an update wins.
+    from svpose import _kernels
+
+    grid = so3.build_grid(576)
+    scorer, _ = planted_instance(8, grid, n_cameras=4)
+    off = so3.axis_angle_rotation([1.0, 2.0, 3.0], 0.3)
+    init = [np.eye(3), so3.quat_to_matrix(grid.quats[5]), off, so3.quat_to_matrix(grid.quats[9])]
+    assert [so3.nearest_in_grid(grid, r)[0] for r in init[1::2]] == [5, 9]
+    scans = []
+    kernel = _kernels.nearest_abs_dots
+
+    def counted(queries, quats):
+        scans.append(queries.shape[0])
+        return kernel(queries, quats)
+
+    monkeypatch.setattr(_kernels, "nearest_abs_dots", counted)
+    out = coordinate_ascent(scorer, init, grid, max_sweeps=0)
+    assert scans == [4]
+    assert np.array_equal(out.rotations, np.array(init))
+
+
 def test_ascent_accepts_plain_rotation_list():
     grid = so3.build_grid(72)
     scorer, _ = planted_instance(7, grid)
@@ -401,3 +426,28 @@ def test_total_energy_refuses_a_nan_sum_and_keeps_infinities():
     with pytest.raises(ValueError, match="NaN"):
         total_energy(ConstantScorer(np.nan), rotations)
     assert total_energy(ConstantScorer(-np.inf), rotations) == -np.inf
+
+
+def test_fine_grid_spanning_tree_holds_its_temporaries_small():
+    # The fine-grid benchmark's scenes: 20 cameras at G=36864, 190
+    # groups. Groups 16 at a time and last levels scored in runs of
+    # solver._STACK_PAIRS (term, row) pairs keep the search's peak
+    # within 0.6 MB of what it leaves; 64 groups scored whole would go
+    # 1.2 MB above it.
+    import tracemalloc
+
+    scene = generate_scene(
+        RigSpec(n_cameras=20, seed=1000, radius_min=0.7, radius_max=1.3, jitter=0.05)
+    )
+    scorer = scene_to_scorer(scene, kappa=50.0, noise_angle=0.02)
+    grid = so3.build_grid(36864)
+    grid.cells
+    mst_init(scorer, 3, so3.build_grid(72))
+    tracemalloc.start()
+    try:
+        hyp = mst_init(scorer, 20, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 0.6e6
+    assert hyp.rotations.shape == (20, 3, 3)
